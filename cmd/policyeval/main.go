@@ -150,7 +150,7 @@ func instrumentedReplay(w io.Writer, name string, seed int64, quick bool, format
 		return err
 	}
 	sys.Start()
-	if _, err := (&replay.Replayer{}).Run(sys.Sim, sys.Queue, tr.Records, tr.DiskSectors); err != nil {
+	if _, err := (&replay.Replayer{}).RunSource(sys.Sim, sys.Queue, tr.Source(), tr.DiskSectors); err != nil {
 		return err
 	}
 	if sys.Faults != nil {

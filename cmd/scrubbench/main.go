@@ -11,12 +11,11 @@
 //	policy/waiting       full System, Waiting policy vs closed-loop workload
 //	policy/ar            full System, AR policy vs the same workload
 //	tuner/sweep          AutoTune threshold/size binary search
-//	fleet/workers-N      tuned fleet advanced at 1/4/8 workers
 //	shardfleet/shards-N  sharded engine campaign at 1 and 8 shards
 //
-// The fleet stages double-check determinism: per-member reports (and,
-// for the sharded engine, the fleet report) must be byte-identical
-// across worker and shard counts, or the run fails regardless of timing.
+// The shardfleet stage double-checks determinism: the fleet report must
+// be byte-identical across shard counts, or the run fails regardless of
+// timing.
 //
 // With -max-drives the fixed suite is replaced by a datacenter-scale
 // scrub-policy sweep through the sharded fleet engine: -max-drives
@@ -205,15 +204,6 @@ func runSuite(quick bool, progress *os.File) (*benchcmp.Run, error) {
 	if err := add(benchTuner(quick)); err != nil {
 		return nil, err
 	}
-	fleetRes, err := benchFleet(quick)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range fleetRes {
-		if err := add(r, nil); err != nil {
-			return nil, err
-		}
-	}
 	shardRes, err := benchShardFleet(quick)
 	if err != nil {
 		return nil, err
@@ -262,9 +252,9 @@ func sweepPolicies(m *disk.Model) []fleet.MemberClass {
 }
 
 // benchShardFleet runs one small campaign through the sharded engine at
-// 1 and 8 shards. Like benchFleet's worker sweep, timing is secondary to
-// the built-in determinism gate: the fleet reports must be byte-identical
-// across shard counts or the suite fails.
+// 1 and 8 shards. Timing is secondary to the built-in determinism gate:
+// the fleet reports must be byte-identical across shard counts or the
+// suite fails.
 func benchShardFleet(quick bool) ([]benchcmp.Result, error) {
 	drives, horizon, iters := 192, 2*time.Minute, 6
 	if quick {
@@ -502,7 +492,7 @@ func benchReplay(name string, quick bool) (benchcmp.Result, error) {
 	rp := &replay.Replayer{}
 	res, err := measure(resName, iters, func() (uint64, error) {
 		f0 := s.Fired()
-		r, err := rp.Run(s, q, tr.Records, tr.DiskSectors)
+		r, err := rp.RunSource(s, q, tr.Source(), tr.DiskSectors)
 		if err != nil {
 			return 0, err
 		}
@@ -594,80 +584,6 @@ func benchTuner(quick bool) (benchcmp.Result, error) {
 		return res, fmt.Errorf("tuner chose a degenerate size: %+v", last)
 	}
 	return res, nil
-}
-
-// benchFleet tunes a 4-member fleet once per worker count and advances it
-// with RunAllFor at 1, 4 and 8 workers. Per-member reports must be
-// byte-identical across worker counts — the pooling/batching layers must
-// not leak any cross-worker nondeterminism — otherwise the suite fails.
-func benchFleet(quick bool) ([]benchcmp.Result, error) {
-	names := []string{"HPc3t3d0", "HPc6t5d0", "MSRsrc11", "MSRusr1"}
-	profDur, slices := 30*time.Minute, 4
-	if quick {
-		profDur, slices = 15*time.Minute, 4
-	}
-	m := disk.HitachiUltrastar15K450()
-	specs := make([]core.MemberSpec, len(names))
-	for i, n := range names {
-		spec, ok := trace.ByName(n)
-		if !ok {
-			return nil, fmt.Errorf("fleet: unknown catalog trace %s", n)
-		}
-		specs[i] = core.MemberSpec{Name: n, Model: m, Profile: spec.Generate(3, profDur).Records, Alg: core.Staggered}
-	}
-	goal := optimize.Goal{MeanSlowdown: 2 * time.Millisecond, MaxSlowdown: 50 * time.Millisecond}
-
-	var results []benchcmp.Result
-	var snapshot string
-	for _, workers := range []int{1, 4, 8} {
-		name := "fleet/workers-" + strconv.Itoa(workers)
-		fl := core.NewFleet(goal)
-		if _, err := fl.AddAll(context.Background(), workers, specs); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		fl.Start()
-		totalFired := func() uint64 {
-			var fired uint64
-			for _, n := range names {
-				fired += fl.System(n).Sim.Fired()
-			}
-			return fired
-		}
-		prev := totalFired()
-		res, err := measure(name, slices, func() (uint64, error) {
-			if err := fl.RunAllFor(context.Background(), workers, 2*time.Minute); err != nil {
-				return 0, err
-			}
-			cur := totalFired()
-			delta := cur - prev
-			prev = cur
-			return delta, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-
-		snap := fleetSnapshot(fl, names)
-		if snapshot == "" {
-			snapshot = snap
-		} else if snap != snapshot {
-			return nil, fmt.Errorf("%s: fleet reports diverged from workers-1 run:\n%s\nvs\n%s", name, snap, snapshot)
-		}
-	}
-	return results, nil
-}
-
-// fleetSnapshot renders every member's report deterministically for the
-// byte-identical cross-worker comparison.
-func fleetSnapshot(fl *core.Fleet, names []string) string {
-	var sb strings.Builder
-	reports, total := fl.Reports()
-	for _, r := range reports {
-		fmt.Fprintf(&sb, "%s %s %+v\n", r.Name, r.Choice, r.Report)
-	}
-	fmt.Fprintf(&sb, "total %v members %d\n", total, len(names))
-	return sb.String()
 }
 
 // peakRSS returns the process's high-water resident set in bytes, from

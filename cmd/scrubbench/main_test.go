@@ -12,7 +12,8 @@ import (
 // TestRunSuiteQuick executes the real quick suite once and checks the run
 // record is complete and internally consistent — every suite member
 // present, time metrics positive, replay hot path allocation-free per
-// record, fleet determinism implicitly asserted inside benchFleet.
+// record, shard-count determinism implicitly asserted inside
+// benchShardFleet.
 func TestRunSuiteQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite still runs full simulations")
@@ -34,7 +35,6 @@ func TestRunSuiteQuick(t *testing.T) {
 		"replay/TPCdisk66", "replay/HPc3t3d0",
 		"policy/waiting", "policy/ar",
 		"tuner/sweep",
-		"fleet/workers-1", "fleet/workers-4", "fleet/workers-8",
 		"shardfleet/shards-1", "shardfleet/shards-8",
 	}
 	if len(run.Results) != len(want) {

@@ -249,7 +249,7 @@ func runScenarioBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 		}
 		q := blockdev.NewQueue(s, d, iosched.NewBSA())
 		q.SetRetryPolicy(blockdev.RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond})
-		r, err := (&replay.Replayer{}).Run(s, q, tr.Records, tr.DiskSectors)
+		r, err := (&replay.Replayer{}).RunSource(s, q, tr.Source(), tr.DiskSectors)
 		if err != nil {
 			return 0, err
 		}

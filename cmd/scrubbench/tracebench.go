@@ -371,7 +371,7 @@ func traceParityCheck(path string, m disk.Model, sectors, n int64) error {
 	if err != nil {
 		return err
 	}
-	bulk, err := (&replay.Replayer{}).Run(s1, q1, tr.Records, sectors)
+	bulk, err := (&replay.Replayer{}).RunSource(s1, q1, trace.NewSliceSource("", sectors, tr.Records), sectors)
 	if err != nil {
 		return err
 	}

@@ -174,7 +174,7 @@ func runTo(w io.Writer, args []string) error {
 		return err
 	}
 	sys.Start()
-	res, err := (&replay.Replayer{}).Run(sys.Sim, sys.Queue, records, diskSectors)
+	res, err := (&replay.Replayer{}).RunSource(sys.Sim, sys.Queue, trace.NewSliceSource("", diskSectors, records), diskSectors)
 	if err != nil {
 		return err
 	}
@@ -292,5 +292,5 @@ func replayOnce(dm disk.DeviceModel, sched string, records []trace.Record, diskS
 		return nil, err
 	}
 	q := blockdev.NewQueue(s, d, sc)
-	return (&replay.Replayer{}).Run(s, q, records, diskSectors)
+	return (&replay.Replayer{}).RunSource(s, q, trace.NewSliceSource("", diskSectors, records), diskSectors)
 }

@@ -102,7 +102,7 @@ func TestScrubsimMetricsMatchSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Start()
-	res, err := (&replay.Replayer{}).Run(sys.Sim, sys.Queue, tr.Records, tr.DiskSectors)
+	res, err := (&replay.Replayer{}).RunSource(sys.Sim, sys.Queue, tr.Source(), tr.DiskSectors)
 	if err != nil {
 		t.Fatal(err)
 	}

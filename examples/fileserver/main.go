@@ -75,7 +75,7 @@ func baselineRun(tr *trace.Trace) *replay.Result {
 	s := sim.New()
 	d := disk.MustNew(disk.HitachiUltrastar15K450())
 	q := blockdev.NewQueue(s, d, iosched.NewCFQ())
-	res, err := (&replay.Replayer{}).Run(s, q, tr.Records, tr.DiskSectors)
+	res, err := (&replay.Replayer{}).RunSource(s, q, tr.Source(), tr.DiskSectors)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func runScrubCase(tr *trace.Trace, idleClass bool, delay, threshold time.Duratio
 	} else {
 		sc.Start()
 	}
-	res, err := (&replay.Replayer{}).Run(s, q, tr.Records, tr.DiskSectors)
+	res, err := (&replay.Replayer{}).RunSource(s, q, tr.Source(), tr.DiskSectors)
 	if err != nil {
 		log.Fatal(err)
 	}

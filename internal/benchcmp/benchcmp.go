@@ -19,7 +19,7 @@ const Schema = "scrubbench/v1"
 // lower-is-better; *PerSec metrics are higher-is-better.
 type Result struct {
 	// Name identifies the benchmark, slash-scoped (e.g. "replay/TPCdisk66",
-	// "fleet/workers-8").
+	// "shardfleet/shards-8").
 	Name string `json:"name"`
 	// NsPerOp is wall-clock nanoseconds per operation.
 	NsPerOp float64 `json:"ns_per_op"`

@@ -76,11 +76,10 @@ const (
 	Staggered
 )
 
-// Config assembles a System.
-//
-// Deprecated: Config remains only as the construction shim behind
-// NewFromConfig. New code should build systems with New and functional
-// Options, which cover every field here.
+// Config assembles a System. It is the gob-serializable member template:
+// fleet.MemberClass carries one, fleet checkpoints store it, and
+// RestoreSystem rebuilds a parked member from it. Interactive callers
+// usually reach the same fields through New and functional Options.
 type Config struct {
 	// Model is the drive model (default: Hitachi Ultrastar 15K450).
 	Model *disk.Model
@@ -167,11 +166,9 @@ func New(m *disk.Model, opts ...Option) (*System, error) {
 	return build(cfg)
 }
 
-// NewFromConfig assembles a System from a Config struct.
-//
-// Deprecated: use New with functional Options. NewFromConfig behaves
-// identically — both run the same construction path — and exists only so
-// pre-options callers keep compiling.
+// NewFromConfig assembles a System from a Config struct — the path a
+// serialized member template takes (see Config). New runs the same
+// construction path over options applied to a Config.
 func NewFromConfig(cfg Config) (*System, error) {
 	return build(cfg)
 }

@@ -14,36 +14,6 @@ import (
 	"repro/internal/par"
 )
 
-// plantAll is a scripted fault model planting one burst of LBAs shortly
-// after start — exact arithmetic for health-threshold tests.
-type plantAll struct{ lbas []int64 }
-
-func (p plantAll) Name() string { return "scripted" }
-func (p plantAll) NewSource(int64, int64) fault.Source {
-	return &plantSource{burst: fault.Burst{At: time.Millisecond, LBAs: p.lbas}}
-}
-
-type plantSource struct {
-	burst fault.Burst
-	done  bool
-}
-
-func (s *plantSource) Next() (fault.Burst, bool) {
-	if s.done {
-		return fault.Burst{}, false
-	}
-	s.done = true
-	return s.burst, true
-}
-
-func seq(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(1000 + 8*i)
-	}
-	return out
-}
-
 // TestSystemWithFaultsEndToEnd runs the whole LSE lifecycle through a
 // System: a Bursty arrival stream plants errors on an otherwise idle
 // demo disk while a Waiting-policy scrubber sweeps, detects, escalates
@@ -100,10 +70,10 @@ func TestSystemWithFaultsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestNewMatchesNewFromConfig is the compatibility contract for the
-// deprecated struct constructor: the same settings expressed as a Config
-// and as functional options must build systems that report identically
-// after identical runs.
+// TestNewMatchesNewFromConfig is the contract between the two
+// constructors: the same settings expressed as a Config and as
+// functional options must build systems that report identically after
+// identical runs.
 func TestNewMatchesNewFromConfig(t *testing.T) {
 	small := disk.DemoSmall()
 	model := fault.Bursty{RatePerHour: 720, MeanBurst: 4, ClusterSectors: 1024}
@@ -219,121 +189,5 @@ func TestFaultInjectionParallelDeterminism(t *testing.T) {
 			!bytes.Contains(want[i], []byte(`"name": "fault.injected"`)) {
 			t.Fatalf("system %d snapshot has no fault.injected counter:\n%s", i, want[i])
 		}
-	}
-}
-
-// healthMember builds a System carrying outstanding planted errors and
-// registers it directly in the fleet (bypassing Add's tuning, which the
-// health machinery does not depend on).
-func healthMember(t *testing.T, fl *Fleet, name string, planted int) *System {
-	t.Helper()
-	small := disk.DemoSmall()
-	opts := []Option{WithPolicy(PolicyWaiting), WithWaitThreshold(time.Hour)}
-	if planted > 0 {
-		opts = append(opts, WithFaults(plantAll{lbas: seq(planted)}))
-	}
-	sys, err := New(&small, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl.members[name] = &member{name: name, sys: sys}
-	if planted > 0 {
-		sys.Faults.Start() // arrival stream only; no scrubber, errors stay latent
-	}
-	if err := sys.RunFor(context.Background(), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
-// TestFleetHealthLifecycle drives the Healthy → Degraded → Failed
-// machinery: thresholds, monotone transitions, name-ordered eviction and
-// the OnEvict rebuild hand-off.
-func TestFleetHealthLifecycle(t *testing.T) {
-	fl := NewFleet(testGoal())
-	healthMember(t, fl, "a-clean", 0)
-	healthMember(t, fl, "b-degraded", 10) // >= 8 outstanding
-	healthMember(t, fl, "c-failed", 70)   // >= 64 outstanding
-	healthMember(t, fl, "d-failed", 70)
-
-	var handoff []Eviction
-	fl.OnEvict(func(ev Eviction) { handoff = append(handoff, ev) })
-
-	evicted := fl.CheckHealth()
-	if len(evicted) != 2 || evicted[0].Name != "c-failed" || evicted[1].Name != "d-failed" {
-		t.Fatalf("evictions = %+v, want c-failed then d-failed", evicted)
-	}
-	if len(handoff) != 2 || handoff[0].Name != "c-failed" {
-		t.Fatalf("OnEvict saw %+v", handoff)
-	}
-	if handoff[0].Report.LSEsInjected != 70 {
-		t.Fatalf("eviction hand-off report lost the fault stats: %+v", handoff[0].Report)
-	}
-	if fl.Len() != 2 {
-		t.Fatalf("Len after eviction = %d, want 2", fl.Len())
-	}
-	if got := fl.Health("a-clean"); got != Healthy {
-		t.Fatalf("a-clean = %v, want healthy", got)
-	}
-	if got := fl.Health("b-degraded"); got != Degraded {
-		t.Fatalf("b-degraded = %v, want degraded", got)
-	}
-	// Evicted and never-existed members both report the terminal state.
-	if fl.Health("c-failed") != Failed || fl.Health("ghost") != Failed {
-		t.Fatal("absent members must report failed")
-	}
-
-	// Idempotent: a second pass with unchanged stats changes nothing.
-	if again := fl.CheckHealth(); len(again) != 0 {
-		t.Fatalf("second CheckHealth evicted %+v", again)
-	}
-	if fl.Health("b-degraded") != Degraded {
-		t.Fatal("degraded member flapped")
-	}
-
-	// String forms.
-	for h, want := range map[Health]string{Healthy: "healthy", Degraded: "degraded", Failed: "failed", Health(9): "Health(9)"} {
-		if h.String() != want {
-			t.Fatalf("Health(%d).String() = %q, want %q", int(h), h.String(), want)
-		}
-	}
-}
-
-// TestFleetHealthPolicyAndRetryExhaustion covers the custom-threshold
-// path and the second fail trigger: a member whose requests exhaust the
-// block layer's retry budget fails even with zero outstanding planted
-// errors.
-func TestFleetHealthPolicyAndRetryExhaustion(t *testing.T) {
-	fl := NewFleet(testGoal())
-	// Zero fields fall back to defaults.
-	fl.SetHealthPolicy(HealthPolicy{DegradeOutstanding: 2})
-	if fl.health.FailOutstanding != 64 || fl.health.FailExhausted != 1 {
-		t.Fatalf("zero policy fields not defaulted: %+v", fl.health)
-	}
-	healthMember(t, fl, "tight", 3) // over the custom degrade floor of 2
-	if fl.CheckHealth(); fl.Health("tight") != Degraded {
-		t.Fatalf("custom threshold ignored: %v", fl.Health("tight"))
-	}
-
-	// A hard error on a clean member: pre-seed an LSE the zero retry
-	// policy cannot recover and verify over it.
-	sys := healthMember(t, fl, "hard-errors", 0)
-	sys.Disk.InjectLSE(500)
-	sys.Queue.Submit(&blockdev.Request{
-		Op: disk.OpVerify, LBA: 0, Sectors: 1024,
-		Class: blockdev.ClassBE, Origin: blockdev.Foreground,
-	})
-	if err := sys.RunFor(context.Background(), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Queue.Stats().RetryExhausted; got != 1 {
-		t.Fatalf("RetryExhausted = %d, want 1", got)
-	}
-	evicted := fl.CheckHealth()
-	if len(evicted) != 1 || evicted[0].Name != "hard-errors" {
-		t.Fatalf("evictions = %+v, want hard-errors", evicted)
-	}
-	if fl.Health("hard-errors") != Failed {
-		t.Fatal("retry-exhausted member not failed")
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Option configures a System at construction. Options are applied in
-// order over the defaulted configuration, so later options win. The
-// functional form is the supported construction surface; the Config
-// struct remains only as a deprecated shim (NewFromConfig).
+// order over the defaulted configuration, so later options win. Each
+// option sets fields of a Config, the serializable template that
+// NewFromConfig, fleet member classes and checkpoints take directly.
 type Option func(*Config)
 
 // WithAlgorithm selects the scrub order (default Staggered).

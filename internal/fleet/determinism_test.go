@@ -12,7 +12,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/optimize"
 	"repro/internal/par"
 	"repro/internal/scrub"
 )
@@ -127,15 +126,14 @@ func TestShardCountDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesMonolithicFleet pins the engine to the legacy path:
-// the same members built as always-live core.Fleet systems and advanced
-// with RunAllFor produce byte-identical per-member reports and obs
-// snapshots, and integer totals matching the engine's fleet report. The
-// engine's park/hydrate cycles must be invisible to every trajectory.
+// TestEngineMatchesMonolithicFleet pins the engine to a reference built
+// here: the same members as always-live systems, each advanced to the
+// horizon in one RunFor, produce byte-identical per-member reports and
+// obs snapshots, and integer totals matching the engine's fleet report.
+// The engine's park/hydrate cycles must be invisible to every trajectory.
 func TestEngineMatchesMonolithicFleet(t *testing.T) {
 	engRep, engMem, engObs := runEngine(t, 8, 4, 11*time.Second)
 
-	f := core.NewFleet(optimize.Goal{MeanSlowdown: 5 * time.Millisecond})
 	var systems []*core.System
 	var regs []*obs.Registry
 	for _, cls := range testClasses() {
@@ -148,16 +146,13 @@ func TestEngineMatchesMonolithicFleet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := f.AddSystem(cls.Name+"/"+strconv.Itoa(i), sys); err != nil {
+			sys.Start()
+			if err := sys.RunFor(context.Background(), testHorizon); err != nil {
 				t.Fatal(err)
 			}
 			systems = append(systems, sys)
 			regs = append(regs, reg)
 		}
-	}
-	f.Start()
-	if err := f.RunAllFor(context.Background(), 4, testHorizon); err != nil {
-		t.Fatal(err)
 	}
 
 	var sumScrubbed, sumFound, sumInjected, sumDetected int64

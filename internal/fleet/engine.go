@@ -1,14 +1,14 @@
-// Package fleet is the sharded million-drive campaign engine. Where
-// core.Fleet keeps every member's full simulation stack live —
-// gigabytes at datacenter scale — this engine keeps members as compact
-// serialized states (core.SystemState plus an obs snapshot, a few
-// hundred bytes each) and only hydrates a member while advancing it one
-// time slice. Members stripe into shards executed over internal/par
-// with work stealing, so live memory is bounded by the worker count, not
-// the fleet size; per-member results reduce through integer-exact,
+// Package fleet is the sharded million-drive campaign engine. Keeping
+// every member's full simulation stack live would cost gigabytes at
+// datacenter scale, so the engine keeps members as compact serialized
+// states (core.SystemState plus an obs snapshot, a few hundred bytes
+// each) and only hydrates a member while advancing it one time slice.
+// Members stripe into shards executed over internal/par with work
+// stealing, so live memory is bounded by the worker count, not the
+// fleet size; per-member results reduce through integer-exact,
 // commutative merges, so every report is byte-identical across shard
-// and worker counts — and to a monolithic core.Fleet run of the same
-// members.
+// and worker counts — and to running each member live, start to
+// horizon, on its own.
 package fleet
 
 import (

@@ -43,7 +43,7 @@ func BenchmarkReplayHotPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := rp.Run(s, q, tr.Records, tr.DiskSectors)
+		res, err := rp.RunSource(s, q, tr.Source(), tr.DiskSectors)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,11 +63,11 @@ func BenchmarkReplayHotPath(b *testing.B) {
 func TestReplayHotPathSteadyStateAllocs(t *testing.T) {
 	s, q, tr := replayFixture(t, 2*time.Second)
 	rp := &Replayer{}
-	if _, err := rp.Run(s, q, tr.Records, tr.DiskSectors); err != nil {
+	if _, err := rp.RunSource(s, q, tr.Source(), tr.DiskSectors); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := rp.Run(s, q, tr.Records, tr.DiskSectors); err != nil {
+		if _, err := rp.RunSource(s, q, tr.Source(), tr.DiskSectors); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -21,7 +21,7 @@ func TestReplayEmptyTrace(t *testing.T) {
 	d := disk.MustNew(disk.HitachiUltrastar15K450())
 	q := blockdev.NewQueue(s, d, iosched.NewNOOP())
 	rp := &Replayer{}
-	res, err := rp.Run(s, q, nil, d.Sectors())
+	res, err := rp.RunSource(s, q, trace.NewSliceSource("", d.Sectors(), nil), d.Sectors())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestReplayShrinkingTraceReusesBuffersCleanly(t *testing.T) {
 			Sectors: 8,
 		}
 	}
-	resBig, err := rp.Run(s, q, big, d.Sectors())
+	resBig, err := rp.RunSource(s, q, trace.NewSliceSource("", d.Sectors(), big), d.Sectors())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestReplayShrinkingTraceReusesBuffersCleanly(t *testing.T) {
 	}
 
 	small := big[:3]
-	resSmall, err := rp.Run(s, q, small, d.Sectors())
+	resSmall, err := rp.RunSource(s, q, trace.NewSliceSource("", d.Sectors(), small), d.Sectors())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestReplayShrinkingTraceReusesBuffersCleanly(t *testing.T) {
 	}
 
 	// And an empty run immediately after a populated one.
-	resEmpty, err := rp.Run(s, q, big[:0], d.Sectors())
+	resEmpty, err := rp.RunSource(s, q, trace.NewSliceSource("", d.Sectors(), big[:0]), d.Sectors())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func TestReplayerBaseline(t *testing.T) {
 		t.Fatalf("trace too small: %d", len(tr.Records))
 	}
 	rp := &Replayer{}
-	res, err := rp.Run(r.sim, r.q, tr.Records, tr.DiskSectors)
+	res, err := rp.RunSource(r.sim, r.q, tr.Source(), tr.DiskSectors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestReplayerSlowdownVsBaseline(t *testing.T) {
 
 	base := func() *Result {
 		r := newRig(t)
-		res, err := (&Replayer{}).Run(r.sim, r.q, tr.Records, tr.DiskSectors)
+		res, err := (&Replayer{}).RunSource(r.sim, r.q, tr.Source(), tr.DiskSectors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestReplayerSlowdownVsBaseline(t *testing.T) {
 	r := newRig(t)
 	scr := r.scrubber(t, scrub.KernelMode, blockdev.ClassIdle, 0)
 	scr.Start()
-	res, err := (&Replayer{}).Run(r.sim, r.q, tr.Records, tr.DiskSectors)
+	res, err := (&Replayer{}).RunSource(r.sim, r.q, tr.Source(), tr.DiskSectors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,8 @@ func TestReplayerScalesLBA(t *testing.T) {
 		{Arrival: 0, LBA: 2 * r.q.Disk().Sectors(), Sectors: 8},
 		{Arrival: time.Millisecond, LBA: 0, Sectors: 8},
 	}
-	res, err := (&Replayer{}).Run(r.sim, r.q, recs, 4*r.q.Disk().Sectors())
+	sectors := 4 * r.q.Disk().Sectors()
+	res, err := (&Replayer{}).RunSource(r.sim, r.q, trace.NewSliceSource("", sectors, recs), sectors)
 	if err != nil {
 		t.Fatal(err)
 	}

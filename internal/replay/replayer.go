@@ -16,20 +16,20 @@ import (
 // is keeping up, exactly as the paper replays the SNIA traces
 // (Section IV-C).
 //
-// Records come either from an in-memory slice (Run, or RunSource over a
-// *trace.SliceSource) or from any streaming trace.Source (RunSource): the
-// slice path pre-schedules every arrival and keeps per-request response
-// arrays, while the streaming path holds only a bounded look-ahead window
-// of scheduled arrivals and aggregates metrics on the fly, so a
+// RunSource takes records either from an in-memory slice (a
+// *trace.SliceSource) or from any streaming trace.Source: the slice path
+// pre-schedules every arrival and keeps per-request response arrays,
+// while the streaming path holds only a bounded look-ahead window of
+// scheduled arrivals and aggregates metrics on the fly, so a
 // multi-ten-GB trace replays in constant memory.
 //
-// A Replayer owns preallocated request and result buffers that are reused
-// across Run calls: after a warm-up run, the steady-state replay path
-// (arrival event, submit, dispatch, disk service, completion) performs
-// zero allocations per record — TestReplayHotPathSteadyStateAllocs pins
-// this down. Consequently the slices inside a returned Result alias the
-// Replayer's buffers and are only valid until the next Run on the same
-// Replayer.
+// A Replayer owns preallocated request and result buffers that are
+// reused across RunSource calls: after a warm-up run, the steady-state
+// replay path (arrival event, submit, dispatch, disk service,
+// completion) performs zero allocations per record —
+// TestReplayHotPathSteadyStateAllocs pins this down. Consequently the
+// slices inside a returned Result alias the Replayer's buffers and are
+// only valid until the next RunSource on the same Replayer.
 type Replayer struct {
 	// Class is the I/O priority class of replayed requests (default BE).
 	Class blockdev.Class
@@ -219,21 +219,12 @@ func (r *Result) MaxSlowdownVs(base *Result) time.Duration {
 	return time.Duration(worst * float64(time.Second))
 }
 
-// Run replays the records through the queue until all complete, then
-// returns the metrics. It drives the simulator itself. The returned
-// Result's slices are reused by the next Run on this Replayer. Run is a
-// shim over RunSource: a slice of records takes the pre-scheduling bulk
-// path, byte-for-byte the historical behavior.
-func (rp *Replayer) Run(s *sim.Simulator, q *blockdev.Queue, records []trace.Record, diskSectors int64) (*Result, error) {
-	return rp.RunSource(s, q, trace.NewSliceSource("", diskSectors, records), diskSectors)
-}
-
 // RunSource replays a trace.Source through the queue until every record
-// completes. A *trace.SliceSource (what Run and Trace.Source produce)
-// takes the bulk path: all arrivals pre-scheduled, per-request response
-// arrays in the Result. Any other source takes the streaming path: a
-// bounded window of look-ahead arrivals, aggregate-only metrics, constant
-// memory regardless of trace length.
+// completes. A *trace.SliceSource (what Trace.Source and NewSliceSource
+// produce) takes the bulk path: all arrivals pre-scheduled, per-request
+// response arrays in the Result. Any other source takes the streaming
+// path: a bounded window of look-ahead arrivals, aggregate-only metrics,
+// constant memory regardless of trace length.
 //
 // diskSectors is the source's address space for LBA scaling; when <= 0
 // it is taken from src.DiskSectors() (parser sources that learn the
@@ -249,7 +240,7 @@ func (rp *Replayer) RunSource(s *sim.Simulator, q *blockdev.Queue, src trace.Sou
 	return rp.runStream(s, q, src, diskSectors)
 }
 
-// runBulk is the historical Run body: pre-schedule every arrival, keep
+// runBulk is the slice-source path: pre-schedule every arrival, keep
 // per-request metrics.
 //
 //scrub:hotpath

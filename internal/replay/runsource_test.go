@@ -38,7 +38,7 @@ func TestRunSourceSliceTakesBulkPath(t *testing.T) {
 	tr := testTrace(t, 2*time.Second)
 
 	r1 := newRig(t)
-	want, err := (&Replayer{}).Run(r1.sim, r1.q, tr.Records, tr.DiskSectors)
+	want, err := (&Replayer{}).RunSource(r1.sim, r1.q, tr.Source(), tr.DiskSectors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRunSourceStreamMatchesBulk(t *testing.T) {
 	tr := testTrace(t, 2*time.Second)
 
 	r1 := newRig(t)
-	want, err := (&Replayer{}).Run(r1.sim, r1.q, tr.Records, tr.DiskSectors)
+	want, err := (&Replayer{}).RunSource(r1.sim, r1.q, tr.Source(), tr.DiskSectors)
 	if err != nil {
 		t.Fatal(err)
 	}

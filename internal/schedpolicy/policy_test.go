@@ -204,7 +204,7 @@ func TestWaitingOnRealTraceReducesSlowdown(t *testing.T) {
 		s := sim.New()
 		d := disk.MustNew(disk.HitachiUltrastar15K450())
 		q := blockdev.NewQueue(s, d, iosched.NewCFQ())
-		res, err := (&replay.Replayer{}).Run(s, q, tr.Records, tr.DiskSectors)
+		res, err := (&replay.Replayer{}).RunSource(s, q, tr.Source(), tr.DiskSectors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestWaitingOnRealTraceReducesSlowdown(t *testing.T) {
 		} else {
 			sc.Start()
 		}
-		res, err := (&replay.Replayer{}).Run(s, q, tr.Records, tr.DiskSectors)
+		res, err := (&replay.Replayer{}).RunSource(s, q, tr.Source(), tr.DiskSectors)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func FuzzParseMSR(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadMSR(strings.NewReader(data), MSROptions{Name: "fuzz", DiskNumber: -1})
+		tr, err := ReadAll(NewMSRSource(strings.NewReader(data), MSROptions{Name: "fuzz", DiskNumber: -1}))
 		if err != nil {
 			return // malformed input must error, never panic
 		}

@@ -207,30 +207,6 @@ func (m *MSRSource) Close() error {
 	return nil
 }
 
-// ReadMSR decodes a whole MSR-Cambridge stream at once — a shim over
-// MSRSource for callers that want the materialized *Trace. It errors on
-// an empty decode, matching the historical contract.
-func ReadMSR(r io.Reader, opts MSROptions) (*Trace, error) {
-	src := NewMSRSource(r, opts)
-	t := &Trace{Name: opts.Name}
-	var rec Record
-	for {
-		err := src.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
-	}
-	if len(t.Records) == 0 {
-		return nil, fmt.Errorf("%w: no records", ErrBadFormat)
-	}
-	t.DiskSectors = src.DiskSectors()
-	return t, nil
-}
-
 // WriteMSR encodes a source in the 7-column MSR-Cambridge CSV layout
 // (ResponseTime written as zero) — the fixture-side complement of
 // MSRSource, used by tests and the scrubbench trace suite to fabricate

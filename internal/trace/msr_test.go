@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ const msrSample = `128166372003061629,src1,1,Read,1024,4096,411
 `
 
 func TestReadMSRBasic(t *testing.T) {
-	tr, err := ReadMSR(strings.NewReader(msrSample), MSROptions{Name: "src1.1", DiskNumber: -1})
+	tr, err := ReadAll(NewMSRSource(strings.NewReader(msrSample), MSROptions{Name: "src1.1", DiskNumber: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,21 +47,21 @@ func TestReadMSRBasic(t *testing.T) {
 }
 
 func TestReadMSRFilters(t *testing.T) {
-	tr, err := ReadMSR(strings.NewReader(msrSample), MSROptions{Hostname: "src1", DiskNumber: 1})
+	tr, err := ReadAll(NewMSRSource(strings.NewReader(msrSample), MSROptions{Hostname: "src1", DiskNumber: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Records) != 3 {
 		t.Fatalf("filtered records = %d, want 3", len(tr.Records))
 	}
-	tr, err = ReadMSR(strings.NewReader(msrSample), MSROptions{DiskNumber: 2})
+	tr, err = ReadAll(NewMSRSource(strings.NewReader(msrSample), MSROptions{DiskNumber: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Records) != 1 {
 		t.Fatalf("disk-2 records = %d, want 1", len(tr.Records))
 	}
-	tr, err = ReadMSR(strings.NewReader(msrSample), MSROptions{DiskNumber: -1, MaxRecords: 2})
+	tr, err = ReadAll(NewMSRSource(strings.NewReader(msrSample), MSROptions{DiskNumber: -1, MaxRecords: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestReadMSRClampsInversions(t *testing.T) {
 999000,h,0,Read,512,512,1
 1002000,h,0,Read,1024,512,1
 `
-	tr, err := ReadMSR(strings.NewReader(src), MSROptions{DiskNumber: -1})
+	tr, err := ReadAll(NewMSRSource(strings.NewReader(src), MSROptions{DiskNumber: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,25 +89,30 @@ func TestReadMSRClampsInversions(t *testing.T) {
 
 func TestReadMSRRejectsMalformed(t *testing.T) {
 	cases := []string{
-		"",                      // empty
 		"1,h,0,Read,0\n",        // too few fields
 		"x,h,0,Read,0,512,1\n",  // bad timestamp
 		"1,h,y,Read,0,512,1\n",  // bad disk number
 		"1,h,0,Frob,0,512,1\n",  // bad op
 		"1,h,0,Read,-1,512,1\n", // negative offset
 		"1,h,0,Read,0,0,1\n",    // zero size
-		"# only a comment\n",    // no records
 	}
 	for i, c := range cases {
-		if _, err := ReadMSR(strings.NewReader(c), MSROptions{DiskNumber: -1}); !errors.Is(err, ErrBadFormat) {
+		if _, err := ReadAll(NewMSRSource(strings.NewReader(c), MSROptions{DiskNumber: -1})); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("case %d: err = %v, want ErrBadFormat", i, err)
+		}
+	}
+	// Input without records is not malformed: the source just ends.
+	for _, c := range []string{"", "# only a comment\n"} {
+		var rec Record
+		if err := NewMSRSource(strings.NewReader(c), MSROptions{DiskNumber: -1}).Next(&rec); err != io.EOF {
+			t.Fatalf("%q: Next = %v, want io.EOF", c, err)
 		}
 	}
 }
 
 func TestReadMSRToleratesCommentsAndBlanks(t *testing.T) {
 	src := "# header comment\n\n128166372003061629,h,0,read,0,512,1\n"
-	tr, err := ReadMSR(strings.NewReader(src), MSROptions{DiskNumber: -1})
+	tr, err := ReadAll(NewMSRSource(strings.NewReader(src), MSROptions{DiskNumber: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}

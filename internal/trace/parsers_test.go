@@ -58,11 +58,11 @@ func TestMSRGoldenFixture(t *testing.T) {
 func TestMSRWindowsHardening(t *testing.T) {
 	plain := "100,h,0,Read,1024,4096,1\n200,h,0,Write,0,512,1\n"
 	windows := "\xef\xbb\xbf100,h,0,Read,1024,4096,1\r\n200,h,0,Write,0,512,1\r\n"
-	want, err := ReadMSR(strings.NewReader(plain), MSROptions{DiskNumber: -1})
+	want, err := ReadAll(NewMSRSource(strings.NewReader(plain), MSROptions{DiskNumber: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMSR(strings.NewReader(windows), MSROptions{DiskNumber: -1})
+	got, err := ReadAll(NewMSRSource(strings.NewReader(windows), MSROptions{DiskNumber: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,20 +76,20 @@ func TestMSRWindowsHardening(t *testing.T) {
 	}
 	// A BOM mid-file is not magic whitespace: only the first line strips.
 	midBOM := "100,h,0,Read,1024,4096,1\n\xef\xbb\xbf200,h,0,Write,0,512,1\n"
-	if _, err := ReadMSR(strings.NewReader(midBOM), MSROptions{DiskNumber: -1}); !errors.Is(err, ErrBadFormat) {
+	if _, err := ReadAll(NewMSRSource(strings.NewReader(midBOM), MSROptions{DiskNumber: -1})); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("mid-file BOM: err = %v, want ErrBadFormat", err)
 	}
 }
 
-func TestMSRSourceStreamsEqualReadMSR(t *testing.T) {
-	want, err := ReadMSR(strings.NewReader(msrSample), MSROptions{DiskNumber: -1})
+func TestMSRSourceStreamsEqualReadAll(t *testing.T) {
+	want, err := ReadAll(NewMSRSource(strings.NewReader(msrSample), MSROptions{DiskNumber: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := NewMSRSource(strings.NewReader(msrSample), MSROptions{DiskNumber: -1})
 	got := drain(t, src)
 	if len(got) != len(want.Records) {
-		t.Fatalf("source %d records, ReadMSR %d", len(got), len(want.Records))
+		t.Fatalf("source %d records, ReadAll %d", len(got), len(want.Records))
 	}
 	for i := range got {
 		if got[i] != want.Records[i] {
@@ -390,7 +390,7 @@ func TestWriteMSRRoundTrip(t *testing.T) {
 	if err := WriteMSR(&buf, tr.Source(), "hostA", 3); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMSR(bytes.NewReader(buf.Bytes()), MSROptions{Hostname: "hostA", DiskNumber: 3})
+	got, err := ReadAll(NewMSRSource(bytes.NewReader(buf.Bytes()), MSROptions{Hostname: "hostA", DiskNumber: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,31 +119,10 @@ var AutoTuneSourceParallel = core.AutoTuneSourceParallel
 // NewTunedSource is NewTuned over a streaming TraceSource.
 var NewTunedSource = core.NewTunedSource
 
-// Fleet management.
-type (
-	Fleet        = core.Fleet
-	MemberSpec   = core.MemberSpec
-	MemberReport = core.MemberReport
-	Health       = core.Health
-	HealthPolicy = core.HealthPolicy
-	Eviction     = core.Eviction
-)
-
-// Member lifecycle states (Fleet.CheckHealth).
-const (
-	Healthy  = core.Healthy
-	Degraded = core.Degraded
-	Failed   = core.Failed
-)
-
-// NewFleet creates an empty fleet with a shared slowdown goal.
-var NewFleet = core.NewFleet
-
 // Sharded fleet engine: datacenter-scale campaigns over serialized
-// members. Where Fleet keeps every member's simulation stack live, the
-// engine parks members as compact snapshots between time slices and
-// executes shards over a work-stealing pool, with byte-identical
-// results for any shard/worker/slice choice.
+// members. The engine parks members as compact snapshots between time
+// slices and executes shards over a work-stealing pool, with
+// byte-identical results for any shard/worker/slice choice.
 type (
 	// FleetEngine advances a sharded fleet of serialized members.
 	FleetEngine = fleet.Engine

@@ -72,32 +72,6 @@ func TestFacadeCatalogsAndModels(t *testing.T) {
 	}
 }
 
-// TestFacadeFleetHealth drives the fleet lifecycle — add, run, health
-// check — through aliases only.
-func TestFacadeFleetHealth(t *testing.T) {
-	fl := scrubbing.NewFleet(scrubbing.Goal{MeanSlowdown: 2 * time.Millisecond, MaxSlowdown: 50 * time.Millisecond})
-	fl.SetHealthPolicy(scrubbing.HealthPolicy{DegradeOutstanding: 4})
-	spec, ok := scrubbing.TraceByName("HPc3t3d0")
-	if !ok {
-		t.Fatal("HPc3t3d0 missing")
-	}
-	profile := spec.Generate(3, 30*time.Minute)
-	if _, err := fl.Add("m0", scrubbing.Ultrastar15K450(), profile.Records, scrubbing.Staggered); err != nil {
-		t.Fatal(err)
-	}
-	fl.OnEvict(func(ev scrubbing.Eviction) { t.Fatalf("healthy member evicted: %+v", ev) })
-	fl.Start()
-	if err := fl.RunFor(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if ev := fl.CheckHealth(); len(ev) != 0 {
-		t.Fatalf("evictions on a healthy fleet: %+v", ev)
-	}
-	if got := fl.Health("m0"); got != scrubbing.Healthy {
-		t.Fatalf("health = %v, want %v", got, scrubbing.Healthy)
-	}
-}
-
 // TestPolicyAndAlgorithmNames pins the re-exported enum values.
 func TestPolicyAndAlgorithmNames(t *testing.T) {
 	names := map[string]scrubbing.PolicyKind{
