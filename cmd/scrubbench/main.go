@@ -10,7 +10,7 @@
 //	replay/<trace>       open-loop trace replay through CFQ (records/sec)
 //	policy/waiting       full System, Waiting policy vs closed-loop workload
 //	policy/ar            full System, AR policy vs the same workload
-//	tuner/sweep          AutoTune threshold/size binary search
+//	tuner/sweep          serial AutoTune over a catalog trace source
 //	shardfleet/shards-N  sharded engine campaign at 1 and 8 shards
 //
 // The shardfleet stage double-checks determinism: the fleet report must
@@ -552,9 +552,10 @@ func benchPolicy(pol core.PolicyKind, quick bool) (benchcmp.Result, error) {
 	})
 }
 
-// benchTuner runs the AutoTune binary search over a catalog profile — the
-// paper's "repeat the simulations to adapt the parameter values" loop,
-// dominated by idle-interval simulation.
+// benchTuner runs a serial AutoTune over a catalog profile, building the
+// profile's source inside each timed iteration — the paper's "repeat the
+// simulations to adapt the parameter values" loop, dominated by
+// idle-interval simulation.
 func benchTuner(quick bool) (benchcmp.Result, error) {
 	const resName = "tuner/sweep"
 	spec, ok := trace.ByName("MSRsrc11")
@@ -565,12 +566,12 @@ func benchTuner(quick bool) (benchcmp.Result, error) {
 	if quick {
 		profDur, iters = 90*time.Minute, 8
 	}
-	profile := spec.Generate(3, profDur).Records
+	profile := spec.Generate(3, profDur)
 	goal := optimize.Goal{MeanSlowdown: 2 * time.Millisecond, MaxSlowdown: 50 * time.Millisecond}
 	m := disk.HitachiUltrastar15K450()
 	var last optimize.Choice
 	res, err := measure(resName, iters, func() (uint64, error) {
-		c, err := core.AutoTune(profile, m, goal)
+		c, err := core.AutoTune(context.Background(), profile.Source(), m, goal, 1)
 		if err != nil {
 			return 0, err
 		}

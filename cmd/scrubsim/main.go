@@ -42,7 +42,6 @@ func runTo(w io.Writer, args []string) error {
 	traceName := fs.String("trace", "MSRsrc11", "catalog trace name (see cmd/tracegen -list)")
 	file := fs.String("file", "", "trace file (overrides -trace); format sniffed unless -format is set")
 	format := fs.String("format", "auto", "trace file format: auto | native | msr | cello | blktrace | cache")
-	msr := fs.Bool("msr", false, "treat -file as SNIA MSR-Cambridge format (alias for -format msr)")
 	msrDisk := fs.Int("msr-disk", -1, "MSR DiskNumber filter (-1 = all)")
 	policyName := fs.String("policy", "waiting", "cfq-idle | fixed-delay | waiting | ar | ar+waiting")
 	algName := fs.String("alg", "staggered", "sequential | staggered")
@@ -84,7 +83,7 @@ func runTo(w io.Writer, args []string) error {
 	var records []trace.Record
 	var diskSectors int64
 	if *file != "" {
-		src, err := openTraceFile(*file, *format, *msr, *msrDisk)
+		src, err := openTraceFile(*file, *format, *msrDisk)
 		if err != nil {
 			return err
 		}
@@ -200,14 +199,11 @@ func runTo(w io.Writer, args []string) error {
 }
 
 // openTraceFile opens a trace file as a Source, honoring the -format
-// flag (with "auto" sniffing) and the legacy -msr/-msr-disk flags.
-func openTraceFile(path, format string, msr bool, msrDisk int) (trace.Source, error) {
+// flag (with "auto" sniffing) and the -msr-disk filter.
+func openTraceFile(path, format string, msrDisk int) (trace.Source, error) {
 	f, err := trace.ParseFormat(format)
 	if err != nil {
 		return nil, err
-	}
-	if msr {
-		f = trace.FormatMSR
 	}
 	if f == trace.FormatUnknown {
 		if f, err = trace.DetectFormat(path); err != nil {

@@ -35,7 +35,6 @@ func run(args []string) error {
 	traceName := fs.String("trace", "MSRsrc11", "catalog trace name")
 	file := fs.String("file", "", "trace file (overrides -trace); format sniffed unless -format is set")
 	format := fs.String("format", "auto", "trace file format: auto | native | msr | cello | blktrace | cache")
-	msr := fs.Bool("msr", false, "treat -file as SNIA MSR-Cambridge format (alias for -format msr)")
 	msrDisk := fs.Int("msr-disk", -1, "MSR DiskNumber filter (-1 = all)")
 	meanSlow := fs.Duration("mean-slowdown", time.Millisecond, "average tolerable slowdown per request")
 	maxSlow := fs.Duration("max-slowdown", 50400*time.Microsecond, "maximum tolerable slowdown per request")
@@ -53,7 +52,7 @@ func run(args []string) error {
 	// materialized.
 	var src trace.Source
 	if *file != "" {
-		s, err := openTraceFile(*file, *format, *msr, *msrDisk)
+		s, err := openTraceFile(*file, *format, *msrDisk)
 		if err != nil {
 			return err
 		}
@@ -87,7 +86,7 @@ func run(args []string) error {
 	}
 
 	m := disk.HitachiUltrastar15K450()
-	choice, err := core.AutoTuneSourceParallel(context.Background(), src, m, optimize.Goal{
+	choice, err := core.AutoTune(context.Background(), src, m, optimize.Goal{
 		MeanSlowdown: *meanSlow,
 		MaxSlowdown:  *maxSlow,
 	}, *parallel)
@@ -107,14 +106,11 @@ func run(args []string) error {
 }
 
 // openTraceFile opens a trace file as a Source, honoring the -format
-// flag (with "auto" sniffing) and the legacy -msr/-msr-disk flags.
-func openTraceFile(path, format string, msr bool, msrDisk int) (trace.Source, error) {
+// flag (with "auto" sniffing) and the -msr-disk filter.
+func openTraceFile(path, format string, msrDisk int) (trace.Source, error) {
 	f, err := trace.ParseFormat(format)
 	if err != nil {
 		return nil, err
-	}
-	if msr {
-		f = trace.FormatMSR
 	}
 	if f == trace.FormatUnknown {
 		if f, err = trace.DetectFormat(path); err != nil {

@@ -62,7 +62,7 @@ func TestRunWithMSRFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-file", path, "-msr", "-mean-slowdown", "5ms"}); err != nil {
+	if err := run([]string{"-file", path, "-format", "msr", "-mean-slowdown", "5ms"}); err != nil {
 		t.Fatal(err)
 	}
 }

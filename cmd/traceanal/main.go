@@ -31,7 +31,6 @@ func run(args []string) error {
 	name := fs.String("trace", "MSRsrc11", "catalog trace name")
 	file := fs.String("file", "", "trace file (overrides -trace); format sniffed unless -format is set")
 	format := fs.String("format", "auto", "trace file format: auto | native | msr | cello | blktrace | cache")
-	msr := fs.Bool("msr", false, "treat -file as SNIA MSR-Cambridge format (alias for -format msr)")
 	msrDisk := fs.Int("msr-disk", -1, "MSR DiskNumber filter (-1 = all)")
 	dur := fs.Duration("dur", 12*time.Hour, "duration to generate (catalog traces)")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -41,7 +40,7 @@ func run(args []string) error {
 
 	var tr *trace.Trace
 	if *file != "" {
-		src, err := openTraceFile(*file, *format, *msr, *msrDisk)
+		src, err := openTraceFile(*file, *format, *msrDisk)
 		if err != nil {
 			return err
 		}
@@ -83,14 +82,11 @@ func run(args []string) error {
 }
 
 // openTraceFile opens a trace file as a Source, honoring the -format
-// flag (with "auto" sniffing) and the legacy -msr/-msr-disk flags.
-func openTraceFile(path, format string, msr bool, msrDisk int) (trace.Source, error) {
+// flag (with "auto" sniffing) and the -msr-disk filter.
+func openTraceFile(path, format string, msrDisk int) (trace.Source, error) {
 	f, err := trace.ParseFormat(format)
 	if err != nil {
 		return nil, err
-	}
-	if msr {
-		f = trace.FormatMSR
 	}
 	if f == trace.FormatUnknown {
 		if f, err = trace.DetectFormat(path); err != nil {

@@ -44,7 +44,7 @@ func main() {
 		if !ok {
 			log.Fatalf("unknown trace %s", mem.workload)
 		}
-		choice, err := core.AutoTune(spec.Generate(11, 2*time.Hour).Records, m, goal)
+		choice, err := core.AutoTune(context.Background(), spec.Generate(11, 2*time.Hour).Source(), m, goal, 0)
 		if err != nil {
 			log.Fatalf("%s: %v", mem.name, err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -34,10 +35,10 @@ func main() {
 
 	// Tune the Waiting policy for a 2ms average slowdown budget.
 	m := disk.HitachiUltrastar15K450()
-	choice, err := core.AutoTune(workload.Records, m, optimize.Goal{
+	choice, err := core.AutoTune(context.Background(), workload.Source(), m, optimize.Goal{
 		MeanSlowdown: 2 * time.Millisecond,
 		MaxSlowdown:  50 * time.Millisecond,
-	})
+	}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

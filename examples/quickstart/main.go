@@ -35,7 +35,7 @@ func main() {
 		MeanSlowdown: 2 * time.Millisecond,
 		MaxSlowdown:  50 * time.Millisecond,
 	}
-	sys, choice, err := scrubbing.NewTuned(profile.Records, m, goal, scrubbing.Staggered,
+	sys, choice, err := scrubbing.NewTuned(profile.Source(), m, goal, scrubbing.Staggered,
 		scrubbing.WithFaults(scrubbing.Bursty{RatePerHour: 12}),
 		scrubbing.WithAutoRepair(),
 		scrubbing.WithEscalation(),

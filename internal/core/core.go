@@ -23,7 +23,6 @@ import (
 	"repro/internal/schedpolicy"
 	"repro/internal/scrub"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -464,45 +463,15 @@ func (sys *System) Report() Report {
 	return r
 }
 
-// AutoTune implements the paper's Section V-D recipe: from a short
-// workload trace and a slowdown goal, derive the throughput-maximizing
-// scrub request size and wait threshold for this drive model.
-func AutoTune(records []trace.Record, m disk.Model, goal optimize.Goal) (optimize.Choice, error) {
-	return AutoTuneParallel(context.Background(), records, m, goal, 1)
-}
-
-// AutoTuneParallel is AutoTune with the request-size sweep spread over
-// workers goroutines (0 means GOMAXPROCS). The choice is identical to
-// AutoTune's for every worker count. Cancelling ctx abandons the sweep
-// and returns the context's error.
-func AutoTuneParallel(ctx context.Context, records []trace.Record, m disk.Model, goal optimize.Goal, workers int) (optimize.Choice, error) {
-	if len(records) < 2 {
-		return optimize.Choice{}, fmt.Errorf("core: need a trace with >= 2 records")
-	}
-	arrivals := make([]time.Duration, len(records))
-	for i, r := range records {
-		arrivals[i] = r.Arrival
-	}
-	gaps := stats.IdleGaps(arrivals)
-	in := idlesim.Input{
-		Intervals: gaps,
-		Requests:  int64(len(records)),
-		Span:      arrivals[len(arrivals)-1] - arrivals[0],
-	}
-	return optimize.Tuner{Workers: par.Workers(workers)}.Tune(ctx, in, goal, idlesim.ScrubService(m))
-}
-
-// AutoTuneSource is AutoTune over a streaming trace.Source: the records
-// are reduced to their idle-gap sequence in one pass, so a multi-GB
-// on-disk trace tunes in the memory of its gap list rather than its
-// record count.
-func AutoTuneSource(src trace.Source, m disk.Model, goal optimize.Goal) (optimize.Choice, error) {
-	return AutoTuneSourceParallel(context.Background(), src, m, goal, 1)
-}
-
-// AutoTuneSourceParallel is AutoTuneSource with the request-size sweep
-// spread over workers goroutines (0 means GOMAXPROCS).
-func AutoTuneSourceParallel(ctx context.Context, src trace.Source, m disk.Model, goal optimize.Goal, workers int) (optimize.Choice, error) {
+// AutoTune implements the paper's Section V-D recipe: from a workload
+// trace and a slowdown goal, derive the throughput-maximizing scrub
+// request size and wait threshold for this drive model. The source is
+// reduced to its idle-gap sequence in one pass, so a multi-GB on-disk
+// trace tunes in the memory of its gap list rather than its record
+// count. The request-size sweep runs over workers goroutines (0 means
+// GOMAXPROCS); the choice is identical for every worker count.
+// Cancelling ctx abandons the sweep and returns the context's error.
+func AutoTune(ctx context.Context, src trace.Source, m disk.Model, goal optimize.Goal, workers int) (optimize.Choice, error) {
 	in, err := idlesim.InputFromSource(src)
 	if err != nil {
 		return optimize.Choice{}, err
@@ -510,32 +479,12 @@ func AutoTuneSourceParallel(ctx context.Context, src trace.Source, m disk.Model,
 	return optimize.Tuner{Workers: par.Workers(workers)}.Tune(ctx, in, goal, idlesim.ScrubService(m))
 }
 
-// NewTuned builds a Waiting-policy System with AutoTuned parameters.
-// Extra options are applied on top of the tuned configuration (e.g.
-// WithFaults, WithObs); options that override the tuned policy, size or
-// threshold win, matching the options contract.
-func NewTuned(records []trace.Record, m disk.Model, goal optimize.Goal, alg AlgorithmKind, opts ...Option) (*System, optimize.Choice, error) {
-	choice, err := AutoTune(records, m, goal)
-	if err != nil {
-		return nil, optimize.Choice{}, err
-	}
-	base := []Option{
-		WithAlgorithm(alg),
-		WithPolicy(PolicyWaiting),
-		WithRequestBytes(choice.ReqSectors * disk.SectorSize),
-		WithWaitThreshold(choice.Threshold),
-	}
-	sys, err := New(&m, append(base, opts...)...)
-	if err != nil {
-		return nil, optimize.Choice{}, err
-	}
-	return sys, choice, nil
-}
-
-// NewTunedSource is NewTuned over a streaming trace.Source: tune the
-// Waiting policy from the source's idle gaps, then build the System.
-func NewTunedSource(src trace.Source, m disk.Model, goal optimize.Goal, alg AlgorithmKind, opts ...Option) (*System, optimize.Choice, error) {
-	choice, err := AutoTuneSource(src, m, goal)
+// NewTuned builds a Waiting-policy System with parameters AutoTuned
+// serially from src. Extra options are applied on top of the tuned
+// configuration (e.g. WithFaults, WithObs); options that override the
+// tuned policy, size or threshold win, matching the options contract.
+func NewTuned(src trace.Source, m disk.Model, goal optimize.Goal, alg AlgorithmKind, opts ...Option) (*System, optimize.Choice, error) {
+	choice, err := AutoTune(context.Background(), src, m, goal, 1)
 	if err != nil {
 		return nil, optimize.Choice{}, err
 	}

@@ -92,7 +92,7 @@ func TestAutoTuneAndNewTuned(t *testing.T) {
 	m := disk.HitachiUltrastar15K450()
 	goal := optimize.Goal{MeanSlowdown: 2 * time.Millisecond, MaxSlowdown: 50 * time.Millisecond}
 
-	choice, err := AutoTune(tr.Records, m, goal)
+	choice, err := AutoTune(context.Background(), tr.Source(), m, goal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,15 +103,18 @@ func TestAutoTuneAndNewTuned(t *testing.T) {
 		t.Fatalf("tuned config violates goal: %v", choice.Result.MeanSlowdown())
 	}
 
-	sys, c2, err := NewTuned(tr.Records, m, goal, Staggered)
+	sys, c2, err := NewTuned(tr.Source(), m, goal, Staggered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.ReqSectors != choice.ReqSectors {
-		t.Fatalf("NewTuned choice differs: %d vs %d", c2.ReqSectors, choice.ReqSectors)
+	if c2.ReqSectors != choice.ReqSectors || c2.Threshold != choice.Threshold {
+		t.Fatalf("NewTuned choice differs: %+v vs %+v", c2, choice)
 	}
 	if sys.Config().ReqBytes != choice.ReqSectors*disk.SectorSize {
 		t.Fatal("tuned size not applied")
+	}
+	if sys.Config().WaitThreshold != choice.Threshold {
+		t.Fatal("tuned threshold not applied")
 	}
 	sys.Start()
 	if err := sys.RunFor(context.Background(), 2*time.Second); err != nil {
@@ -124,8 +127,28 @@ func TestAutoTuneAndNewTuned(t *testing.T) {
 
 func TestAutoTuneErrors(t *testing.T) {
 	m := disk.HitachiUltrastar15K450()
-	if _, err := AutoTune(nil, m, optimize.Goal{MeanSlowdown: time.Millisecond}); err == nil {
+	goal := optimize.Goal{MeanSlowdown: time.Millisecond}
+	if _, err := AutoTune(context.Background(), trace.NewSliceSource("empty", 0, nil), m, goal, 1); err == nil {
 		t.Fatal("empty trace accepted")
+	}
+	if _, _, err := NewTuned(trace.NewSliceSource("empty", 0, nil), m, goal, Sequential); err == nil {
+		t.Fatal("NewTuned accepted an empty trace")
+	}
+}
+
+// TestPolicyKindString pins the policy names reports and flags print.
+func TestPolicyKindString(t *testing.T) {
+	names := map[string]PolicyKind{
+		"cfq-idle":    PolicyCFQIdle,
+		"fixed-delay": PolicyFixedDelay,
+		"waiting":     PolicyWaiting,
+		"ar":          PolicyAR,
+		"ar+waiting":  PolicyARWaiting,
+	}
+	for want, kind := range names {
+		if kind.String() != want {
+			t.Fatalf("%v.String() = %q, want %q", int(kind), kind.String(), want)
+		}
 	}
 }
 

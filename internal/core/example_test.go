@@ -40,10 +40,10 @@ func ExampleNew() {
 func ExampleAutoTune() {
 	spec, _ := trace.ByName("HPc3t3d0")
 	profile := spec.Generate(5, 20*time.Minute)
-	choice, err := core.AutoTune(profile.Records, disk.HitachiUltrastar15K450(), optimize.Goal{
+	choice, err := core.AutoTune(context.Background(), profile.Source(), disk.HitachiUltrastar15K450(), optimize.Goal{
 		MeanSlowdown: 2 * time.Millisecond,
 		MaxSlowdown:  50 * time.Millisecond,
-	})
+	}, 0)
 	if err != nil {
 		fmt.Println(err)
 		return

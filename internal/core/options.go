@@ -7,7 +7,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/scrub"
 )
 
 // Option configures a System at construction. Options are applied in
@@ -39,11 +38,6 @@ func WithIOSched(name string) Option {
 // WithRegions sets the staggered region count (default 128).
 func WithRegions(n int) Option {
 	return func(c *Config) { c.Regions = n }
-}
-
-// WithMode selects kernel- vs user-level scrub issuing (default kernel).
-func WithMode(m scrub.Mode) Option {
-	return func(c *Config) { c.Mode = m }
 }
 
 // WithPolicy selects the scrub scheduling policy (default PolicyWaiting).

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"sort"
 	"time"
 
 	"repro/internal/blockdev"
@@ -41,33 +43,40 @@ func (sys *System) AttachRecorder(window time.Duration) *Recorder {
 	return rec
 }
 
-// trim drops records older than the window.
-func (rec *Recorder) trim() {
-	if rec.window <= 0 || len(rec.records) == 0 {
-		return
+// live returns the retained records inside the window, oldest first.
+// Records fall out of the window between compactions, so every reader
+// goes through live rather than the backing slice.
+func (rec *Recorder) live() []trace.Record {
+	if rec.window <= 0 {
+		return rec.records
 	}
 	cutoff := rec.sys.Sim.Now() - rec.window
-	drop := 0
-	for drop < len(rec.records) && rec.records[drop].Arrival < cutoff {
-		drop++
-	}
-	if drop > 0 && drop > len(rec.records)/4 {
-		rec.records = append(rec.records[:0], rec.records[drop:]...)
+	i := sort.Search(len(rec.records), func(i int) bool { return rec.records[i].Arrival >= cutoff })
+	return rec.records[i:]
+}
+
+// trim compacts the backing slice once more than a quarter of it has
+// fallen out of the window, so compaction costs amortised O(1) per record.
+func (rec *Recorder) trim() {
+	live := rec.live()
+	if drop := len(rec.records) - len(live); drop > len(rec.records)/4 {
+		rec.records = append(rec.records[:0], live...)
 	}
 }
 
-// Len returns the number of retained records.
-func (rec *Recorder) Len() int { return len(rec.records) }
+// Len returns the number of records inside the window.
+func (rec *Recorder) Len() int { return len(rec.live()) }
 
-// Records returns a copy of the retained records, rebased to start at
-// zero (a ready-made tuning profile).
+// Records returns a copy of the records inside the window, rebased to
+// start at zero (a ready-made tuning profile).
 func (rec *Recorder) Records() []trace.Record {
-	if len(rec.records) == 0 {
+	live := rec.live()
+	if len(live) == 0 {
 		return nil
 	}
-	base := rec.records[0].Arrival
-	out := make([]trace.Record, len(rec.records))
-	for i, r := range rec.records {
+	base := live[0].Arrival
+	out := make([]trace.Record, len(live))
+	for i, r := range live {
 		r.Arrival -= base
 		out[i] = r
 	}
@@ -88,7 +97,7 @@ func (rec *Recorder) Retune(goal optimize.Goal) (optimize.Choice, error) {
 	if rec.sys.Disk == nil {
 		return optimize.Choice{}, errors.New("core: retuning needs the rotational idle-time model; " + rec.sys.Device.ModelName() + " has none")
 	}
-	choice, err := AutoTune(records, rec.sys.Disk.Model(), goal)
+	choice, err := AutoTune(context.Background(), trace.NewSliceSource("", 0, records), rec.sys.Disk.Model(), goal, 1)
 	if err != nil {
 		return optimize.Choice{}, err
 	}

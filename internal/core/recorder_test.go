@@ -67,8 +67,10 @@ func TestRecorderWindowTrims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := sys.AttachRecorder(10 * time.Second)
-	// One request per second for a minute: only ~the last 10s survive.
+	const window = 10 * time.Second
+	rec := sys.AttachRecorder(window)
+	// One request per second for a minute: only the last 10s survive,
+	// the arrivals at 50s..59s.
 	for i := 0; i < 60; i++ {
 		at := time.Duration(i) * time.Second
 		sys.Sim.At(at, func() {
@@ -81,8 +83,23 @@ func TestRecorderWindowTrims(t *testing.T) {
 	if err := sys.RunFor(context.Background(), time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() > 20 {
-		t.Fatalf("window retained %d records, want ~10", rec.Len())
+	if rec.Len() != 10 {
+		t.Fatalf("window retained %d records, want 10", rec.Len())
+	}
+	cutoff := sys.Sim.Now() - window
+	for _, r := range rec.live() {
+		if r.Arrival < cutoff || r.Arrival > sys.Sim.Now() {
+			t.Fatalf("record at %v outside window [%v, %v]", r.Arrival, cutoff, sys.Sim.Now())
+		}
+	}
+	recs := rec.Records()
+	if len(recs) != 10 {
+		t.Fatalf("Records returned %d, want 10", len(recs))
+	}
+	for i, r := range recs {
+		if r.Arrival != time.Duration(i)*time.Second {
+			t.Fatalf("record %d rebased to %v, want %v", i, r.Arrival, time.Duration(i)*time.Second)
+		}
 	}
 }
 

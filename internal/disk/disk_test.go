@@ -11,6 +11,12 @@ import (
 func ms(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
 
 func TestCatalogValidates(t *testing.T) {
+	if len(Catalog()) == 0 {
+		t.Fatal("empty disk catalog")
+	}
+	if HitachiUltrastar15K450().CapacityBytes <= DemoSmall().CapacityBytes {
+		t.Fatal("demo disk not smaller than the testbed drive")
+	}
 	for _, m := range Catalog() {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {

@@ -296,6 +296,10 @@ func InputFromSource(src trace.Source) (Input, error) {
 		first time.Duration
 		prev  time.Duration
 	)
+	// An in-memory source knows its length: size the gap list once.
+	if s, ok := src.(interface{ Len() int }); ok && s.Len() > 1 {
+		in.Intervals = make([]time.Duration, 0, s.Len()-1)
+	}
 	for {
 		err := src.Next(&rec)
 		if err == io.EOF {

@@ -121,6 +121,9 @@ func TestBSAAntiStarvation(t *testing.T) {
 
 func TestBSARepairFirst(t *testing.T) {
 	b := NewBSARepair()
+	if b.BadRanges() != 0 {
+		t.Fatal("fresh BSA knows bad ranges")
+	}
 	b.MarkBad(500, 10)
 	bad := req(0, blockdev.ClassBE, 500, 8)
 	clean := req(0, blockdev.ClassBE, 1000, 8)

@@ -132,15 +132,22 @@ func TestDeclusteredRebuildFanOut(t *testing.T) {
 		t.Fatal("every row holds the failed member; declustering proves nothing")
 	}
 
-	if err := g.StartRebuild(0, nil); err != nil {
+	var done time.Duration
+	if err := g.StartRebuild(0, func(now time.Duration) { done = now }); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Sim().RunUntil(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	st := g.Stats()
+	if done == 0 {
+		t.Fatal("rebuild never completed")
+	}
 	if st.RebuildRows != wantRows {
 		t.Fatalf("RebuildRows = %d, want %d", st.RebuildRows, wantRows)
+	}
+	if st.UnrecoverableStripes != 0 {
+		t.Fatalf("clean rebuild lost %d stripes", st.UnrecoverableStripes)
 	}
 
 	// Fan-out bound: total rebuild reads = (k-1) per rebuilt row, every

@@ -14,7 +14,8 @@ import (
 // Replayer re-issues trace records against a queue open-loop: each record
 // is submitted at its original arrival time regardless of how the device
 // is keeping up, exactly as the paper replays the SNIA traces
-// (Section IV-C).
+// (Section IV-C). When the source declares an address space different
+// from the target disk's, LBAs are scaled onto the disk.
 //
 // RunSource takes records either from an in-memory slice (a
 // *trace.SliceSource) or from any streaming trace.Source: the slice path
@@ -33,9 +34,6 @@ import (
 type Replayer struct {
 	// Class is the I/O priority class of replayed requests (default BE).
 	Class blockdev.Class
-	// ScaleLBA maps trace LBAs onto the target disk when their address
-	// spaces differ (default on).
-	NoScaleLBA bool
 	// Window bounds the streaming look-ahead: how many arrivals RunSource
 	// keeps scheduled ahead of the clock (default defaultWindow). The
 	// slice path ignores it.
@@ -265,7 +263,7 @@ func (rp *Replayer) runBulk(s *sim.Simulator, q *blockdev.Queue, records []trace
 	for i := range records {
 		rec := &records[i]
 		lba, n := rec.LBA, rec.Sectors
-		if !rp.NoScaleLBA && diskSectors > 0 && diskSectors != target {
+		if diskSectors > 0 && diskSectors != target {
 			lba = int64(float64(lba) / float64(diskSectors) * float64(target))
 		}
 		if lba+n > target {
@@ -373,7 +371,7 @@ func (rp *Replayer) refillOne() {
 		return
 	}
 	lba, n := rec.LBA, rec.Sectors
-	if !rp.NoScaleLBA && rp.scaleFrom > 0 && rp.scaleFrom != rp.target {
+	if rp.scaleFrom > 0 && rp.scaleFrom != rp.target {
 		lba = int64(float64(lba) / float64(rp.scaleFrom) * float64(rp.target))
 	}
 	if lba+n > rp.target {

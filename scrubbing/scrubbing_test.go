@@ -20,9 +20,9 @@ func TestFacadeCampaign(t *testing.T) {
 	}
 	tr := profile.Generate(42, 30*time.Minute)
 
-	reg := scrubbing.NewRegistry(scrubbing.WithEventTrace(32))
+	reg := scrubbing.NewRegistry()
 	demo := scrubbing.DemoDisk()
-	sys, choice, err := scrubbing.NewTuned(tr.Records, demo,
+	sys, choice, err := scrubbing.NewTuned(tr.Source(), demo,
 		scrubbing.Goal{MeanSlowdown: 2 * time.Millisecond, MaxSlowdown: 50 * time.Millisecond},
 		scrubbing.Staggered,
 		scrubbing.WithFaults(scrubbing.Bursty{RatePerHour: 720, MeanBurst: 4, ClusterSectors: 1024}),
@@ -53,41 +53,6 @@ func TestFacadeCampaign(t *testing.T) {
 	}
 }
 
-// TestFacadeCatalogsAndModels exercises the standalone helpers.
-func TestFacadeCatalogsAndModels(t *testing.T) {
-	if len(scrubbing.DiskCatalog()) == 0 {
-		t.Fatal("empty disk catalog")
-	}
-	if len(scrubbing.TraceCatalog()) == 0 {
-		t.Fatal("empty trace catalog")
-	}
-	if scrubbing.Ultrastar15K450().CapacityBytes <= scrubbing.DemoDisk().CapacityBytes {
-		t.Fatal("demo disk not smaller than the testbed drive")
-	}
-	if _, err := scrubbing.ParseFaultModel("bursty", 10, 4, 1024, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := scrubbing.ParseFaultModel("bogus", 10, 4, 1024, 0); err == nil {
-		t.Fatal("bogus fault model accepted")
-	}
-}
-
-// TestPolicyAndAlgorithmNames pins the re-exported enum values.
-func TestPolicyAndAlgorithmNames(t *testing.T) {
-	names := map[string]scrubbing.PolicyKind{
-		"cfq-idle":    scrubbing.PolicyCFQIdle,
-		"fixed-delay": scrubbing.PolicyFixedDelay,
-		"waiting":     scrubbing.PolicyWaiting,
-		"ar":          scrubbing.PolicyAR,
-		"ar+waiting":  scrubbing.PolicyARWaiting,
-	}
-	for want, kind := range names {
-		if kind.String() != want {
-			t.Fatalf("%v.String() = %q, want %q", int(kind), kind.String(), want)
-		}
-	}
-}
-
 // TestFacadeFleetEngine drives the sharded engine through the public
 // surface: a two-class campaign advanced to a checkpointable waypoint,
 // resumed from disk, and finished — with the resumed run's report
@@ -115,18 +80,13 @@ func TestFacadeFleetEngine(t *testing.T) {
 			Faults:        scrubbing.Uniform{RatePerHour: 40},
 		}},
 	}
-	build := func() *scrubbing.FleetEngine {
-		e, err := scrubbing.NewFleetEngine(scrubbing.FleetEngineConfig{
-			Shards: 4, Slice: 20 * time.Second, Seed: 7,
-		}, classes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
+	cfg := scrubbing.FleetEngineConfig{Shards: 4, Slice: 20 * time.Second, Seed: 7}
 	const horizon = time.Minute
 
-	ref := build()
+	ref, err := scrubbing.NewFleetEngine(cfg, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	refRep, err := ref.Run(context.Background(), horizon)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +95,10 @@ func TestFacadeFleetEngine(t *testing.T) {
 		t.Fatalf("empty campaign: %+v", refRep)
 	}
 
-	e := build()
+	e, err := scrubbing.NewFleetEngine(cfg, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Advance(context.Background(), 40*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -153,76 +116,5 @@ func TestFacadeFleetEngine(t *testing.T) {
 	}
 	if a, b := fmt.Sprintf("%+v", *refRep), fmt.Sprintf("%+v", *rep); a != b {
 		t.Fatalf("resumed fleet report diverged:\nref:     %s\nresumed: %s", a, b)
-	}
-}
-
-// TestFacadeScenarios exercises the scenario surface end to end through
-// the public facade only: an SSD system on the bad-sector-aware
-// scheduler, and a declustered parity group whose rebuild outcome is
-// checked against the analytic reliability model.
-func TestFacadeScenarios(t *testing.T) {
-	ssd := scrubbing.DemoSSD()
-	sys, err := scrubbing.New(nil,
-		scrubbing.WithDevice(ssd),
-		scrubbing.WithIOSched("bsa"),
-		scrubbing.WithAlgorithm(scrubbing.Sequential),
-		scrubbing.WithRequestBytes(1<<20),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Device.InjectLSE(12345)
-	sys.Start()
-	if err := sys.RunFor(context.Background(), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if rep := sys.Report(); rep.ScrubMBps <= 0 || rep.LSEsFound < 1 {
-		t.Fatalf("SSD facade campaign made no progress: %+v", rep)
-	}
-	if dm, err := scrubbing.FindDeviceModel("demo-ssd"); err != nil || dm.DeviceName() != ssd.Name {
-		t.Fatalf("FindDeviceModel(demo-ssd) = %v, %v", dm, err)
-	}
-	if len(scrubbing.SSDCatalog()) == 0 || scrubbing.NVMeSSD().Name == "" {
-		t.Fatal("flash catalog empty")
-	}
-	if s := scrubbing.NewBSARepair(); s.BadRanges() != 0 {
-		t.Fatal("fresh BSA knows bad ranges")
-	}
-
-	m := scrubbing.DemoDisk()
-	m.CapacityBytes = 64 << 20
-	m.Cylinders = 100
-	g, err := scrubbing.NewRAIDGroup(scrubbing.RAIDConfig{
-		Disks: 6, Model: m, Layout: scrubbing.LayoutDeclustered, StripeWidth: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.FailDisk(0); err != nil {
-		t.Fatal(err)
-	}
-	var done time.Duration
-	if err := g.StartRebuild(0, func(now time.Duration) { done = now }); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sim().RunUntil(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	st := g.Stats()
-	if done == 0 || st.RebuildRows == 0 {
-		t.Fatalf("declustered rebuild made no progress: %+v", st)
-	}
-	if st.UnrecoverableStripes != 0 {
-		t.Fatalf("clean rebuild lost %d stripes", st.UnrecoverableStripes)
-	}
-	rep, err := scrubbing.RAIDAnalyze(scrubbing.RAIDArray{
-		Disks: 6, StripeWidth: 4, DiskMTTF: 1000 * 24 * time.Hour,
-		RebuildTime: 10 * time.Minute, LSERate: 1e-15, ScrubMLET: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PLossLSE > 0.01 {
-		t.Fatalf("near-zero latent rate predicts loss %v", rep.PLossLSE)
 	}
 }
