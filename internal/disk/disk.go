@@ -227,6 +227,8 @@ func (e *MediumError) First() int64 {
 // its timing. The caller must not submit the next command before the
 // previous Result.Done; Disk models a queue depth of one (the regime the
 // paper's CFQ analysis assumes).
+//
+//scrub:hotpath
 func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 	if req.Sectors <= 0 || req.LBA < 0 || req.LBA+req.Sectors > d.Sectors() {
 		return Result{}, &ErrOutOfRange{LBA: req.LBA, Sectors: req.Sectors, Max: d.Sectors()}
@@ -265,14 +267,17 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 		d.obsMiss.Inc()
 	}
 	d.mediaOps++
+	// One cylinder lookup per command: the rotational position and the
+	// transfer walk start from it, and the walk ends on the head's new
+	// cylinder.
 	targetCyl := d.geo.cylinderOf(req.LBA)
 	seek := d.geo.seekTime(d.headCyl, targetCyl)
 	atTrack := accepted + seek
-	rot := d.geo.rotWait(atTrack, d.geo.angleOf(req.LBA))
-	transfer := d.geo.transferTime(req.LBA, req.Sectors)
+	rot := d.geo.rotWait(atTrack, d.geo.angleOf(req.LBA, targetCyl))
+	transfer, lastCyl := d.geo.transferTime(req.LBA, req.Sectors, targetCyl)
 	mechDone := atTrack + rot + transfer
 	res.Done = mechDone + m.CompletionOverhead
-	d.headCyl = d.geo.cylinderOf(req.LBA + req.Sectors - 1)
+	d.headCyl = lastCyl
 
 	// Cache effects. Readahead stops at the first latent sector error at
 	// or beyond the requested range: a drive cannot prefetch through a bad
@@ -343,11 +348,12 @@ func (d *Disk) lsesIn(lba, n int64) []int64 {
 	return out
 }
 
-// MediaRate returns the sustained media rate in bytes/sec at an LBA.
+// MediaRate returns the sustained media rate in bytes/sec at an LBA in
+// [0, Sectors()).
 func (d *Disk) MediaRate(lba int64) float64 { return d.geo.mediaRate(lba) }
 
-// SeekTime exposes the seek curve between two LBAs, for calibration tests
-// and the documentation of optimizer inputs.
+// SeekTime exposes the seek curve between two LBAs in [0, Sectors()), for
+// calibration tests and the documentation of optimizer inputs.
 func (d *Disk) SeekTime(fromLBA, toLBA int64) time.Duration {
 	return d.geo.seekTime(d.geo.cylinderOf(fromLBA), d.geo.cylinderOf(toLBA))
 }

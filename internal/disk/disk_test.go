@@ -417,7 +417,8 @@ func TestGeometryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		lba := rng.Int63n(d.Sectors())
-		cyl, head, sector := g.locate(lba)
+		cyl := g.cylinderOf(lba)
+		head, sector := g.locate(lba, cyl)
 		if cyl < 0 || cyl >= d.Model().Cylinders {
 			t.Fatalf("lba %d: cyl %d out of range", lba, cyl)
 		}
@@ -432,7 +433,7 @@ func TestGeometryRoundTrip(t *testing.T) {
 		if back != lba {
 			t.Fatalf("round trip %d -> %d", lba, back)
 		}
-		a := g.angleOf(lba)
+		a := g.angleOf(lba, cyl)
 		if a < 0 || a >= 1 {
 			t.Fatalf("angle %v outside [0,1)", a)
 		}

@@ -1,7 +1,6 @@
 package iosched
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/blockdev"
@@ -30,8 +29,8 @@ type CFQ struct {
 	// Slice is the time-slice length for RT/BE queues.
 	Slice time.Duration
 
-	queues map[int]*cfqQueue //scrublint:transient State refuses a non-empty elevator; the map shell is rebuilt from Order/Classes
-	order  []int             // round-robin order of tags
+	queues []*cfqQueue //scrublint:transient State refuses a non-empty elevator; the queue shells are rebuilt from Order/Classes
+	queued [3]int      //scrublint:transient queued requests per class (by Class-1); State refuses a non-empty elevator
 
 	activeTag      int
 	haveActive     bool
@@ -39,7 +38,6 @@ type CFQ struct {
 	idleWaitUntil  time.Duration // slice-idle deadline for the active queue
 	lastRTBEActive time.Duration // last RT/BE dispatch or completion
 	inIdleService  bool
-	total          int //scrublint:transient queued-request count; State refuses a non-empty elevator
 
 	// Observability instruments (nil when uninstrumented).
 	obsDispatch  [3]*obs.Counter //scrublint:transient host-side instrument (dispatches by Class-1), re-resolved by Instrument
@@ -49,8 +47,20 @@ type CFQ struct {
 }
 
 type cfqQueue struct {
+	tag    int
 	class  blockdev.Class
 	sorted []*blockdev.Request // ascending LBA
+}
+
+// cfqClass returns the class CFQ serves a request in. A class it does
+// not know, the zero value included, is best-effort: the default that
+// blockdev.Class documents. Served as-is, such a request would count in
+// Len but never dispatch.
+func cfqClass(c blockdev.Class) blockdev.Class {
+	if c == blockdev.ClassRT || c == blockdev.ClassIdle {
+		return c
+	}
+	return blockdev.ClassBE
 }
 
 var _ blockdev.Scheduler = (*CFQ)(nil)
@@ -62,7 +72,6 @@ func NewCFQ() *CFQ {
 		IdleGate:  10 * time.Millisecond,
 		SliceIdle: 8 * time.Millisecond,
 		Slice:     100 * time.Millisecond,
-		queues:    make(map[int]*cfqQueue),
 	}
 }
 
@@ -83,28 +92,55 @@ func (c *CFQ) Instrument(reg *obs.Registry) {
 	c.obsTrace = reg.Trace()
 }
 
-func (c *CFQ) queueFor(r *blockdev.Request) *cfqQueue {
-	q, ok := c.queues[r.Tag]
-	if !ok {
-		q = &cfqQueue{class: r.Class}
-		c.queues[r.Tag] = q
-		c.order = append(c.order, r.Tag)
+// index returns the round-robin position of tag's queue, or -1.
+func (c *CFQ) index(tag int) int {
+	for i, q := range c.queues {
+		if q.tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+func (c *CFQ) queueFor(tag int, class blockdev.Class) *cfqQueue {
+	i := c.index(tag)
+	if i < 0 {
+		q := &cfqQueue{tag: tag, class: class}
+		c.queues = append(c.queues, q)
+		return q
 	}
 	// A process's class follows its most recent request (ionice can
-	// change it between requests).
-	q.class = r.Class
+	// change it between requests), and its queued requests move with it.
+	q := c.queues[i]
+	if n := len(q.sorted); n > 0 && q.class != class {
+		c.queued[q.class-1] -= n
+		c.queued[class-1] += n
+	}
+	q.class = class
 	return q
 }
 
 // Add implements blockdev.Scheduler.
+//
+//scrub:hotpath
 func (c *CFQ) Add(r *blockdev.Request, now time.Duration) {
-	if r.Class != blockdev.ClassIdle {
+	class := cfqClass(r.Class)
+	if class != blockdev.ClassIdle {
 		// New RT/BE work ends any ongoing idle-class service (after the
 		// in-flight request, which the block layer owns).
 		c.inIdleService = false
 	}
-	q := c.queueFor(r)
-	i := sort.Search(len(q.sorted), func(i int) bool { return q.sorted[i].LBA >= r.LBA })
+	q := c.queueFor(r.Tag, class)
+	// Lower bound: the first queued request at or above r.LBA.
+	i, hi := 0, len(q.sorted)
+	for i < hi {
+		mid := int(uint(i+hi) >> 1)
+		if q.sorted[mid].LBA < r.LBA {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	if i > 0 {
 		p := q.sorted[i-1]
 		if p.Op == r.Op && p.LBA+p.Sectors == r.LBA && p.Sectors+r.Sectors <= MaxMergeSectors {
@@ -115,16 +151,18 @@ func (c *CFQ) Add(r *blockdev.Request, now time.Duration) {
 	q.sorted = append(q.sorted, nil)
 	copy(q.sorted[i+1:], q.sorted[i:])
 	q.sorted[i] = r
-	c.total++
+	c.queued[class-1]++
 }
 
 // Next implements blockdev.Scheduler.
+//
+//scrub:hotpath
 func (c *CFQ) Next(now time.Duration) (*blockdev.Request, time.Duration) {
-	if c.total == 0 {
+	if c.Len() == 0 {
 		return nil, 0
 	}
 	// RT, then BE.
-	for _, class := range []blockdev.Class{blockdev.ClassRT, blockdev.ClassBE} {
+	for class := blockdev.ClassRT; class <= blockdev.ClassBE; class++ {
 		if r, wake, served := c.nextInClass(class, now); served {
 			if r != nil {
 				c.lastRTBEActive = now
@@ -145,8 +183,7 @@ func (c *CFQ) Next(now time.Duration) (*blockdev.Request, time.Duration) {
 		c.inIdleService = true
 	}
 	// FIFO across idle-class queues in round-robin tag order.
-	for _, tag := range c.order {
-		q := c.queues[tag]
+	for _, q := range c.queues {
 		if q.class == blockdev.ClassIdle && len(q.sorted) > 0 {
 			r := c.pop(q)
 			c.obsDispatch[blockdev.ClassIdle-1].Inc()
@@ -161,20 +198,14 @@ func (c *CFQ) Next(now time.Duration) (*blockdev.Request, time.Duration) {
 // reports whether this class has pending work (so lower classes must not
 // run); a (nil, wake, true) result means "wait until wake".
 func (c *CFQ) nextInClass(class blockdev.Class, now time.Duration) (*blockdev.Request, time.Duration, bool) {
-	pending := false
-	for _, q := range c.queues {
-		if q.class == class && len(q.sorted) > 0 {
-			pending = true
-			break
-		}
-	}
+	pending := c.queued[class-1] > 0
 	// Slice idling: the active queue may be empty but anticipated to
 	// issue more; during that window, same-class peers must wait. (Lower
 	// classes must wait too, which the caller enforces because we report
 	// served=true.)
-	if c.haveActive {
-		aq, ok := c.queues[c.activeTag]
-		if ok && aq.class == class {
+	active := c.index(c.activeTag)
+	if c.haveActive && active >= 0 {
+		if aq := c.queues[active]; aq.class == class {
 			if len(aq.sorted) > 0 && now < c.sliceEnd {
 				return c.pop(aq), 0, true
 			}
@@ -197,21 +228,12 @@ func (c *CFQ) nextInClass(class blockdev.Class, now time.Duration) (*blockdev.Re
 	if !pending {
 		return nil, 0, false
 	}
-	// Pick the next non-empty queue of this class in round-robin order.
-	start := 0
-	if len(c.order) > 0 {
-		for i, tag := range c.order {
-			if tag == c.activeTag {
-				start = i + 1
-				break
-			}
-		}
-	}
-	for i := 0; i < len(c.order); i++ {
-		tag := c.order[(start+i)%len(c.order)]
-		q := c.queues[tag]
+	// Pick the next non-empty queue of this class in round-robin order,
+	// starting after the last active queue.
+	for i := range c.queues {
+		q := c.queues[(active+1+i)%len(c.queues)]
 		if q.class == class && len(q.sorted) > 0 {
-			c.activeTag = tag
+			c.activeTag = q.tag
 			c.haveActive = true
 			c.sliceEnd = now + c.Slice
 			return c.pop(q), 0, true
@@ -224,7 +246,7 @@ func (c *CFQ) pop(q *cfqQueue) *blockdev.Request {
 	r := q.sorted[0]
 	copy(q.sorted, q.sorted[1:])
 	q.sorted = q.sorted[:len(q.sorted)-1]
-	c.total--
+	c.queued[q.class-1]--
 	return r
 }
 
@@ -240,4 +262,4 @@ func (c *CFQ) OnComplete(r *blockdev.Request, now time.Duration) {
 }
 
 // Len implements blockdev.Scheduler.
-func (c *CFQ) Len() int { return c.total }
+func (c *CFQ) Len() int { return c.queued[0] + c.queued[1] + c.queued[2] }

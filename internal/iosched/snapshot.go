@@ -32,8 +32,8 @@ type CFQState struct {
 // requests are queued: queued requests hold callbacks and pool
 // identities no snapshot can carry.
 func (c *CFQ) State() (*CFQState, error) {
-	if c.total > 0 {
-		return nil, fmt.Errorf("iosched: cannot snapshot a CFQ with %d queued requests", c.total)
+	if n := c.Len(); n > 0 {
+		return nil, fmt.Errorf("iosched: cannot snapshot a CFQ with %d queued requests", n)
 	}
 	st := &CFQState{
 		IdleGate:       c.IdleGate,
@@ -46,9 +46,9 @@ func (c *CFQ) State() (*CFQState, error) {
 		LastRTBEActive: c.lastRTBEActive,
 		InIdleService:  c.inIdleService,
 	}
-	for _, tag := range c.order {
-		st.Order = append(st.Order, tag)
-		st.Classes = append(st.Classes, c.queues[tag].class)
+	for _, q := range c.queues {
+		st.Order = append(st.Order, q.tag)
+		st.Classes = append(st.Classes, q.class)
 	}
 	return st, nil
 }
@@ -62,12 +62,12 @@ func (c *CFQ) RestoreState(st *CFQState) error {
 	c.IdleGate = st.IdleGate
 	c.SliceIdle = st.SliceIdle
 	c.Slice = st.Slice
+	c.queues = make([]*cfqQueue, 0, len(st.Order))
 	for i, tag := range st.Order {
-		if _, dup := c.queues[tag]; dup {
+		if c.index(tag) >= 0 {
 			return fmt.Errorf("iosched: malformed CFQ snapshot: duplicate tag %d", tag)
 		}
-		c.queues[tag] = &cfqQueue{class: st.Classes[i]}
-		c.order = append(c.order, tag)
+		c.queues = append(c.queues, &cfqQueue{tag: tag, class: st.Classes[i]})
 	}
 	c.activeTag = st.ActiveTag
 	c.haveActive = st.HaveActive
