@@ -39,6 +39,21 @@ import (
 	"repro/internal/scrubd"
 )
 
+// newHTTPServer wraps the daemon's handler in a server that bounds how
+// long one client may hold a connection. The bounds are generous on
+// purpose: load generators leave keep-alive connections idle between
+// bursts, and a connection closed under a non-idempotent POST /v1/feed
+// fails that request.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       5 * time.Minute,
+	}
+}
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:9477", "HTTP listen address")
 	ckptPath := flag.String("checkpoint", "", "checkpoint file path (enables /v1/checkpoint and shutdown checkpointing)")
@@ -98,7 +113,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scrubd:", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	fmt.Fprintf(os.Stderr, "scrubd: listening on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

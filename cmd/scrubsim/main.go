@@ -83,7 +83,7 @@ func runTo(w io.Writer, args []string) error {
 	var records []trace.Record
 	var diskSectors int64
 	if *file != "" {
-		src, err := openTraceFile(*file, *format, *msrDisk)
+		src, err := trace.OpenFile(*file, *format, *msrDisk)
 		if err != nil {
 			return err
 		}
@@ -196,24 +196,6 @@ func runTo(w io.Writer, args []string) error {
 			fs.MeanTimeToDetection().Round(time.Millisecond), rep.Escalations)
 	}
 	return dumpObs(w, reg, *metrics, *traceEvents)
-}
-
-// openTraceFile opens a trace file as a Source, honoring the -format
-// flag (with "auto" sniffing) and the -msr-disk filter.
-func openTraceFile(path, format string, msrDisk int) (trace.Source, error) {
-	f, err := trace.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	if f == trace.FormatUnknown {
-		if f, err = trace.DetectFormat(path); err != nil {
-			return nil, err
-		}
-	}
-	if f == trace.FormatMSR {
-		return trace.OpenMSR(path, trace.MSROptions{Name: path, DiskNumber: msrDisk})
-	}
-	return trace.Open(path, f)
 }
 
 // parseSched maps a -sched name to a fresh scheduler instance for the

@@ -52,7 +52,7 @@ func run(args []string) error {
 	// materialized.
 	var src trace.Source
 	if *file != "" {
-		s, err := openTraceFile(*file, *format, *msrDisk)
+		s, err := trace.OpenFile(*file, *format, *msrDisk)
 		if err != nil {
 			return err
 		}
@@ -103,22 +103,4 @@ func run(args []string) error {
 	full := 300e9 / (choice.Result.ThroughputMBps() * 1e6)
 	fmt.Printf("full 300GB scan: %.1f hours at this rate\n", full/3600)
 	return nil
-}
-
-// openTraceFile opens a trace file as a Source, honoring the -format
-// flag (with "auto" sniffing) and the -msr-disk filter.
-func openTraceFile(path, format string, msrDisk int) (trace.Source, error) {
-	f, err := trace.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	if f == trace.FormatUnknown {
-		if f, err = trace.DetectFormat(path); err != nil {
-			return nil, err
-		}
-	}
-	if f == trace.FormatMSR {
-		return trace.OpenMSR(path, trace.MSROptions{Name: path, DiskNumber: msrDisk})
-	}
-	return trace.Open(path, f)
 }

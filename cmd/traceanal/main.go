@@ -40,7 +40,7 @@ func run(args []string) error {
 
 	var tr *trace.Trace
 	if *file != "" {
-		src, err := openTraceFile(*file, *format, *msrDisk)
+		src, err := trace.OpenFile(*file, *format, *msrDisk)
 		if err != nil {
 			return err
 		}
@@ -79,22 +79,4 @@ func run(args []string) error {
 			w*1e3, 100*a.UsableAfterWait(w), 100*a.FractionLonger(w))
 	}
 	return nil
-}
-
-// openTraceFile opens a trace file as a Source, honoring the -format
-// flag (with "auto" sniffing) and the -msr-disk filter.
-func openTraceFile(path, format string, msrDisk int) (trace.Source, error) {
-	f, err := trace.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	if f == trace.FormatUnknown {
-		if f, err = trace.DetectFormat(path); err != nil {
-			return nil, err
-		}
-	}
-	if f == trace.FormatMSR {
-		return trace.OpenMSR(path, trace.MSROptions{Name: path, DiskNumber: msrDisk})
-	}
-	return trace.Open(path, f)
 }

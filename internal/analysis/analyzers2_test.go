@@ -73,6 +73,13 @@ func TestErrSink(t *testing.T) {
 	analysistest.Run(t, td("errsink"), "repro/internal/fleet", analysis.ErrSinkAnalyzer)
 }
 
+// TestErrSinkDurable keeps the one shared write path in scope, and
+// flags callers that discard its errors.
+func TestErrSinkDurable(t *testing.T) {
+	analysistest.Run(t, td("errsink"), "repro/internal/durable", analysis.ErrSinkAnalyzer)
+	analysistest.Run(t, td("errsink_durable"), "repro/internal/trace", analysis.ErrSinkAnalyzer)
+}
+
 // TestErrSinkOutOfScope proves the narrow scope: the same discards in a
 // non-durability package are silent.
 func TestErrSinkOutOfScope(t *testing.T) {

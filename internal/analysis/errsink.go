@@ -7,8 +7,9 @@ import (
 )
 
 // ErrSinkAnalyzer flags discarded errors on the durability-critical
-// paths: the CRC-framed checkpoint encode/decode in fleet and scrubd and
-// the atomic temp-write-fsync-rename dance there and in the trace cache.
+// paths: the CRC frame codec and atomic temp-write-fsync-rename path in
+// internal/durable, and the checkpoint and cache code in fleet, scrubd
+// and trace that encodes through them.
 // A dropped error on these paths turns a failed write into a checkpoint
 // that looks committed — the restore then replays from a torn frame.
 //
@@ -27,6 +28,7 @@ var ErrSinkAnalyzer = &Analyzer{
 
 // errSinkPackages are the durability-critical packages.
 var errSinkPackages = []string{
+	"repro/internal/durable",
 	"repro/internal/fleet",
 	"repro/internal/scrubd",
 	"repro/internal/trace",
@@ -94,6 +96,8 @@ func errSinkCallee(pass *Pass, call *ast.CallExpr) string {
 			return "io." + name
 		case pkg == "encoding/binary" && (name == "Write" || name == "Read"):
 			return "binary." + name
+		case pkg == "repro/internal/durable":
+			return "durable." + name
 		}
 		return ""
 	}

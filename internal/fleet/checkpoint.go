@@ -2,22 +2,20 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/durable"
 	"repro/internal/fault"
 )
 
-// Checkpoint layout: an 8-byte magic, a 4-byte big-endian length, the
-// gob-encoded fleet, and a trailing CRC-32 (IEEE) of the gob bytes.
-// Truncation fails the length or CRC read; corruption fails the CRC
-// compare; both reject before any state is trusted.
+// Checkpoint layout: the gob-encoded fleet in one durable frame behind
+// this magic.
 const checkpointMagic = "SCRBFLT1"
 
 // checkpointVersion gates decode compatibility.
@@ -62,61 +60,15 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	}); err != nil {
 		return fmt.Errorf("fleet: encode checkpoint: %w", err)
 	}
-	if _, err := io.WriteString(w, checkpointMagic); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(buf.Bytes()))
-	_, err := w.Write(sum[:])
+	_, err := durable.WriteFrame(w, checkpointMagic, buf.Bytes())
 	return err
 }
 
-// CheckpointFile writes a checkpoint atomically: to a temp file first,
-// renamed over path only after a successful sync, so a crash mid-write
-// leaves either the old checkpoint or none — never a torn one.
+// CheckpointFile writes a checkpoint through durable.WriteFile, so a
+// crash mid-write leaves either the old checkpoint or the new one —
+// never a torn one.
 func (e *Engine) CheckpointFile(path string) error {
-	f, err := os.CreateTemp(dirOf(path), ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	committed := false
-	defer func() {
-		// Best-effort cleanup on any failed exit; the write error already
-		// propagates to the caller.
-		if !committed {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err := e.Checkpoint(f); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	committed = true
-	return os.Rename(tmp, path)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
+	return durable.WriteFile(durable.OS, path, func(f durable.File) error { return e.Checkpoint(f) })
 }
 
 // Resume rebuilds an engine from a checkpoint, verifying magic, length
@@ -124,28 +76,9 @@ func dirOf(path string) string {
 // the original parked: same member states, same slice boundary, same
 // future.
 func Resume(r io.Reader) (*Engine, error) {
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint truncated: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("fleet: not a fleet checkpoint (magic %q)", magic)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint truncated: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint truncated: %w", err)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("fleet: checkpoint truncated: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(body); got != binary.BigEndian.Uint32(sum[:]) {
-		return nil, fmt.Errorf("fleet: checkpoint corrupted: CRC mismatch")
+	body, err := durable.ReadFrame(r, checkpointMagic, nil, math.MaxUint32)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	var ck checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&ck); err != nil {

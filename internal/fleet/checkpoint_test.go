@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -110,8 +111,8 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 }
 
 // TestCheckpointFileAtomicity ensures a failed write never replaces an
-// existing checkpoint: writing to an unwritable directory errors and
-// leaves no temp litter.
+// existing checkpoint: checkpointing a finished campaign fails, and the
+// earlier checkpoint stays in place, resumable, with no temp litter.
 func TestCheckpointFileAtomicity(t *testing.T) {
 	e, err := New(Config{Slice: 10 * time.Second, Seed: 1}, testClasses())
 	if err != nil {
@@ -125,6 +126,19 @@ func TestCheckpointFileAtomicity(t *testing.T) {
 	if err := e.CheckpointFile(path); err != nil {
 		t.Fatal(err)
 	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(context.Background(), 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CheckpointFile(path); err == nil {
+		t.Fatal("checkpoint of a finished campaign succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
+		t.Fatalf("failed write disturbed the checkpoint (err %v)", err)
+	}
 	if _, err := ResumeFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -134,5 +148,79 @@ func TestCheckpointFileAtomicity(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("checkpoint dir has %d entries, want just the checkpoint", len(entries))
+	}
+}
+
+// TestCheckpointFixture pins the on-disk format to a checkpoint written
+// before the frame codec moved into internal/durable (commit f6d77a3):
+// the same fleet encodes to the same bytes, the file resumes to the
+// report of an uninterrupted run, and every strict prefix is rejected.
+func TestCheckpointFixture(t *testing.T) {
+	const fixture = "testdata/fleet.ckpt"
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Shards: 2, Slice: 10 * time.Second, Seed: testSeed, Instrument: true, KeepMembers: true}
+	e, err := New(cfg, testClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Advance(context.Background(), 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("checkpoint encodes to %d bytes that differ from the %d-byte fixture", buf.Len(), len(want))
+	}
+
+	ref, err := New(cfg, testClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRep, err := ref.Run(context.Background(), testHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ResumeFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background(), testHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := asJSON(t, rep), asJSON(t, refRep); got != want {
+		t.Fatalf("resumed fixture report differs:\nref:     %s\nresumed: %s", want, got)
+	}
+	if asJSON(t, r.MemberReports()) != asJSON(t, ref.MemberReports()) {
+		t.Fatal("resumed fixture member reports differ")
+	}
+
+	for n := range want {
+		if _, err := Resume(bytes.NewReader(want[:n])); err == nil {
+			t.Fatalf("prefix of %d bytes accepted", n)
+		}
+	}
+}
+
+// TestResumeForgedLength feeds a header claiming an almost 4 GiB body
+// followed by 16 bytes: Resume must fail as truncated without
+// allocating the claimed length.
+func TestResumeForgedLength(t *testing.T) {
+	in := append([]byte(checkpointMagic), 0xFF, 0xFF, 0xFF, 0xF0)
+	in = append(in, make([]byte, 16)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Resume(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want a truncation error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("forged length allocated %d bytes", grew)
 	}
 }

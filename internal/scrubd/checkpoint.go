@@ -2,24 +2,21 @@ package scrubd
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sort"
 
 	"repro/internal/arima"
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
-// Checkpoint layout mirrors fleet checkpoints: an 8-byte magic, a
-// 4-byte big-endian length, the gob-encoded body, and a trailing
-// CRC-32 (IEEE) of the gob bytes. Truncation fails the length or CRC
-// read; corruption fails the CRC compare; both reject before any state
-// is trusted.
+// Checkpoint layout: the gob-encoded engine in one durable frame behind
+// this magic.
 const checkpointMagic = "SCRBDSV1"
 
 // checkpointVersion gates decode compatibility.
@@ -76,71 +73,25 @@ func (e *Engine) Checkpoint(w io.Writer) (int64, error) {
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		return 0, fmt.Errorf("scrubd: encode checkpoint: %w", err)
 	}
-	var total int64
-	n, err := io.WriteString(w, checkpointMagic)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	n, err = w.Write(hdr[:])
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	n, err = w.Write(buf.Bytes())
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(buf.Bytes()))
-	n, err = w.Write(sum[:])
-	total += int64(n)
-	return total, err
+	return durable.WriteFrame(w, checkpointMagic, buf.Bytes())
 }
 
-// CheckpointFile writes a checkpoint atomically: to a temp file in the
-// destination directory first, renamed over path only after a
-// successful sync, so a crash mid-write leaves either the old
-// checkpoint or none — never a torn one.
+// CheckpointFile writes a checkpoint through durable.WriteFile, so a
+// crash mid-write leaves either the old checkpoint or the new one —
+// never a torn one. Concurrent calls are serialised, snapshot and
+// write together, so the file on disk is always the latest snapshot.
 func (e *Engine) CheckpointFile(path string) (int64, error) {
-	f, err := os.CreateTemp(dirOf(path), ".scrubd-ckpt-*")
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
+	var n int64
+	err := durable.WriteFile(e.fs, path, func(f durable.File) (err error) {
+		n, err = e.Checkpoint(f)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	tmp := f.Name()
-	committed := false
-	defer func() {
-		// Best-effort cleanup on any failed exit; the write error already
-		// propagates to the caller.
-		if !committed {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	n, err := e.Checkpoint(f)
-	if err != nil {
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	committed = true
-	return n, os.Rename(tmp, path)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
+	return n, nil
 }
 
 // Restore rebuilds an engine from a checkpoint, verifying magic,
@@ -148,28 +99,9 @@ func dirOf(path string) string {
 // the same decisions and exports the same metrics snapshot as the
 // original did at checkpoint time; call Start to resume ingestion.
 func Restore(r io.Reader) (*Engine, error) {
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("scrubd: checkpoint truncated: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("scrubd: not a scrubd checkpoint (magic %q)", magic)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("scrubd: checkpoint truncated: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("scrubd: checkpoint truncated: %w", err)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("scrubd: checkpoint truncated: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(body); got != binary.BigEndian.Uint32(sum[:]) {
-		return nil, fmt.Errorf("scrubd: checkpoint corrupted: CRC mismatch")
+	body, err := durable.ReadFrame(r, checkpointMagic, nil, math.MaxUint32)
+	if err != nil {
+		return nil, fmt.Errorf("scrubd: checkpoint: %w", err)
 	}
 	var ck checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&ck); err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/arima"
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -212,6 +213,11 @@ type Engine struct {
 	pendMu   sync.Mutex
 	pendCond *sync.Cond
 	pending  int64
+
+	// ckptMu serialises CheckpointFile so renames land in snapshot
+	// order; fs is the file system it writes through.
+	ckptMu sync.Mutex
+	fs     durable.FS
 }
 
 // NewEngine builds an engine. Appliers do not run until Start; until
@@ -219,7 +225,7 @@ type Engine struct {
 // deterministic single-threaded mode the replay tests use).
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
+	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards), fs: durable.OS}
 	for i := range e.shards {
 		e.shards[i] = newShard(cfg.QueueCap)
 	}

@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // The columnar trace cache: a compact binary encoding that makes
@@ -19,7 +19,7 @@ import (
 // bitmap — so a cached replay is bounded by varint decode, not text
 // parse, and the file is typically 5-10x smaller than the CSV.
 //
-// Layout (integers big-endian, matching the fleet checkpoint idiom):
+// Layout (integers big-endian; the frames are internal/durable's):
 //
 //	magic "SCRBTRC1"
 //	header frame:  u32 len | body | u32 CRC32(body)
@@ -48,58 +48,40 @@ const (
 )
 
 // BuildCache streams a source into a columnar cache file at path,
-// returning the record count. The write is atomic: a temp file in the
-// same directory is synced and renamed over path, and the header
-// (which carries the total count) is patched before the rename, so a
-// crash never leaves a live, half-written cache.
+// returning the record count. The write goes through durable.WriteFile,
+// and the header (which carries the total count) is patched before the
+// rename, so a crash never leaves a live, half-written cache.
 func BuildCache(path string, src Source) (int64, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".scrubtrace-*")
+	var count int64
+	err := durable.WriteFile(durable.OS, path, func(f durable.File) error {
+		enc := newCacheEncoder(f, src.Name())
+		var rec Record
+		for {
+			err := src.Next(&rec)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			if err := enc.add(rec); err != nil {
+				return err
+			}
+		}
+		count = enc.count
+		// DiskSectors is read after the drain: parser sources only know
+		// the full extent once scanned.
+		return enc.finish(src.DiskSectors())
+	})
 	if err != nil {
 		return 0, err
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-
-	enc := newCacheEncoder(tmp, src.Name())
-	var rec Record
-	for {
-		err := src.Next(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 0, err
-		}
-		if err := enc.add(rec); err != nil {
-			return 0, err
-		}
-	}
-	// DiskSectors is read after the drain: parser sources only know the
-	// full extent once scanned.
-	if err := enc.finish(src.DiskSectors()); err != nil {
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, err
-	}
-	tmp = nil
-	return enc.count, nil
+	return count, nil
 }
 
 // cacheEncoder accumulates records into framed columnar blocks.
 type cacheEncoder struct {
-	f     *os.File
+	f     durable.File
 	bw    *bufio.Writer
 	name  string
 	block []Record
@@ -108,7 +90,7 @@ type cacheEncoder struct {
 	count int64
 }
 
-func newCacheEncoder(f *os.File, name string) *cacheEncoder {
+func newCacheEncoder(f durable.File, name string) *cacheEncoder {
 	return &cacheEncoder{
 		f:     f,
 		bw:    bufio.NewWriterSize(f, 1<<16),
@@ -147,24 +129,7 @@ func (e *cacheEncoder) writeHeader(count, diskSectors int64) error {
 	e.buf = binary.BigEndian.AppendUint32(e.buf, cacheBlockLen)
 	e.buf = binary.BigEndian.AppendUint16(e.buf, uint16(len(e.name)))
 	e.buf = append(e.buf, e.name...)
-	if _, err := e.bw.WriteString(cacheMagic); err != nil {
-		return err
-	}
-	return e.writeFrame()
-}
-
-// writeFrame emits e.buf as a length+CRC frame.
-func (e *cacheEncoder) writeFrame() error {
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], uint32(len(e.buf)))
-	if _, err := e.bw.Write(pre[:]); err != nil {
-		return err
-	}
-	if _, err := e.bw.Write(e.buf); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(pre[:], crc32.ChecksumIEEE(e.buf))
-	_, err := e.bw.Write(pre[:])
+	_, err := durable.WriteFrame(e.bw, cacheMagic, e.buf)
 	return err
 }
 
@@ -206,7 +171,8 @@ func (e *cacheEncoder) flushBlock() error {
 	}
 	e.buf = append(e.buf, bitmap...)
 	e.block = e.block[:0]
-	return e.writeFrame()
+	_, err := durable.WriteFrame(e.bw, "", e.buf)
+	return err
 }
 
 // finish flushes the tail block and patches the header with the final
@@ -285,14 +251,7 @@ func OpenCache(path string) (*CacheSource, error) {
 
 // readHeader validates the magic and header frame.
 func (c *CacheSource) readHeader() error {
-	var magic [len(cacheMagic)]byte
-	if _, err := io.ReadFull(c.br, magic[:]); err != nil {
-		return fmt.Errorf("%w: cache: short magic: %v", ErrBadFormat, err)
-	}
-	if string(magic[:]) != cacheMagic {
-		return fmt.Errorf("%w: cache: bad magic %q", ErrBadFormat, magic[:])
-	}
-	body, err := c.readFrame()
+	body, err := durable.ReadFrame(c.br, cacheMagic, c.buf, cacheMaxFrame)
 	if err != nil {
 		return fmt.Errorf("%w: cache: header: %v", ErrBadFormat, err)
 	}
@@ -316,32 +275,6 @@ func (c *CacheSource) readHeader() error {
 	c.name = string(body[26 : 26+nameLen])
 	c.dataOff = int64(len(cacheMagic)) + 4 + int64(len(body)) + 4
 	return nil
-}
-
-// readFrame reads one length+body+CRC frame into c.buf.
-func (c *CacheSource) readFrame() ([]byte, error) {
-	var pre [4]byte
-	if _, err := io.ReadFull(c.br, pre[:]); err != nil {
-		return nil, fmt.Errorf("truncated frame length: %v", err)
-	}
-	n := binary.BigEndian.Uint32(pre[:])
-	if n > cacheMaxFrame {
-		return nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
-	}
-	if cap(c.buf) < int(n) {
-		c.buf = make([]byte, n)
-	}
-	body := c.buf[:n]
-	if _, err := io.ReadFull(c.br, body); err != nil {
-		return nil, fmt.Errorf("truncated frame body: %v", err)
-	}
-	if _, err := io.ReadFull(c.br, pre[:]); err != nil {
-		return nil, fmt.Errorf("truncated frame checksum: %v", err)
-	}
-	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(pre[:]); got != want {
-		return nil, fmt.Errorf("checksum mismatch (got %#x, want %#x)", got, want)
-	}
-	return body, nil
 }
 
 // Next implements Source.
@@ -376,10 +309,11 @@ func (c *CacheSource) refill() error {
 		}
 		return io.EOF
 	}
-	body, err := c.readFrame()
+	body, err := durable.ReadFrame(c.br, "", c.buf, cacheMaxFrame)
 	if err != nil {
 		return fmt.Errorf("%w: cache: block at record %d: %v", ErrBadFormat, c.decoded, err)
 	}
+	c.buf = body
 	if len(body) < 4 {
 		return fmt.Errorf("%w: cache: block too short", ErrBadFormat)
 	}

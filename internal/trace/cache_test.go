@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -201,6 +202,92 @@ func TestCacheAtomicBuildLeavesNoTemp(t *testing.T) {
 	ents, _ = os.ReadDir(dir)
 	if len(ents) != 1 {
 		t.Fatalf("failed build left files: %v", ents)
+	}
+}
+
+// TestCacheFixture pins the cache format to a file built from
+// msr_golden.csv before the frame codec moved into internal/durable
+// (commit f6d77a3): a rebuild matches it byte for byte, it decodes to
+// the CSV's records, and every strict prefix is rejected.
+func TestCacheFixture(t *testing.T) {
+	want, err := os.ReadFile("testdata/msr_golden.cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	openCSV := func() *MSRSource {
+		src, err := OpenMSR("testdata/msr_golden.csv", MSROptions{Name: "msr_golden", DiskNumber: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { src.Close() })
+		return src
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "rebuilt.cache")
+	if _, err := BuildCache(path, openCSV()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("rebuilt cache differs from the fixture (err %v)", err)
+	}
+	src, err := OpenCache("testdata/msr_golden.cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	got, csv := drain(t, src), drain(t, openCSV())
+	if len(got) != len(csv) {
+		t.Fatalf("fixture decodes to %d records, CSV has %d", len(got), len(csv))
+	}
+	for i := range got {
+		if got[i] != csv[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], csv[i])
+		}
+	}
+	for n := range want {
+		p := filepath.Join(dir, "prefix.cache")
+		if err := os.WriteFile(p, want[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenCache(p)
+		if err == nil {
+			var rec Record
+			for err == nil {
+				err = src.Next(&rec)
+			}
+			src.Close()
+		}
+		if !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("prefix of %d bytes: err = %v, want ErrBadFormat", n, err)
+		}
+	}
+}
+
+// TestCacheRefillZeroAlloc pins the streaming read: once warm, a full
+// pass over a multi-block cache allocates nothing per frame.
+func TestCacheRefillZeroAlloc(t *testing.T) {
+	path, want := buildSampleCache(t, 3*cacheBlockLen)
+	src, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	drain(t, src)
+	var rec Record
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := src.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for src.Next(&rec) == nil {
+			n++
+		}
+		if n != len(want) {
+			t.Fatalf("pass read %d records, want %d", n, len(want))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per pass over %d records, want 0", allocs, len(want))
 	}
 }
 

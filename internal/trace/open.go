@@ -162,6 +162,25 @@ func Open(path string, format Format) (Source, error) {
 	}
 }
 
+// OpenFile is Open for the command-line tools: format is a -format flag
+// value ("auto" or "" sniffs the file), and an MSR-Cambridge file is
+// named by its path and filtered to msrDisk (-1 keeps every disk).
+func OpenFile(path, format string, msrDisk int) (Source, error) {
+	f, err := ParseFormat(format)
+	if err != nil {
+		return nil, err
+	}
+	if f == FormatUnknown {
+		if f, err = DetectFormat(path); err != nil {
+			return nil, err
+		}
+	}
+	if f == FormatMSR {
+		return OpenMSR(path, MSROptions{Name: path, DiskNumber: msrDisk})
+	}
+	return Open(path, f)
+}
+
 // CloseSource closes a source's underlying file when it has one; plain
 // in-memory sources are a no-op.
 func CloseSource(src Source) error {
