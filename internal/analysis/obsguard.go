@@ -6,7 +6,7 @@ import "go/ast"
 const obsPath = "repro/internal/obs"
 
 // registryLookups are the name-keyed lookup methods on *obs.Registry.
-// Each takes the registry mutex and hashes the metric name — fine at
+// Each hashes the metric name into the registry's maps — fine at
 // Instrument time, pure overhead when repeated per iteration or per
 // event.
 var registryLookups = map[string]bool{

@@ -138,11 +138,22 @@ func (q *Queue) State(classify func(*Request) (uint8, error)) (*QState, error) {
 	return st, nil
 }
 
-// RestoreState applies a snapshot to a freshly built queue. resolve maps
-// the opaque callback tag back to the producer's prebuilt OnComplete.
-// The simulator clock must already be restored so re-enqueued events
-// keep their recorded sequence numbers.
+// RestoreState overwrites the queue with a snapshot. The queue may be
+// fresh or may have run another member to any point: its in-flight
+// request returns to the free list, and a barrier, staged requests and
+// the poll timer are dropped (the elevator's own RestoreState drops what
+// it holds). resolve maps the opaque callback tag back to the producer's
+// prebuilt OnComplete. The simulator clock must already be restored, so
+// that its pending events are gone and re-enqueued ones keep their
+// recorded sequence numbers.
 func (q *Queue) RestoreState(st *QState, resolve func(uint8) func(*Request)) error {
+	if r := q.inflight; r != nil && r.pooled {
+		q.putRequest(r)
+	}
+	q.inflight, q.headBarrier, q.pollEv = nil, nil, nil
+	q.inflEvKind, q.inflEvAt, q.inflEvSeq = evNone, 0, 0
+	clear(q.staged)
+	q.staged = q.staged[:0]
 	q.seq = st.Seq
 	q.stats = st.Stats
 	q.everBusy = st.EverBusy

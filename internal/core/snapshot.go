@@ -15,8 +15,9 @@ import (
 // SystemState is the compact serializable state of a parked System: the
 // kernel clock plus one sub-state per component, each carrying its own
 // pending events as (at, seq) records. Configuration is not embedded —
-// RestoreSystem rebuilds the stack from the same Config and applies this
-// state on top, which keeps a million parked members cheap.
+// the restorer supplies a stack of the same Config (RestoreSystem builds
+// one; the fleet engine reuses one live stack per class) and Restore
+// applies this state on top, which keeps a million parked members cheap.
 type SystemState struct {
 	Now   time.Duration
 	Seq   uint64
@@ -54,6 +55,13 @@ func (sys *System) Parkable() error {
 			return fmt.Errorf("core: in-flight request is not the scrubber's")
 		}
 	}
+	return sys.serializable()
+}
+
+// serializable reports (as a nil error) whether every stateful part of
+// the stack has a snapshot form: the scheduling policy carries no hidden
+// predictor state and the elevator is CFQ.
+func (sys *System) serializable() error {
 	switch sys.policy.(type) {
 	case nil, *schedpolicy.Waiting:
 	default:
@@ -119,72 +127,90 @@ func (sys *System) Snapshot() (*SystemState, error) {
 
 // RestoreSystem rebuilds a parked system: a fresh stack from the same
 // Config (wiring order identical to New, so subscriber order — and with
-// it determinism — is preserved), then the snapshot applied on top. The
-// clock restores first so every component's re-enqueued event keeps its
-// recorded sequence number.
+// it determinism — is preserved), then Restore applies the snapshot on
+// top with the Config's fault seed.
 func RestoreSystem(cfg Config, st *SystemState) (*System, error) {
 	sys, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if sys.cfq == nil {
-		return nil, fmt.Errorf("core: scheduler %q has no serializable state; only cfq systems restore", cfg.Sched)
-	}
-	if err := sys.Sim.RestoreClock(st.Now, st.Seq, st.Fired); err != nil {
+	if err := sys.Restore(st, cfg.FaultSeed); err != nil {
 		return nil, err
 	}
+	return sys, nil
+}
+
+// Restore overwrites the system in place with a snapshot taken from a
+// system of the same Config, its fault stream seeded with faultSeed (0
+// means 1, as in Config.FaultSeed). The system may be fresh from build
+// or may have run another member to any point — parked or not: the
+// clock restores first and discards every pending event, then every
+// component overwrites all of its state, and each re-enqueued event
+// keeps its recorded sequence number. This is the only restore path:
+// RestoreSystem is a build followed by Restore, and the fleet engine
+// restores member after member onto one live stack.
+func (sys *System) Restore(st *SystemState, faultSeed int64) error {
+	if err := sys.serializable(); err != nil {
+		return err
+	}
+	if faultSeed == 0 {
+		faultSeed = 1
+	}
+	sys.cfg.FaultSeed = faultSeed
+	sys.Sim.RestoreClock(st.Now, st.Seq, st.Fired)
 	switch dev := sys.Device.(type) {
 	case *disk.Disk:
 		if st.Disk == nil {
-			return nil, fmt.Errorf("core: snapshot carries no rotational state for %s", dev.ModelName())
+			return fmt.Errorf("core: snapshot carries no rotational state for %s", dev.ModelName())
 		}
 		dev.RestoreState(st.Disk)
 	case *disk.SSD:
 		if st.SSD == nil {
-			return nil, fmt.Errorf("core: snapshot carries no SSD state for %s", dev.ModelName())
+			return fmt.Errorf("core: snapshot carries no SSD state for %s", dev.ModelName())
 		}
 		dev.RestoreState(st.SSD)
 	default:
-		return nil, fmt.Errorf("core: device %T is not snapshotable", sys.Device)
+		return fmt.Errorf("core: device %T is not snapshotable", sys.Device)
 	}
 	if err := sys.cfq.RestoreState(st.CFQ); err != nil {
-		return nil, err
+		return err
 	}
 	if err := sys.Scrubber.RestoreState(st.Scrub); err != nil {
-		return nil, err
+		return err
 	}
 	// The queue restores after the scrubber so callback resolution sees
 	// the restored in-flight classification.
 	if err := sys.Queue.RestoreState(st.Queue, func(kind uint8) func(*blockdev.Request) {
 		return sys.Scrubber.CallbackFor(scrub.CompletionKind(kind))
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	if st.Fault != nil {
 		if sys.Faults == nil {
-			return nil, fmt.Errorf("core: snapshot carries fault state but config has no fault model")
+			return fmt.Errorf("core: snapshot carries fault state but config has no fault model")
 		}
-		if err := sys.Faults.RestoreState(st.Fault); err != nil {
-			return nil, err
+		if err := sys.Faults.RestoreState(st.Fault, faultSeed); err != nil {
+			return err
 		}
 	} else if sys.Faults != nil {
-		return nil, fmt.Errorf("core: config has a fault model but snapshot carries no fault state")
+		return fmt.Errorf("core: config has a fault model but snapshot carries no fault state")
 	}
+	sys.kickEv = nil
 	if st.HasKick {
 		ev, err := sys.Sim.RestoreAt(st.KickAt, st.KickSeq, sys.kickFn)
 		if err != nil {
-			return nil, fmt.Errorf("core: restore kick timer: %w", err)
+			return fmt.Errorf("core: restore kick timer: %w", err)
 		}
 		sys.kickEv = ev
 	}
-	if st.Policy != nil {
-		w, ok := sys.policy.(*schedpolicy.Waiting)
-		if !ok {
-			return nil, fmt.Errorf("core: snapshot carries waiting-policy state but config policy is %v", cfg.Policy)
-		}
-		if err := w.RestoreState(st.Policy); err != nil {
-			return nil, err
-		}
+	w, isWaiting := sys.policy.(*schedpolicy.Waiting)
+	switch {
+	case st.Policy != nil && !isWaiting:
+		return fmt.Errorf("core: snapshot carries waiting-policy state but config policy is %v", sys.cfg.Policy)
+	case st.Policy == nil && isWaiting:
+		return fmt.Errorf("core: config policy is %v but snapshot carries no waiting-policy state", sys.cfg.Policy)
+	case isWaiting:
+		return w.RestoreState(st.Policy)
 	}
-	return sys, nil
+	return nil
 }

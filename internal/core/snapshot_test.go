@@ -234,4 +234,22 @@ func TestRestoreConfigMismatch(t *testing.T) {
 	if _, err := core.RestoreSystem(cfg, st); err == nil {
 		t.Error("fault-free snapshot restored into fault-model config")
 	}
+
+	// The policy state must match too: a fixed-delay snapshot carries
+	// none, which a waiting-policy config refuses, and the reverse.
+	waiting := cfg
+	waiting.Faults, waiting.FaultSeed = nil, 0
+	waiting.Policy = core.PolicyWaiting
+	if _, err := core.RestoreSystem(waiting, st); err == nil {
+		t.Error("snapshot without waiting-policy state restored into a waiting config")
+	}
+	wsys, _ := buildSys(t, waiting)
+	rollToParkable(t, wsys)
+	wst, err := wsys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RestoreSystem(bare, wst); err == nil {
+		t.Error("waiting-policy snapshot restored into a fixed-delay config")
+	}
 }

@@ -42,19 +42,19 @@ func (d *Disk) State() *State {
 	return st
 }
 
-// RestoreState applies a snapshot to a freshly built disk of the same
-// model the snapshot was taken from; geometry and cache sizing are
-// recomputed from that model, so only accumulated state is copied.
+// RestoreState overwrites the disk with a snapshot taken from a disk of
+// the same model; the disk may be fresh or may have served another
+// member. Geometry and cache sizing come from that model, so only
+// accumulated state is copied.
 func (d *Disk) RestoreState(st *State) {
 	d.headCyl = st.HeadCyl
-	if len(st.LSEs) > 0 {
-		d.lses = append([]int64(nil), st.LSEs...)
-	}
+	d.lses = append(d.lses[:0], st.LSEs...)
 	d.served = st.Served
 	d.mediaOps = st.MediaOps
 	d.cacheHits = st.CacheHits
 	d.cacheEnabled = st.CacheEnabled
 	d.cache.clock = st.CacheClock
+	d.cache.segments = d.cache.segments[:0]
 	for _, s := range st.CacheSegs {
 		d.cache.segments = append(d.cache.segments, segment{start: s.Start, end: s.End, lastUse: s.LastUse})
 	}

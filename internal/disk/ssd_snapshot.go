@@ -33,7 +33,8 @@ func (s *SSD) State() *SSDState {
 	return st
 }
 
-// RestoreState rehydrates a freshly built device from a snapshot.
+// RestoreState overwrites the device with a snapshot; the device may be
+// fresh or may have served another member.
 func (s *SSD) RestoreState(st *SSDState) {
 	s.lses = append(s.lses[:0], st.LSEs...)
 	s.served = st.Served

@@ -50,13 +50,14 @@ type Model interface {
 // PosSource is a Source whose RNG stream position can be captured and
 // restored, the contract the fleet engine's snapshot path needs. Pos
 // returns the number of RNG draws consumed so far and the stream's
-// virtual-time cursor; Seek fast-forwards a freshly built source to a
-// captured position by replaying the draws, after which the stream
-// continues exactly where the original left off.
+// virtual-time cursor; SetPos repositions the source at a captured
+// position of seed's stream, after which the stream continues exactly
+// where the original left off. SetPos works on any source of the same
+// model, so one live source can serve member after member.
 type PosSource interface {
 	Source
 	Pos() (draws uint64, now time.Duration)
-	Seek(draws uint64, now time.Duration)
+	SetPos(seed int64, draws uint64, now time.Duration)
 }
 
 // countingSource wraps the standard seeded source and counts draws so a
@@ -67,39 +68,61 @@ type PosSource interface {
 // implements rand.Source64, the same interface the unwrapped source
 // satisfies, so rand.Rand dispatches identically and the value stream is
 // unchanged by the wrapping.
+//
+// Seeding the standard source costs far more than a draw, and a parked
+// fleet member at field LSE rates almost never draws between one hydrate
+// and the next. So the generator is seeded and advanced lazily: a seek
+// only records (seed, draws), and the first draw after it seeds the
+// generator and replays the draws.
 type countingSource struct {
-	src   rand.Source64
-	draws uint64
+	seed   int64
+	draws  uint64
+	src    rand.Source64 // allocated at the first draw, reseeded after
+	synced bool          // src stands at draw number draws of seed's stream
 }
 
 func newCountingSource(seed int64) *countingSource {
-	//scrublint:allow detorder this IS the draw-counting source; the wrapper captures draws for snapshot replay
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &countingSource{seed: seed}
+}
+
+// live returns the generator positioned at (seed, draws).
+func (c *countingSource) live() rand.Source64 {
+	if !c.synced {
+		if c.src == nil {
+			//scrublint:allow detorder this IS the draw-counting source; the wrapper captures draws for snapshot replay
+			c.src = rand.NewSource(c.seed).(rand.Source64)
+		} else {
+			c.src.Seed(c.seed)
+		}
+		for i := uint64(0); i < c.draws; i++ {
+			c.src.Uint64()
+		}
+		c.synced = true
+	}
+	return c.src
 }
 
 func (c *countingSource) Int63() int64 {
+	src := c.live()
 	c.draws++
-	return c.src.Int63()
+	return src.Int63()
 }
 
 func (c *countingSource) Uint64() uint64 {
+	src := c.live()
 	c.draws++
-	return c.src.Uint64()
+	return src.Uint64()
 }
 
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.draws = 0
-}
+func (c *countingSource) Seed(seed int64) { c.seek(seed, 0) }
 
-// skip replays draws generator steps. Int63 and Uint64 both advance the
-// standard source by one step, so replaying with Uint64 alone lands on
-// the same state regardless of which mix of calls consumed the originals.
-func (c *countingSource) skip(draws uint64) {
-	for i := uint64(0); i < draws; i++ {
-		c.src.Uint64()
-	}
-	c.draws = draws
+// seek positions the source at draw number draws of seed's stream. The
+// generator is left alone: the next draw seeds it and replays the draws.
+// Int63 and Uint64 both advance the standard source by one step, so
+// replaying with Uint64 alone lands on the same state regardless of
+// which mix of calls consumed the originals.
+func (c *countingSource) seek(seed int64, draws uint64) {
+	c.seed, c.draws, c.synced = seed, draws, false
 }
 
 // hoursToDuration converts a span in hours to a Duration, saturating
@@ -218,9 +241,9 @@ var _ PosSource = (*poissonSource)(nil)
 // Pos implements PosSource.
 func (p *poissonSource) Pos() (uint64, time.Duration) { return p.cs.draws, p.now }
 
-// Seek implements PosSource. Call only on a freshly built source.
-func (p *poissonSource) Seek(draws uint64, now time.Duration) {
-	p.cs.skip(draws)
+// SetPos implements PosSource.
+func (p *poissonSource) SetPos(seed int64, draws uint64, now time.Duration) {
+	p.cs.seek(seed, draws)
 	p.now = now
 }
 
@@ -295,9 +318,9 @@ var _ PosSource = (*acceleratedSource)(nil)
 // Pos implements PosSource.
 func (a *acceleratedSource) Pos() (uint64, time.Duration) { return a.cs.draws, a.now }
 
-// Seek implements PosSource. Call only on a freshly built source.
-func (a *acceleratedSource) Seek(draws uint64, now time.Duration) {
-	a.cs.skip(draws)
+// SetPos implements PosSource.
+func (a *acceleratedSource) SetPos(seed int64, draws uint64, now time.Duration) {
+	a.cs.seek(seed, draws)
 	a.now = now
 }
 

@@ -16,11 +16,11 @@ type ArrivalRec struct {
 }
 
 // InjectorState is the compact serializable state of an Injector: RNG
-// stream position (seed is implied — the restorer supplies the same
-// model and seed), the one burst pulled ahead of the clock with its
-// pending event's (at, seq) identity, and the lifecycle maps in sorted
-// order. Restoring it onto a fresh injector of the same (model, seed)
-// reproduces the original's future exactly.
+// stream position (seed is implied — the restorer supplies it), the one
+// burst pulled ahead of the clock with its pending event's (at, seq)
+// identity, and the lifecycle maps in sorted order. Restoring it onto an
+// injector of the same model with the same seed reproduces the
+// original's future exactly.
 type InjectorState struct {
 	Started bool
 
@@ -73,27 +73,35 @@ func (in *Injector) State() (*InjectorState, error) {
 	return st, nil
 }
 
-// RestoreState applies a snapshot to a freshly built injector of the
-// same (model, seed); the disk's LSE set travels in the disk snapshot,
-// so restore does not re-plant. The caller must have restored the
-// simulator clock first so the pending arrival event's sequence number
-// is in range.
-func (in *Injector) RestoreState(st *InjectorState) error {
+// RestoreState overwrites the injector with a snapshot taken from an
+// injector of the same model whose stream was seeded with seed. The
+// injector may be fresh or may have run another stream: every field is
+// replaced, and the RNG is only reseeded at its next draw. The disk's
+// LSE set travels in the disk snapshot, so restore does not re-plant.
+// The caller must have restored the simulator clock first so the
+// pending arrival event's sequence number is in range.
+func (in *Injector) RestoreState(st *InjectorState, seed int64) error {
 	ps, ok := in.src.(PosSource)
 	if !ok {
 		return fmt.Errorf("fault: source %T does not support position restore", in.src)
 	}
-	ps.Seek(st.Draws, st.SrcNow)
+	ps.SetPos(seed, st.Draws, st.SrcNow)
 	in.started = st.Started
 	in.stats = st.Stats
+	clear(in.arrival)
 	for _, a := range st.Arrival {
 		in.arrival[a.LBA] = a.At
 	}
+	clear(in.detected)
 	for _, lba := range st.Detected {
 		in.detected[lba] = true
 	}
+	// The pulled-ahead burst's LBA buffer is the injector's own (State
+	// copies it out), so it is reused.
+	lbas := in.next.LBAs[:0]
+	in.next, in.hasNext, in.nextEv = Burst{}, false, nil
 	if st.HasNext {
-		in.next = Burst{At: st.NextAt, LBAs: append([]int64(nil), st.NextLBAs...)}
+		in.next = Burst{At: st.NextAt, LBAs: append(lbas, st.NextLBAs...)}
 		in.hasNext = true
 		ev, err := in.sim.RestoreAt(st.EvAt, st.EvSeq, in.fireFn)
 		if err != nil {
@@ -108,7 +116,7 @@ func (in *Injector) RestoreState(st *InjectorState) error {
 // seed must match the original's.
 func RestoreInjector(s *sim.Simulator, d *disk.Disk, m Model, seed int64, st *InjectorState) (*Injector, error) {
 	in := NewInjector(s, d, m, seed)
-	if err := in.RestoreState(st); err != nil {
+	if err := in.RestoreState(st, seed); err != nil {
 		return nil, err
 	}
 	return in, nil

@@ -26,7 +26,7 @@ func snapRig(t *testing.T, m fault.Model, seed int64) (*sim.Simulator, *disk.Dis
 // checks the restored copy's future — arrivals, stats, RNG position —
 // is byte-identical to the original's. Exercised for every built-in
 // model, so both PosSource implementations (poisson and accelerated)
-// get their Pos/Seek paths proven.
+// get their Pos/SetPos paths proven.
 func TestInjectorSnapshotRoundTrip(t *testing.T) {
 	const (
 		seed    = 42
@@ -66,9 +66,7 @@ func TestInjectorSnapshotRoundTrip(t *testing.T) {
 			now, seq, fired := s1.Clock()
 
 			s2 := sim.New()
-			if err := s2.RestoreClock(now, seq, fired); err != nil {
-				t.Fatal(err)
-			}
+			s2.RestoreClock(now, seq, fired)
 			d2, err := disk.RestoreDisk(disk.DemoSmall(), d1.State())
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +148,7 @@ func TestInjectorSnapshotRejectsUnpositionableSource(t *testing.T) {
 	if _, err := in.State(); err == nil || !strings.Contains(err.Error(), "position") {
 		t.Fatalf("State on scripted source: err = %v, want position-capture refusal", err)
 	}
-	if err := in.RestoreState(&fault.InjectorState{}); err == nil || !strings.Contains(err.Error(), "position") {
+	if err := in.RestoreState(&fault.InjectorState{}, 1); err == nil || !strings.Contains(err.Error(), "position") {
 		t.Fatalf("RestoreState on scripted source: err = %v, want position-restore refusal", err)
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/durable"
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // Checkpoint layout: the gob-encoded fleet in one durable frame behind
@@ -20,6 +22,16 @@ const checkpointMagic = "SCRBFLT1"
 
 // checkpointVersion gates decode compatibility.
 const checkpointVersion = 1
+
+// memberSlot is a member as the checkpoint encodes it: its dense obs
+// values travel as the name-keyed snapshot of checkpoint version 1.
+type memberSlot struct {
+	Class int
+	Idx   int
+	State *core.SystemState
+	Obs   *obs.Snapshot
+	Done  bool
+}
 
 // checkpoint is the serialized fleet between slices.
 //
@@ -50,18 +62,64 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	if e.done {
 		return fmt.Errorf("fleet: cannot checkpoint a finished campaign")
 	}
+	slots, err := e.wireSlots()
+	if err != nil {
+		return err
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(checkpoint{
 		Version: checkpointVersion,
 		Cfg:     e.cfg,
 		Classes: e.classes,
 		Now:     e.now,
-		Slots:   e.slots,
+		Slots:   slots,
 	}); err != nil {
 		return fmt.Errorf("fleet: encode checkpoint: %w", err)
 	}
-	_, err := durable.WriteFrame(w, checkpointMagic, buf.Bytes())
+	_, err = durable.WriteFrame(w, checkpointMagic, buf.Bytes())
 	return err
+}
+
+// layouts returns each class's obs layout, the schema of its members'
+// dense values, from a stack built for the purpose: every instrument is
+// registered when a stack is built, so a running member's registry has
+// the same layout.
+func (e *Engine) layouts() ([]*obs.Layout, error) {
+	out := make([]*obs.Layout, len(e.classes))
+	for ci := range e.classes {
+		cfg := e.classes[ci].Config
+		reg := obs.New()
+		cfg.Obs = reg
+		if _, err := core.NewFromConfig(cfg); err != nil {
+			return nil, err
+		}
+		out[ci] = reg.Layout()
+	}
+	return out, nil
+}
+
+// wireSlots returns the members as the checkpoint encodes them, each
+// instrumented member's dense values as a name-keyed obs snapshot.
+func (e *Engine) wireSlots() ([]memberSlot, error) {
+	var layouts []*obs.Layout
+	if e.cfg.Instrument {
+		var err error
+		if layouts, err = e.layouts(); err != nil {
+			return nil, err
+		}
+	}
+	slots := make([]memberSlot, len(e.slots))
+	for i, m := range e.slots {
+		slots[i] = memberSlot{Class: m.class, Idx: m.idx, State: m.state, Done: m.done}
+		if m.vals != nil {
+			snap, err := layouts[m.class].Snapshot(m.vals)
+			if err != nil {
+				return nil, memberErr(i, err)
+			}
+			slots[i].Obs = &snap
+		}
+	}
+	return slots, nil
 }
 
 // CheckpointFile writes a checkpoint through durable.WriteFile, so a
@@ -94,7 +152,29 @@ func Resume(r io.Reader) (*Engine, error) {
 	if len(ck.Slots) != len(e.slots) {
 		return nil, fmt.Errorf("fleet: checkpoint has %d slots for %d members", len(ck.Slots), len(e.slots))
 	}
-	e.slots = ck.Slots
+	var layouts []*obs.Layout
+	if e.cfg.Instrument {
+		if layouts, err = e.layouts(); err != nil {
+			return nil, err
+		}
+	}
+	for i, s := range ck.Slots {
+		m := &e.slots[i]
+		if s.Class != m.class || s.Idx != m.idx {
+			return nil, fmt.Errorf("fleet: checkpoint slot %d is member %d of class %d, want member %d of class %d",
+				i, s.Idx, s.Class, m.idx, m.class)
+		}
+		m.state, m.done = s.State, s.Done
+		if s.Obs == nil {
+			continue
+		}
+		if layouts == nil {
+			return nil, memberErr(i, fmt.Errorf("obs snapshot in an uninstrumented checkpoint"))
+		}
+		if m.vals, err = layouts[m.class].Values(*s.Obs); err != nil {
+			return nil, memberErr(i, err)
+		}
+	}
 	e.now = ck.Now
 	return e, nil
 }

@@ -1,10 +1,16 @@
 // Package fleet is the sharded million-drive campaign engine. Keeping
 // every member's full simulation stack live would cost gigabytes at
-// datacenter scale, so the engine keeps members as compact serialized
-// states (core.SystemState plus an obs snapshot, a few hundred bytes
-// each) and only hydrates a member while advancing it one time slice.
+// datacenter scale, so the engine keeps members parked as compact
+// states — a core.SystemState plus, instrumented, a dense vector of its
+// obs values; a checkpoint of the fleet-sweep benchmark's members takes
+// about 2.5 kB per member (fleet.state_bytes_per_member, 2526 B) — and
+// only hydrates a member while advancing it one time slice. Hydrating
+// builds nothing: each shard keeps one live stack per class for the
+// slice and restores member after member onto it in place
+// (core.System.Restore plus obs.Registry.SetValues); parking is a state
+// snapshot plus obs.Registry.AppendValues into the member's own buffer.
 // Members stripe into shards executed over internal/par with work
-// stealing, so live memory is bounded by the worker count, not the
+// stealing, so live memory is bounded by workers × classes, not the
 // fleet size; per-member results reduce through integer-exact,
 // commutative merges, so every report is byte-identical across shard
 // and worker counts — and to running each member live, start to
@@ -38,8 +44,8 @@ type Config struct {
 	// Shards is the number of contiguous member stripes executed (and
 	// stolen) as scheduling units. Default 1. Results never depend on it.
 	Shards int
-	// Workers bounds concurrent goroutines (and therefore live hydrated
-	// members). <= 0 means GOMAXPROCS.
+	// Workers bounds concurrent goroutines (and therefore live member
+	// stacks: one per class per running shard). <= 0 means GOMAXPROCS.
 	Workers int
 	// Slice is the park cadence: members are advanced Slice of virtual
 	// time, rolled forward to a parkable state and serialized. <= 0 means
@@ -55,21 +61,21 @@ type Config struct {
 	KeepMembers bool
 }
 
-// memberSlot is one member between slices: its identity and, once
-// parked, its serialized state. Exported fields so checkpoints gob-encode.
-type memberSlot struct {
-	Class int
-	Idx   int
-	State *core.SystemState
-	Obs   *obs.Snapshot
-	Done  bool
+// member is one member between slices: its identity and, once parked,
+// its serialized state and, instrumented, its dense obs values.
+// Checkpoints encode it as a memberSlot.
+type member struct {
+	class, idx int
+	state      *core.SystemState
+	vals       []int64 // the member's registry values (obs.Registry.AppendValues)
+	done       bool
 }
 
 // Engine advances a fleet of serialized members slice by slice.
 type Engine struct {
 	cfg     Config
 	classes []MemberClass
-	slots   []memberSlot
+	slots   []member
 	now     time.Duration
 	done    bool //scrublint:transient Checkpoint refuses a finished campaign
 
@@ -101,10 +107,10 @@ func New(cfg Config, classes []MemberClass) (*Engine, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("fleet: no members")
 	}
-	e := &Engine{cfg: cfg, classes: classes, slots: make([]memberSlot, 0, total)}
+	e := &Engine{cfg: cfg, classes: classes, slots: make([]member, 0, total)}
 	for ci, c := range classes {
 		for i := 0; i < c.Count; i++ {
-			e.slots = append(e.slots, memberSlot{Class: ci, Idx: i})
+			e.slots = append(e.slots, member{class: ci, idx: i})
 		}
 	}
 	return e, nil
@@ -116,46 +122,88 @@ func (e *Engine) Members() int { return len(e.slots) }
 // Now returns the slice boundary the fleet has been advanced to.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// memberConfig instantiates the class template for one member: the
-// fault seed derives from identity alone, and an instrumented member
-// gets a fresh registry pre-merged with its parked metrics.
-func (e *Engine) memberConfig(slot *memberSlot) (core.Config, *obs.Registry, error) {
-	cls := &e.classes[slot.Class]
-	cfg := cls.Config
-	cfg.FaultSeed = par.SubSeed(e.cfg.Seed, cls.Name, strconv.Itoa(slot.Idx))
-	var reg *obs.Registry
-	if e.cfg.Instrument {
-		reg = obs.New()
-		if slot.Obs != nil {
-			if err := reg.MergeSnapshot(*slot.Obs); err != nil {
-				return cfg, nil, err
-			}
-		}
-		cfg.Obs = reg
-	}
-	return cfg, reg, nil
+// stack is one live member stack of a class: a built core.System and,
+// instrumented, its registry. A shard keeps one per class for a slice
+// and restores every member it advances onto it in place — the stack is
+// built once, never per member — so live memory is bounded by
+// Workers × classes.
+type stack struct {
+	sys *core.System
+	reg *obs.Registry // nil when uninstrumented
+	// layout is the registry's schema: members' parked values and the
+	// shard aggregate are vectors of it.
+	layout *obs.Layout
+	// pristine and zero are the stack before Start: the state and obs
+	// values a first-sight member starts from. pristine is nil for a
+	// class that cannot park (its policy or scheduler has no
+	// serializable state); such members only run unsliced.
+	pristine *core.SystemState
+	zero     []int64
 }
 
-// hydrate brings one member live: a fresh build on first sight, a
-// restore from its parked state afterwards.
-func (e *Engine) hydrate(slot *memberSlot) (*core.System, *obs.Registry, error) {
-	cfg, reg, err := e.memberConfig(slot)
-	if err != nil {
-		return nil, nil, err
+// newStack builds a live stack of class with the given fault seed and
+// records its pre-Start state.
+func (e *Engine) newStack(class int, seed int64) (*stack, error) {
+	cfg := e.classes[class].Config
+	cfg.FaultSeed = seed
+	st := &stack{}
+	if e.cfg.Instrument {
+		st.reg = obs.New()
+		cfg.Obs = st.reg
 	}
-	if slot.State == nil {
-		sys, err := core.NewFromConfig(cfg)
-		if err != nil {
-			return nil, nil, err
+	sys, err := core.NewFromConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	st.sys = sys
+	if sys.Parkable() == nil {
+		if st.pristine, err = sys.Snapshot(); err != nil {
+			return nil, err
 		}
-		sys.Start()
-		return sys, reg, nil
 	}
-	sys, err := core.RestoreSystem(cfg, slot.State)
-	if err != nil {
-		return nil, nil, err
+	if st.reg != nil {
+		st.layout = st.reg.Layout()
+		st.zero = st.reg.AppendValues(nil)
 	}
-	return sys, reg, nil
+	return st, nil
+}
+
+// hydrate brings one member live on its class's stack: a restore in
+// place from its parked state and values or, on first sight, from the
+// class's pristine state with the member's own fault seed, then Start.
+// The shard's first member of a class builds the stack with its own
+// seed; so does every first-sight member of a class that cannot park.
+// The fault seed derives from identity alone.
+func (e *Engine) hydrate(m *member, stacks []*stack) (*stack, error) {
+	seed := par.SubSeed(e.cfg.Seed, e.classes[m.class].Name, strconv.Itoa(m.idx))
+	st := stacks[m.class]
+	if st == nil || (m.state == nil && st.pristine == nil) {
+		var err error
+		if st, err = e.newStack(m.class, seed); err != nil {
+			return nil, err
+		}
+		stacks[m.class] = st
+		if m.state == nil {
+			st.sys.Start()
+			return st, nil
+		}
+	}
+	state, vals := m.state, m.vals
+	if state == nil {
+		state, vals = st.pristine, st.zero
+	}
+	if err := st.sys.Restore(state, seed); err != nil {
+		return nil, err
+	}
+	if st.reg != nil {
+		if err := st.reg.SetValues(vals); err != nil {
+			return nil, err
+		}
+	}
+	if m.state == nil {
+		st.sys.Start()
+	}
+	return st, nil
 }
 
 // memberErr wraps a member-indexed failure. It lives outside the
@@ -173,21 +221,25 @@ func rollForwardErr(i int, boundary time.Duration, reason error) error {
 		i, rollForwardCap, boundary, reason)
 }
 
-// advance runs one member to boundary. Mid-campaign the member rolls
-// forward to a parkable state and serializes; on the final slice it
-// stays live to exactly the horizon — so its report and metrics are read
-// at the same instant a monolithic run would read them — and finalizes.
+// advance runs one member to boundary on its class's stack. Mid-campaign
+// the member rolls forward to a parkable state, and parking is a state
+// snapshot plus a copy of its registry values into the slot's buffer; on
+// the final slice it stays live to exactly the horizon — so its report
+// and metrics are read at the same instant a monolithic run would read
+// them — and finalizes. Either way the stack is left for the next member
+// to overwrite.
 //
 //scrub:hotpath
-func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, final bool, agg *aggregate) error {
-	slot := &e.slots[i]
-	if slot.Done {
+func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, final bool, agg *aggregate, stacks []*stack) error {
+	m := &e.slots[i]
+	if m.done {
 		return nil
 	}
-	sys, reg, err := e.hydrate(slot)
+	st, err := e.hydrate(m, stacks)
 	if err != nil {
 		return memberErr(i, err)
 	}
+	sys := st.sys
 	if now := sys.Sim.Now(); now < boundary {
 		if err := sys.RunFor(ctx, boundary-now); err != nil {
 			return memberErr(i, err)
@@ -195,20 +247,19 @@ func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, fin
 	}
 	if final {
 		rep := sys.Report()
-		var snap obs.Snapshot
-		if reg != nil {
-			snap = reg.Snapshot()
-		}
-		if err := agg.add(rep, snap, e.cfg.Instrument); err != nil {
+		vals := st.reg.AppendValues(m.vals[:0])
+		if err := agg.add(rep, m.class, st.layout, vals); err != nil {
 			return memberErr(i, err)
 		}
 		if e.cfg.KeepMembers {
 			e.finalReports[i] = rep
-			if e.cfg.Instrument {
-				e.finalObs[i] = snap
+			if st.reg != nil {
+				if e.finalObs[i], err = st.layout.Snapshot(vals); err != nil {
+					return memberErr(i, err)
+				}
 			}
 		}
-		slot.State, slot.Obs, slot.Done = nil, nil, true
+		m.state, m.vals, m.done = nil, nil, true
 		return nil
 	}
 	steps := 0
@@ -220,23 +271,21 @@ func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, fin
 			break
 		}
 	}
-	st, err := sys.Snapshot()
+	state, err := sys.Snapshot()
 	if err != nil {
 		return memberErr(i, err)
 	}
-	slot.State = st
-	if reg != nil {
-		snap := reg.Snapshot()
-		slot.Obs = &snap
-	}
+	m.state = state
+	m.vals = st.reg.AppendValues(m.vals[:0])
 	return nil
 }
 
 // runSlice advances every member to boundary, striping members into
 // shards and executing the shards over the work-stealing pool. Each
-// shard owns a contiguous member range and a private aggregate filled in
-// member order, so reduction over shards (in shard order, integer-exact
-// merges) is independent of which worker ran what when.
+// shard owns a contiguous member range, one live stack per class and a
+// private aggregate filled in member order, so reduction over shards
+// (in shard order, integer-exact merges) is independent of which worker
+// ran what when.
 func (e *Engine) runSlice(ctx context.Context, boundary time.Duration, final bool, aggs []aggregate) error {
 	n := len(e.slots)
 	shards := e.cfg.Shards
@@ -245,8 +294,9 @@ func (e *Engine) runSlice(ctx context.Context, boundary time.Duration, final boo
 	}
 	return par.StealingForEach(ctx, e.cfg.Workers, shards, func(ctx context.Context, s int) error {
 		lo, hi := s*n/shards, (s+1)*n/shards
+		stacks := make([]*stack, len(e.classes))
 		for i := lo; i < hi; i++ {
-			if err := e.advance(ctx, i, boundary, final, &aggs[s]); err != nil {
+			if err := e.advance(ctx, i, boundary, final, &aggs[s], stacks); err != nil {
 				return err
 			}
 		}
@@ -306,7 +356,7 @@ func (e *Engine) Run(ctx context.Context, horizon time.Duration) (*Report, error
 	}
 	e.now = horizon
 	e.done = true
-	return reduce(aggs, len(e.slots), horizon, e.cfg.Instrument)
+	return reduce(aggs, len(e.slots), horizon)
 }
 
 // MemberReports returns the per-member final reports (KeepMembers only;

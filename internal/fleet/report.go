@@ -9,9 +9,10 @@ import (
 )
 
 // aggregate accumulates member results inside one shard. Every field is
-// an integer (or an obs merge, which is integer bucket adds), so folding
-// shard aggregates together in shard order yields bit-identical totals
-// regardless of shard count — no float sum ever depends on grouping.
+// an integer (or an obs vector merge, which is integer adds and maxima),
+// so folding shard aggregates together in shard order yields
+// bit-identical totals regardless of shard count — no float sum ever
+// depends on grouping.
 type aggregate struct {
 	members       int64
 	scrubbedBytes int64
@@ -28,15 +29,23 @@ type aggregate struct {
 	lsesRemapped  int64
 	detectionTime time.Duration
 
-	reg *obs.Registry // lazy merged metrics view
+	obs []classObs // per class, the merged obs values of its members
+}
+
+// classObs is one class's merged obs values: a vector of the layout its
+// members' registries share.
+type classObs struct {
+	layout *obs.Layout
+	vals   []int64
 }
 
 // add folds one member's final report (and, when instrumented, its obs
-// snapshot) into the shard aggregate. Uninstrumented it is pure integer
-// arithmetic — zero allocations, pinned by TestShardStepZeroAlloc.
+// values, a vector of layout) into the shard aggregate. Uninstrumented
+// (nil layout) it is pure integer arithmetic — zero allocations, pinned
+// by TestShardStepZeroAlloc.
 //
 //scrub:hotpath
-func (a *aggregate) add(r core.Report, snap obs.Snapshot, instrumented bool) error {
+func (a *aggregate) add(r core.Report, class int, layout *obs.Layout, vals []int64) error {
 	a.members++
 	a.scrubbedBytes += r.ScrubbedBytes
 	a.passes += r.Passes
@@ -50,15 +59,27 @@ func (a *aggregate) add(r core.Report, snap obs.Snapshot, instrumented bool) err
 	a.lsesDetected += r.LSEsDetected
 	a.lsesRemapped += r.LSEsRemapped
 	a.detectionTime += r.DetectionTime
-	if instrumented {
-		if a.reg == nil {
-			a.reg = obs.New()
-		}
-		if err := a.reg.MergeSnapshot(snap); err != nil {
-			return err
-		}
+	if layout == nil {
+		return nil
 	}
-	return nil
+	return a.addObs(class, layout, vals)
+}
+
+// addObs merges a vector of layout into the class's running sum. Members
+// of a class share one layout; a vector of another is an error, never a
+// misread.
+func (a *aggregate) addObs(class int, layout *obs.Layout, vals []int64) error {
+	if class >= len(a.obs) {
+		a.obs = append(a.obs, make([]classObs, class+1-len(a.obs))...)
+	}
+	c := &a.obs[class]
+	switch {
+	case c.layout == nil:
+		c.layout, c.vals = layout, make([]int64, layout.Width())
+	case c.layout != layout && !c.layout.Equal(layout):
+		return fmt.Errorf("fleet: class %d members carry different obs layouts", class)
+	}
+	return c.layout.Merge(c.vals, vals)
 }
 
 // merge folds another shard's aggregate into a. Reduction happens in
@@ -79,11 +100,13 @@ func (a *aggregate) merge(o *aggregate) error {
 	a.lsesDetected += o.lsesDetected
 	a.lsesRemapped += o.lsesRemapped
 	a.detectionTime += o.detectionTime
-	if o.reg != nil {
-		if a.reg == nil {
-			a.reg = obs.New()
+	for class, c := range o.obs {
+		if c.layout == nil {
+			continue
 		}
-		return a.reg.MergeSnapshot(o.reg.Snapshot())
+		if err := a.addObs(class, c.layout, c.vals); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -129,7 +152,7 @@ func (r *Report) String() string {
 }
 
 // reduce folds shard aggregates (in shard order) into the fleet report.
-func reduce(aggs []aggregate, members int, horizon time.Duration, instrumented bool) (*Report, error) {
+func reduce(aggs []aggregate, members int, horizon time.Duration) (*Report, error) {
 	var total aggregate
 	for i := range aggs {
 		if err := total.merge(&aggs[i]); err != nil {
@@ -164,8 +187,22 @@ func reduce(aggs []aggregate, members int, horizon time.Duration, instrumented b
 	if r.LSEsDetected > 0 {
 		r.MeanTTD = r.DetectionTime / time.Duration(r.LSEsDetected)
 	}
-	if instrumented && total.reg != nil {
-		r.Obs = total.reg.Snapshot()
+	if len(total.obs) > 0 {
+		var snaps []obs.Snapshot
+		for _, c := range total.obs {
+			if c.layout == nil {
+				continue
+			}
+			snap, err := c.layout.Snapshot(c.vals)
+			if err != nil {
+				return nil, err
+			}
+			snaps = append(snaps, snap)
+		}
+		var err error
+		if r.Obs, err = obs.MergeSnapshots(snaps...); err != nil {
+			return nil, err
+		}
 	}
 	return r, nil
 }

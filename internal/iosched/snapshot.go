@@ -53,8 +53,10 @@ func (c *CFQ) State() (*CFQState, error) {
 	return st, nil
 }
 
-// RestoreState applies a snapshot to a freshly built CFQ, rebuilding the
-// per-tag queues in their recorded round-robin order.
+// RestoreState overwrites the elevator with a snapshot, rebuilding the
+// per-tag queues in their recorded round-robin order. The elevator may be
+// fresh or may have run another member: requests it still holds are
+// dropped, and its queue shells are reused.
 func (c *CFQ) RestoreState(st *CFQState) error {
 	if len(st.Order) != len(st.Classes) {
 		return fmt.Errorf("iosched: malformed CFQ snapshot: %d tags, %d classes", len(st.Order), len(st.Classes))
@@ -62,12 +64,23 @@ func (c *CFQ) RestoreState(st *CFQState) error {
 	c.IdleGate = st.IdleGate
 	c.SliceIdle = st.SliceIdle
 	c.Slice = st.Slice
-	c.queues = make([]*cfqQueue, 0, len(st.Order))
+	c.queued = [3]int{}
+	shells := c.queues
+	c.queues = c.queues[:0]
 	for i, tag := range st.Order {
 		if c.index(tag) >= 0 {
 			return fmt.Errorf("iosched: malformed CFQ snapshot: duplicate tag %d", tag)
 		}
-		c.queues = append(c.queues, &cfqQueue{tag: tag, class: st.Classes[i]})
+		var q *cfqQueue
+		if i < len(shells) {
+			q = shells[i]
+			clear(q.sorted)
+			q.sorted = q.sorted[:0]
+		} else {
+			q = &cfqQueue{}
+		}
+		q.tag, q.class = tag, st.Classes[i]
+		c.queues = append(c.queues, q)
 	}
 	c.activeTag = st.ActiveTag
 	c.haveActive = st.HaveActive

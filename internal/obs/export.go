@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -52,44 +51,17 @@ type HistSnap struct {
 
 // Snapshot copies the histogram's current state under the given name.
 func (h *Histogram) Snapshot(name string) HistSnap {
-	hs := HistSnap{
-		Name:     name,
-		Count:    h.total,
-		SumNanos: int64(h.sum),
-		MinNanos: int64(h.min),
-		MaxNanos: int64(h.max),
-		Buckets:  make([]HistBucket, 0, len(h.counts)),
-	}
-	for i, c := range h.counts {
-		le := int64(-1)
-		if i < len(h.bounds) {
-			le = int64(h.bounds[i])
-		}
-		hs.Buckets = append(hs.Buckets, HistBucket{LeNanos: le, Count: c})
-	}
-	return hs
+	v := append([]int64{h.total, int64(h.sum), int64(h.min), int64(h.max)}, h.counts...)
+	return histSnap(name, h.bounds, v)
 }
 
 // Snapshot copies the registry's current state. A nil Registry yields an
 // empty (but valid) Snapshot.
 func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
 	if r == nil {
-		return s
+		return Snapshot{}
 	}
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.v})
-	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.v, Max: g.max})
-	}
-	for name, h := range r.hists {
-		s.Histograms = append(s.Histograms, h.Snapshot(name))
-	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
-	return s
+	return r.layout.snapshot(r.AppendValues(make([]int64, 0, r.layout.width)))
 }
 
 // Formats lists the export formats WriteTo accepts.

@@ -79,9 +79,9 @@ func (h *Histogram) Merge(o *Histogram) error {
 }
 
 // MergeSnapshot folds a serialized snapshot into the registry, creating
-// instruments on first sight. It is how a parked member's metrics are
-// rehydrated (merge into a fresh registry, then let components resolve
-// their instruments) and how per-shard snapshots reduce to a fleet view.
+// instruments on first sight. It is how a scrubd checkpoint's metrics
+// are restored and how MergeSnapshots reduces snapshots to one view;
+// fleet members park and hydrate as dense vectors instead (dense.go).
 //
 // One caveat keeps the round trip honest: a gauge restored this way has
 // "seen" set, so a later Set of a value below the snapshot max correctly

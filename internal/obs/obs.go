@@ -25,7 +25,7 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -119,16 +119,19 @@ type Histogram struct {
 	max    time.Duration
 }
 
-// NewHistogram builds a histogram over the given ascending upper bounds
-// (nil means DefaultLatencyBuckets). Registries construct histograms for
+// NewHistogram builds a histogram over the given upper bounds, sorted
+// and deduplicated (nil means DefaultLatencyBuckets). Registries construct histograms for
 // callers; direct construction is for tests and standalone aggregation.
 func NewHistogram(bounds []time.Duration) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefaultLatencyBuckets()
 	}
-	b := make([]time.Duration, len(bounds))
-	copy(b, bounds)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+	// Duplicate bounds are dropped: a repeated bound is a bucket no
+	// observation can land in, and a snapshot, whose bounds must ascend
+	// strictly, could not carry it back.
+	b := slices.Clone(bounds)
+	slices.Sort(b)
+	b = slices.Compact(b)
 	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
 }
 

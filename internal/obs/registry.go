@@ -7,13 +7,26 @@ import "time"
 // fast path: every getter returns a nil instrument whose methods are
 // single-branch no-ops, so components can wire unconditionally.
 //
+// Besides the name index, a registry lists its instruments in creation
+// order. That order is its Layout, the schema of the dense value vector
+// AppendValues writes and SetValues reads (see dense.go).
+//
 // Like the Simulator it observes, a Registry is single-threaded by
 // design; give each concurrently running system its own.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	insts    []instrument // creation order, parallel to layout.entries
+	layout   Layout
 	ring     *Ring
+}
+
+// instrument is one registered instrument; exactly one field is set.
+type instrument struct {
+	c *Counter
+	g *Gauge
+	h *Histogram
 }
 
 // Option configures a Registry at construction.
@@ -48,6 +61,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
+		r.add(instrument{c: c}, name, kindCounter, nil)
 	}
 	return c
 }
@@ -61,6 +75,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
+		r.add(instrument{g: g}, name, kindGauge, nil)
 	}
 	return g
 }
@@ -82,8 +97,15 @@ func (r *Registry) HistogramBuckets(name string, bounds []time.Duration) *Histog
 	if !ok {
 		h = NewHistogram(bounds)
 		r.hists[name] = h
+		r.add(instrument{h: h}, name, kindHistogram, h.bounds)
 	}
 	return h
+}
+
+// add appends a new instrument to the creation order and the layout.
+func (r *Registry) add(in instrument, name string, k kind, bounds []time.Duration) {
+	r.insts = append(r.insts, in)
+	r.layout.add(name, k, bounds)
 }
 
 // Trace returns the event ring, or nil when tracing is disabled.

@@ -27,9 +27,11 @@ func (w *Waiting) State() *WaitingState {
 	return st
 }
 
-// RestoreState applies a snapshot to a freshly attached policy. The
-// simulator clock must already be restored.
+// RestoreState overwrites an attached policy with a snapshot; the policy
+// may be fresh or may have run another member. The simulator clock must
+// already be restored.
 func (w *Waiting) RestoreState(st *WaitingState) error {
+	w.pending = nil
 	if !st.HasPending {
 		return nil
 	}

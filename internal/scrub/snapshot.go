@@ -92,8 +92,9 @@ func (sc *Scrubber) State() (*State, error) {
 	return st, nil
 }
 
-// RestoreState applies a snapshot to a freshly built scrubber of the
-// same Config. The simulator clock must already be restored so the
+// RestoreState overwrites the scrubber with a snapshot taken from a
+// scrubber of the same Config; the scrubber may be fresh or may have run
+// another member. The simulator clock must already be restored so the
 // pending timer's sequence number is in range.
 func (sc *Scrubber) RestoreState(st *State) error {
 	saver, ok := sc.cfg.Algorithm.(CursorSaver)
@@ -108,15 +109,18 @@ func (sc *Scrubber) RestoreState(st *State) error {
 	sc.fireCount = st.FireCount
 	sc.repairsLeft = st.RepairsLeft
 	sc.stats = st.Stats
+	sc.rescrub = sc.rescrub[:0]
 	for _, e := range st.Rescrub {
 		sc.rescrub = append(sc.rescrub, extent{lba: e.LBA, sectors: e.Sectors})
 	}
+	clear(sc.escalated)
 	for _, start := range st.Escalated {
 		if sc.escalated == nil {
 			sc.escalated = make(map[int64]bool)
 		}
 		sc.escalated[start] = true
 	}
+	sc.pending = nil
 	if st.HasPending {
 		ev, err := sc.sim.RestoreAt(st.PendingAt, st.PendingSeq, sc.delayFn)
 		if err != nil {

@@ -24,16 +24,23 @@ func (s *Simulator) Clock() (now time.Duration, seq, fired uint64) {
 	return s.now, s.seq, s.fired
 }
 
-// RestoreClock sets the clock state captured by Clock on a fresh
-// simulator. It must run before any Restore* scheduling call and refuses
-// to run on a simulator that already has pending events — restore is a
-// rebuild from nothing, not a merge.
-func (s *Simulator) RestoreClock(now time.Duration, seq, fired uint64) error {
-	if len(s.heap) > 0 {
-		return fmt.Errorf("sim: RestoreClock on a simulator with %d pending events", len(s.heap))
+// RestoreClock sets the clock state captured by Clock and discards
+// every pending event: restore is a rebuild, not a merge, and must run
+// before any Restore* scheduling call. Pooled events return to the free
+// list; a discarded handle event can no longer fire, and cancelling it
+// later is a no-op. So a simulator that has run one member can be
+// restored in place to another.
+func (s *Simulator) RestoreClock(now time.Duration, seq, fired uint64) {
+	for i, ev := range s.heap {
+		s.heap[i] = nil
+		if ev.pooled {
+			s.recycle(ev)
+		} else {
+			ev.index, ev.cancel = -1, true
+		}
 	}
+	s.heap = s.heap[:0]
 	s.now, s.seq, s.fired = now, seq, fired
-	return nil
 }
 
 // Seq returns the sequence number most recently assigned to a scheduled
