@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Schema identifies the current BENCH file layout.
@@ -29,7 +30,10 @@ type Result struct {
 	// when the benchmark doesn't drive a simulator).
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	// Extra holds benchmark-specific metrics. Keys ending in "_per_sec"
-	// compare higher-is-better; all others lower-is-better.
+	// compare higher-is-better; all others lower-is-better. Rates
+	// ("_per_sec") and times ("_us") are rescaled for host speed like
+	// the time metrics; every other key is a count (drives, clients,
+	// records) and compares unscaled.
 	Extra map[string]float64 `json:"extra,omitempty"`
 	// CalNs is the wall time of scrubbench's fixed calibration spin,
 	// measured next to this benchmark. Comparisons use the base/current
@@ -150,10 +154,13 @@ func Compare(base, cur *Run, threshold float64) []Delta {
 		sort.Strings(keys)
 		for _, k := range keys {
 			bv, cv := b.Extra[k], c.Extra[k]
-			if perSec(k) {
+			switch {
+			case strings.HasSuffix(k, "_per_sec"):
 				out = append(out, cmpHigher(b.Name, k, bv, cv/speed, threshold))
-			} else {
+			case strings.HasSuffix(k, "_us"):
 				out = append(out, cmpLower(b.Name, k, bv, cv*speed, threshold))
+			default:
+				out = append(out, cmpLower(b.Name, k, bv, cv, threshold))
 			}
 		}
 	}
@@ -169,11 +176,6 @@ func Regressions(deltas []Delta) []Delta {
 		}
 	}
 	return out
-}
-
-func perSec(metric string) bool {
-	const suffix = "_per_sec"
-	return len(metric) >= len(suffix) && metric[len(metric)-len(suffix):] == suffix
 }
 
 // cmpLower compares a lower-is-better metric.

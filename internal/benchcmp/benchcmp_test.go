@@ -71,6 +71,31 @@ func TestCompareFlagsThroughputDrop(t *testing.T) {
 	findDelta(t, regs, "replay/TPCdisk66", "records_per_sec")
 }
 
+// TestCompareCountExtrasUnscaled pins that count extras ignore the
+// host-speed factor: an unchanged count passes on a host twice as fast
+// or as slow, and a changed count fails even where rescaling would have
+// hidden it. Time extras ("_us") still rescale.
+func TestCompareCountExtrasUnscaled(t *testing.T) {
+	run := func(cal, drives, p50 float64) *Run {
+		return &Run{Schema: Schema, Results: []Result{{
+			Name: "shardfleet/shards-8", NsPerOp: 1e6 * cal / 20e6, CalNs: cal,
+			Extra: map[string]float64{"drives": drives, "p50_us": p50 * cal / 20e6},
+		}}}
+	}
+	base := run(20e6, 96, 500)
+	// The old rescaling read 96 drives as 192 on a host twice as fast.
+	for _, cal := range []float64{10e6, 40e6} {
+		if regs := Regressions(Compare(base, run(cal, 96, 500), 0.15)); len(regs) != 0 {
+			t.Fatalf("cal %v: unchanged count or host-scaled time flagged: %v", cal, regs)
+		}
+	}
+	// On a host half as fast, the old rescaling read 192 drives as 96.
+	regs := Regressions(Compare(base, run(40e6, 192, 500), 0.15))
+	if len(regs) != 1 || regs[0].Metric != "drives" || regs[0].Cur != 192 {
+		t.Fatalf("doubled count not flagged unscaled: %v", regs)
+	}
+}
+
 func TestCompareAllocSlackAndLeak(t *testing.T) {
 	base := baseRun()
 	cur := baseRun()

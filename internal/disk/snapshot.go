@@ -58,6 +58,7 @@ func (d *Disk) RestoreState(st *State) {
 	for _, s := range st.CacheSegs {
 		d.cache.segments = append(d.cache.segments, segment{start: s.Start, end: s.End, lastUse: s.LastUse})
 	}
+	d.cache.reindex()
 }
 
 // RestoreDisk rebuilds a disk of model m from a snapshot. The model must

@@ -80,8 +80,10 @@ type Replayer struct {
 }
 
 // defaultWindow is the streaming look-ahead depth: deep enough that the
-// event heap never starves between refills, shallow enough that a 10M+
-// record replay holds only thousands of records in memory.
+// simulator never runs out of known arrivals between refills, shallow
+// enough that a 10M+ record replay holds only thousands of records in
+// memory. Arrivals are scheduled in time order, so the window queues in
+// the simulator's in-order lane rather than its heap.
 const defaultWindow = 4096
 
 // arrive submits one replayed request at its original arrival time.

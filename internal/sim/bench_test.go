@@ -30,8 +30,9 @@ func churn(s *Simulator, width, total int) {
 	}
 }
 
-// BenchmarkEventQueue measures one scheduled-and-fired event through the
-// 4-ary heap at a queue depth of 512.
+// BenchmarkEventQueue measures one scheduled-and-fired event at a queue
+// depth of 512 chains with random delays, so most events take the 4-ary
+// heap rather than the in-order lane.
 func BenchmarkEventQueue(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		s := New()
@@ -58,6 +59,37 @@ func BenchmarkEventQueue(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkEventQueueInOrder measures one fired event under the shape a
+// streaming trace replay gives the queue: a 4096-deep window of arrivals
+// scheduled in time order (each arrival schedules the next at the end of
+// the window) plus a few out-of-order completions a little after the
+// current instant. The arrivals queue in the in-order lane; the heap holds
+// only the completions.
+func BenchmarkEventQueueInOrder(b *testing.B) {
+	s := New()
+	var horizon time.Duration
+	n := 0
+	done := func(any, time.Duration) {}
+	var arrive EventFunc
+	arrive = func(_ any, now time.Duration) {
+		n++
+		horizon += time.Microsecond * time.Duration(1+n%5)
+		s.Schedule(horizon, arrive, nil)
+		if n%4 == 0 {
+			s.Schedule(now+time.Microsecond*time.Duration(1+n%3), done, nil)
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		horizon += time.Microsecond * time.Duration(1+i%5)
+		s.Schedule(horizon, arrive, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
 }
 
 // TestEventQueueZeroAlloc pins the pooled path's allocation budget as a

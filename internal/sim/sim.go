@@ -9,12 +9,18 @@
 // could not reproduce faithfully in real time.
 //
 // The event loop is the hot path under every figure, policy evaluation and
-// tuner sweep, so it is built for throughput: events live in an inlined
-// 4-ary min-heap (shallower and more cache-friendly than container/heap's
-// binary heap, with no interface boxing), and the handle-less Schedule
-// path recycles Event objects through a per-Simulator free list so
-// steady-state scheduling performs zero allocations. The free list is
-// plain single-threaded memory — never a sync.Pool — so reuse order, and
+// tuner sweep, so it is built for throughput. Pending events live in two
+// structures: an inlined 4-ary min-heap (shallower and more cache-friendly
+// than container/heap's binary heap, with no interface boxing) and an
+// in-order lane, a FIFO of pooled events scheduled at or after the lane's
+// tail. Trace replay schedules its look-ahead arrivals in time order, so
+// they queue in the lane at O(1) and the heap holds only the few events
+// scheduled out of order (device completions, timers). Both are sorted by
+// (at, seq) and the kernel always fires the smaller head, so the firing
+// order is exactly that of a single heap. The handle-less Schedule path
+// recycles Event objects through a per-Simulator free list so steady-state
+// scheduling performs zero allocations. The free list is plain
+// single-threaded memory — never a sync.Pool — so reuse order, and
 // therefore everything else, is identical across hosts and worker counts.
 package sim
 
@@ -44,7 +50,7 @@ type Event struct {
 	fn    func()
 	afn   EventFunc
 	arg   any
-	index int // heap index; -1 once removed
+	index int // heap index; -1 when not in the heap
 	fired bool
 	// cancel marks a canceled handle; pooled marks a Schedule event owned
 	// by the free list (no handle exposed, recycled after firing).
@@ -65,7 +71,7 @@ func (e *Event) At() time.Duration { return e.at }
 // to use and starts at time zero.
 type Simulator struct {
 	now     time.Duration
-	heap    []*Event //scrublint:transient events hold callbacks; components re-enqueue their own (at, seq) records on restore
+	q       queue //scrublint:transient events hold callbacks; components re-enqueue their own (at, seq) records on restore
 	seq     uint64
 	stopped bool //scrublint:transient run-loop latch, reset by the next Run
 	fired   uint64
@@ -81,7 +87,7 @@ func New() *Simulator { return &Simulator{} }
 func (s *Simulator) Now() time.Duration { return s.now }
 
 // Len returns the number of pending events.
-func (s *Simulator) Len() int { return len(s.heap) }
+func (s *Simulator) Len() int { return len(s.q.heap) + len(s.q.lane) - s.q.head }
 
 // Fired returns the number of events fired since construction: the
 // denominator of the events/sec throughput metric cmd/scrubbench reports.
@@ -103,7 +109,7 @@ func (s *Simulator) At(t time.Duration, fn func()) *Event {
 	}
 	s.seq++
 	ev := &Event{at: t, seq: s.seq, fn: fn}
-	s.push(ev)
+	s.q.push(ev)
 	return ev
 }
 
@@ -131,7 +137,7 @@ func (s *Simulator) Schedule(t time.Duration, fn EventFunc, arg any) {
 	s.seq++
 	ev := s.get()
 	ev.at, ev.seq, ev.afn, ev.arg, ev.pooled = t, s.seq, fn, arg, true
-	s.push(ev)
+	s.q.enqueue(ev)
 }
 
 // ScheduleAfter is Schedule at d after the current virtual time. Negative
@@ -153,7 +159,7 @@ func (s *Simulator) Cancel(ev *Event) {
 	}
 	ev.cancel = true
 	if ev.index >= 0 {
-		s.remove(ev.index)
+		s.q.remove(ev.index)
 	}
 }
 
@@ -187,14 +193,17 @@ func (s *Simulator) recycle(ev *Event) {
 
 // step fires the earliest pending event. It reports false when the queue is
 // empty. Pooled events are recycled before their callback runs — the
-// object is already off the heap and nothing else references it — so an
+// object is already off the queue and nothing else references it — so an
 // event chain (fire, schedule successor) reuses one Event object
 // indefinitely.
 //
 //scrub:hotpath
 func (s *Simulator) step() bool {
-	for len(s.heap) > 0 {
-		ev := s.pop()
+	for {
+		ev := s.q.pop()
+		if ev == nil {
+			return false
+		}
 		if ev.cancel {
 			continue
 		}
@@ -216,7 +225,6 @@ func (s *Simulator) step() bool {
 		}
 		return true
 	}
-	return false
 }
 
 // Run fires events until the queue is empty. It returns ErrStopped if Stop
@@ -252,7 +260,7 @@ func (s *Simulator) RunUntilContext(ctx context.Context, t time.Duration) error 
 	s.stopped = false
 	fired := 0
 	for !s.stopped {
-		if len(s.heap) == 0 || s.heap[0].at > t {
+		if ev := s.q.peek(); ev == nil || ev.at > t {
 			if t > s.now {
 				s.now = t
 			}
@@ -269,11 +277,22 @@ func (s *Simulator) RunUntilContext(ctx context.Context, t time.Duration) error 
 	return ErrStopped
 }
 
-// The event queue is an inlined 4-ary min-heap ordered by (at, seq): a
-// total order (seq is unique), so any conforming heap pops events in
-// exactly one sequence and the 4-ary layout is observationally identical
-// to the binary container/heap it replaced — only faster, with half the
-// tree depth and sift loops the compiler can keep in registers.
+// The event queue is an inlined 4-ary min-heap beside an in-order lane,
+// both ordered by (at, seq): a total order (seq is unique), so the pair
+// pops events in exactly one sequence, and that sequence is the one a
+// single binary heap (container/heap, which the 4-ary layout replaced)
+// pops. The lane is a FIFO kept sorted by construction: a pooled event
+// joins it only when it does not sort before the lane's tail. Handle
+// events always go to the heap, so Cancel finds them by heap index.
+
+// queue holds the pending events. lane[head:] is the lane's live part;
+// the consumed prefix is reclaimed when the lane empties, or compacted
+// away when an append would otherwise grow a mostly consumed array.
+type queue struct {
+	heap []*Event
+	lane []*Event
+	head int
+}
 
 // evLess orders events by (at, seq).
 //
@@ -282,36 +301,92 @@ func evLess(a, b *Event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// push inserts ev and sifts it up.
+// enqueue adds a pooled event: to the lane's tail if it sorts there,
+// otherwise to the heap.
 //
 //scrub:hotpath
-func (s *Simulator) push(ev *Event) {
-	s.heap = append(s.heap, ev)
-	ev.index = len(s.heap) - 1
-	s.up(ev.index)
+func (q *queue) enqueue(ev *Event) {
+	n := len(q.lane)
+	if n > q.head && evLess(ev, q.lane[n-1]) {
+		q.push(ev)
+		return
+	}
+	if n == cap(q.lane) && q.head > 0 && q.head >= n/2 {
+		// At least half the array is consumed: slide the live part down
+		// rather than grow, so the copy is paid for by the pops before it.
+		k := copy(q.lane, q.lane[q.head:])
+		clear(q.lane[k:])
+		q.lane, q.head = q.lane[:k], 0
+	}
+	ev.index = -1
+	q.lane = append(q.lane, ev)
 }
 
-// pop removes and returns the minimum event.
+// peek returns the earliest pending event, or nil.
 //
 //scrub:hotpath
-func (s *Simulator) pop() *Event {
-	h := s.heap
+func (q *queue) peek() *Event {
+	var ev *Event
+	if q.head < len(q.lane) {
+		ev = q.lane[q.head]
+	}
+	if len(q.heap) > 0 && (ev == nil || evLess(q.heap[0], ev)) {
+		ev = q.heap[0]
+	}
+	return ev
+}
+
+// pop removes and returns the earliest pending event, or nil.
+//
+//scrub:hotpath
+func (q *queue) pop() *Event {
+	if q.head < len(q.lane) {
+		ev := q.lane[q.head]
+		if len(q.heap) == 0 || evLess(ev, q.heap[0]) {
+			q.lane[q.head] = nil
+			q.head++
+			if q.head == len(q.lane) {
+				q.lane, q.head = q.lane[:0], 0
+			}
+			return ev
+		}
+	}
+	if len(q.heap) == 0 {
+		return nil
+	}
+	return q.popHeap()
+}
+
+// push inserts ev into the heap and sifts it up.
+//
+//scrub:hotpath
+func (q *queue) push(ev *Event) {
+	q.heap = append(q.heap, ev)
+	ev.index = len(q.heap) - 1
+	q.up(ev.index)
+}
+
+// popHeap removes and returns the heap's minimum event.
+//
+//scrub:hotpath
+func (q *queue) popHeap() *Event {
+	h := q.heap
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[0].index = 0
 	h[n] = nil
-	s.heap = h[:n]
+	q.heap = h[:n]
 	if n > 1 {
-		s.down(0)
+		q.down(0)
 	}
 	ev.index = -1
 	return ev
 }
 
 // remove deletes the event at heap index i.
-func (s *Simulator) remove(i int) {
-	h := s.heap
+func (q *queue) remove(i int) {
+	h := q.heap
 	n := len(h) - 1
 	ev := h[i]
 	if i != n {
@@ -319,20 +394,20 @@ func (s *Simulator) remove(i int) {
 		h[i].index = i
 	}
 	h[n] = nil
-	s.heap = h[:n]
+	q.heap = h[:n]
 	if i < n {
-		if !s.down(i) {
-			s.up(i)
+		if !q.down(i) {
+			q.up(i)
 		}
 	}
 	ev.index = -1
 }
 
-// up sifts the event at index i toward the root.
+// up sifts the event at heap index i toward the root.
 //
 //scrub:hotpath
-func (s *Simulator) up(i int) {
-	h := s.heap
+func (q *queue) up(i int) {
+	h := q.heap
 	ev := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -347,12 +422,12 @@ func (s *Simulator) up(i int) {
 	ev.index = i
 }
 
-// down sifts the event at index i toward the leaves, reporting whether it
-// moved.
+// down sifts the event at heap index i toward the leaves, reporting
+// whether it moved.
 //
 //scrub:hotpath
-func (s *Simulator) down(i int) bool {
-	h := s.heap
+func (q *queue) down(i int) bool {
+	h := q.heap
 	n := len(h)
 	ev := h[i]
 	start := i

@@ -1,11 +1,11 @@
 // Snapshot support: the minimal kernel surface the fleet engine needs to
 // park a member (serialize its state and free the memory) and hydrate it
 // later with an identical trajectory. The kernel itself cannot serialize
-// its event heap — events hold callbacks — so components snapshot their
+// its event queue — events hold callbacks — so components snapshot their
 // own pending events as (at, seq) pairs and re-enqueue them on restore
 // with the Restore* methods below, which preserve the original sequence
-// numbers. Because the heap is ordered by (at, seq) and seq values are
-// preserved exactly, the restored heap pops events in exactly the order
+// numbers. Because the queue is ordered by (at, seq) and seq values are
+// preserved exactly, the restored queue pops events in exactly the order
 // the original would have: determinism survives the round trip.
 package sim
 
@@ -31,15 +31,18 @@ func (s *Simulator) Clock() (now time.Duration, seq, fired uint64) {
 // later is a no-op. So a simulator that has run one member can be
 // restored in place to another.
 func (s *Simulator) RestoreClock(now time.Duration, seq, fired uint64) {
-	for i, ev := range s.heap {
-		s.heap[i] = nil
-		if ev.pooled {
-			s.recycle(ev)
-		} else {
-			ev.index, ev.cancel = -1, true
+	q := &s.q
+	for _, evs := range [2][]*Event{q.heap, q.lane[q.head:]} {
+		for i, ev := range evs {
+			evs[i] = nil
+			if ev.pooled {
+				s.recycle(ev)
+			} else {
+				ev.index, ev.cancel = -1, true
+			}
 		}
 	}
-	s.heap = s.heap[:0]
+	q.heap, q.lane, q.head = q.heap[:0], q.lane[:0], 0
 	s.now, s.seq, s.fired = now, seq, fired
 }
 
@@ -64,7 +67,7 @@ func (s *Simulator) RestoreAt(at time.Duration, seq uint64, fn func()) (*Event, 
 		return nil, fmt.Errorf("sim: RestoreAt seq %d out of range (clock seq %d)", seq, s.seq)
 	}
 	ev := &Event{at: at, seq: seq, fn: fn}
-	s.push(ev)
+	s.q.push(ev)
 	return ev, nil
 }
 
@@ -77,7 +80,7 @@ func (s *Simulator) RestoreSchedule(at time.Duration, seq uint64, fn EventFunc, 
 	}
 	ev := s.get()
 	ev.at, ev.seq, ev.afn, ev.arg, ev.pooled = at, seq, fn, arg, true
-	s.push(ev)
+	s.q.enqueue(ev)
 	return nil
 }
 
@@ -90,8 +93,9 @@ func (s *Simulator) Step() bool { return s.step() }
 // NextAt returns the timestamp and sequence number of the earliest
 // pending event. ok=false means the queue is empty.
 func (s *Simulator) NextAt() (at time.Duration, seq uint64, ok bool) {
-	if len(s.heap) == 0 {
+	ev := s.q.peek()
+	if ev == nil {
 		return 0, 0, false
 	}
-	return s.heap[0].at, s.heap[0].seq, true
+	return ev.at, ev.seq, true
 }
