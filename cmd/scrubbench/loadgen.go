@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -67,54 +66,8 @@ func loadgenMain(argv []string) {
 		cfg.devices, cfg.records, cfg.queries = 12_000, 24, 60_000
 	}
 
-	run, err := runLoadgen(cfg, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scrubbench loadgen:", err)
-		os.Exit(1)
-	}
-	run.Quick = *quick
-
-	path := *out
-	if path == "" {
-		path = "BENCH_LOADGEN_" + run.Date + ".json"
-	}
-	if err := run.Write(path); err != nil {
-		fmt.Fprintln(os.Stderr, "scrubbench loadgen:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wrote", path)
-
-	if *baseline != "" {
-		base, err := benchcmp.Load(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scrubbench loadgen:", err)
-			os.Exit(1)
-		}
-		deltas := benchcmp.Compare(base, run, *threshold)
-		for confirm := 0; confirm < 2 && len(benchcmp.Regressions(deltas)) > 0; confirm++ {
-			fmt.Fprintln(os.Stderr, "scrubbench loadgen: possible regression, re-running to confirm")
-			rerun, err := runLoadgen(cfg, os.Stderr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scrubbench loadgen:", err)
-				os.Exit(1)
-			}
-			rerun.Quick = *quick
-			run = bestOf(run, rerun)
-			if err := run.Write(path); err != nil {
-				fmt.Fprintln(os.Stderr, "scrubbench loadgen:", err)
-				os.Exit(1)
-			}
-			deltas = benchcmp.Compare(base, run, *threshold)
-		}
-		for _, d := range deltas {
-			fmt.Println(d)
-		}
-		if regs := benchcmp.Regressions(deltas); len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "scrubbench loadgen: %d regression(s) beyond %.0f%%\n", len(regs), *threshold*100)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "no regressions vs", *baseline)
-	}
+	exitOn("scrubbench loadgen", gate(func() (*benchcmp.Run, error) { return runLoadgen(cfg, *quick, os.Stderr) },
+		*out, "BENCH_LOADGEN_", *baseline, *threshold))
 }
 
 type loadgenConfig struct {
@@ -151,13 +104,7 @@ func loadgenGaps(seed int64, i, n int) []int64 {
 	return gaps
 }
 
-func runLoadgen(cfg loadgenConfig, progress *os.File) (*benchcmp.Run, error) {
-	run := &benchcmp.Run{
-		Schema:    benchcmp.Schema,
-		Date:      time.Now().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-	}
-
+func runLoadgen(cfg loadgenConfig, quick bool, progress io.Writer) (*benchcmp.Run, error) {
 	if err := loadgenDeterminism(cfg); err != nil {
 		return nil, err
 	}
@@ -178,29 +125,28 @@ func runLoadgen(cfg loadgenConfig, progress *os.File) (*benchcmp.Run, error) {
 	client := &http.Client{Transport: tr}
 	defer tr.CloseIdleConnections()
 
-	calNs := calibrate()
+	calNs := float64(calibrate())
 
 	feedRes, lastAt, err := loadgenFeed(cfg, client, base, progress)
 	if err != nil {
 		return nil, err
 	}
 	feedRes.CalNs = calNs
-	run.Results = append(run.Results, feedRes)
 
 	queryRes, err := loadgenQuery(cfg, client, base, lastAt, progress)
 	if err != nil {
 		return nil, err
 	}
 	queryRes.CalNs = calNs
-	run.Results = append(run.Results, queryRes)
-
+	run := benchcmp.NewRun(quick)
+	run.Results = []benchcmp.Result{feedRes, queryRes}
 	run.PeakRSSBytes = peakRSS()
 	return run, nil
 }
 
 // loadgenFeed pushes the synthetic feed through POST /v1/feed and
 // returns per-device last timestamps for the query phase.
-func loadgenFeed(cfg loadgenConfig, client *http.Client, base string, progress *os.File) (benchcmp.Result, []int64, error) {
+func loadgenFeed(cfg loadgenConfig, client *http.Client, base string, progress io.Writer) (benchcmp.Result, []int64, error) {
 	res := benchcmp.Result{Name: "loadgen/feed"}
 	lastAt := make([]int64, cfg.devices)
 	var firedBackpressure atomic.Int64
@@ -325,7 +271,7 @@ func loadgenSync(client *http.Client, base string) error {
 
 // loadgenQuery fires the decision-query phase and reports throughput
 // plus latency percentiles.
-func loadgenQuery(cfg loadgenConfig, client *http.Client, base string, lastAt []int64, progress *os.File) (benchcmp.Result, error) {
+func loadgenQuery(cfg loadgenConfig, client *http.Client, base string, lastAt []int64, progress io.Writer) (benchcmp.Result, error) {
 	res := benchcmp.Result{Name: "loadgen/decide"}
 	perClient := cfg.queries / cfg.clients
 	hists := make([]*obs.Histogram, cfg.clients)

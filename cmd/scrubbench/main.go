@@ -34,8 +34,8 @@
 // in-process, feeds tens of thousands of devices, and records feed
 // throughput and decision-query latency percentiles (see loadgen.go).
 // The trace subcommand benchmarks the streaming ingestion pipeline —
-// real-format parsers, the columnar cache and constant-memory replay —
-// and enforces bulk-vs-stream replay parity (see tracebench.go). The
+// real-format parsers, the columnar cache and constant-memory replay
+// (see tracebench.go). The
 // scenario subcommand times the scenario-diversity hot paths — the SSD
 // service loop and scrub stack, declustered-parity rebuilds with and
 // without a concurrent scrub, and the bad-sector-aware scheduler — with
@@ -45,11 +45,14 @@ package main
 
 import (
 	"bufio"
+	"container/heap"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -68,17 +71,18 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		loadgenMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		traceMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scenario" {
-		scenarioMain(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "loadgen":
+			loadgenMain(os.Args[2:])
+			return
+		case "trace":
+			traceMain(os.Args[2:])
+			return
+		case "scenario":
+			scenarioMain(os.Args[2:])
+			return
+		}
 	}
 	quick := flag.Bool("quick", false, "CI-sized suite: shorter sims, fewer iterations")
 	out := flag.String("o", "", "output path (default BENCH_<date>.json)")
@@ -88,66 +92,80 @@ func main() {
 	shards := flag.Int("shards", 64, "shard count for the -max-drives sweep")
 	flag.Parse()
 
-	var run *benchcmp.Run
-	var err error
-	if *maxDrives > 0 {
-		run, err = runSweep(*maxDrives, *shards, os.Stderr)
-	} else {
-		run, err = runSuite(*quick, os.Stderr)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scrubbench:", err)
-		os.Exit(1)
-	}
-
-	path := *out
-	if path == "" {
-		path = "BENCH_" + run.Date + ".json"
-	}
-	if err := run.Write(path); err != nil {
-		fmt.Fprintln(os.Stderr, "scrubbench:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wrote", path)
-
+	run := func() (*benchcmp.Run, error) { return runSuite(*quick, os.Stderr) }
 	if *maxDrives > 0 {
 		// Sweep results are scale probes, not the regression suite; a
 		// baseline of suite benchmarks has nothing to compare them to.
-		return
+		run = func() (*benchcmp.Run, error) { return runSweep(*maxDrives, *shards, os.Stderr) }
+		*baseline = ""
 	}
-	if *baseline != "" {
-		base, err := benchcmp.Load(*baseline)
+	exitOn("scrubbench", gate(run, *out, "BENCH_", *baseline, *threshold))
+}
+
+// gate runs a suite, writes the run to out (default
+// <prefix><date>.json) and, given a baseline, compares the two at
+// threshold. An apparent regression triggers up to two confirming
+// re-runs, keeping the better sample per benchmark each time: a real
+// slowdown regresses every time, while a noise episode (a co-tenant
+// saturating the shared host) rarely outlasts three runs. It returns
+// an error for a failed run, a refused baseline or a regression.
+func gate(run func() (*benchcmp.Run, error), out, prefix, baseline string, threshold float64) error {
+	var base *benchcmp.Run
+	if baseline != "" {
+		var err error
+		if base, err = benchcmp.Load(baseline); err != nil {
+			return err
+		}
+	}
+	cur, err := run()
+	if err != nil {
+		return err
+	}
+	path := out
+	if path == "" {
+		path = prefix + cur.Date + ".json"
+	}
+	if err := cur.Write(path); err != nil {
+		return err
+	}
+	fmt.Fprintln(os.Stderr, "wrote", path)
+	if base == nil {
+		return nil
+	}
+	deltas, err := benchcmp.Compare(base, cur, threshold)
+	if err != nil {
+		return err
+	}
+	for confirm := 0; confirm < 2 && len(benchcmp.Regressions(deltas)) > 0; confirm++ {
+		fmt.Fprintln(os.Stderr, "possible regression, re-running to confirm")
+		rerun, err := run()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "scrubbench:", err)
-			os.Exit(1)
+			return err
 		}
-		deltas := benchcmp.Compare(base, run, *threshold)
-		// An apparent regression triggers up to two confirming re-runs,
-		// keeping the better sample per benchmark each time. A real
-		// slowdown regresses every time; a noise episode (a co-tenant
-		// saturating the shared host) rarely outlasts three suites.
-		for confirm := 0; confirm < 2 && len(benchcmp.Regressions(deltas)) > 0; confirm++ {
-			fmt.Fprintln(os.Stderr, "scrubbench: possible regression, re-running suite to confirm")
-			rerun, err := runSuite(*quick, os.Stderr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scrubbench:", err)
-				os.Exit(1)
-			}
-			run = bestOf(run, rerun)
-			if err := run.Write(path); err != nil {
-				fmt.Fprintln(os.Stderr, "scrubbench:", err)
-				os.Exit(1)
-			}
-			deltas = benchcmp.Compare(base, run, *threshold)
+		cur = bestOf(cur, rerun)
+		if err := cur.Write(path); err != nil {
+			return err
 		}
-		for _, d := range deltas {
-			fmt.Println(d)
+		if deltas, err = benchcmp.Compare(base, cur, threshold); err != nil {
+			return err
 		}
-		if regs := benchcmp.Regressions(deltas); len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "scrubbench: %d regression(s) beyond %.0f%%\n", len(regs), *threshold*100)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "no regressions vs", *baseline)
+	}
+	for _, d := range deltas {
+		fmt.Println(d)
+	}
+	if regs := benchcmp.Regressions(deltas); len(regs) > 0 {
+		return fmt.Errorf("%d regression(s) beyond %.0f%%", len(regs), threshold*100)
+	}
+	fmt.Fprintln(os.Stderr, "no regressions vs", baseline)
+	return nil
+}
+
+// exitOn reports err under the command's name and exits 1; a nil err
+// returns.
+func exitOn(cmd string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+		os.Exit(1)
 	}
 }
 
@@ -168,40 +186,61 @@ func bestOf(a, b *benchcmp.Run) *benchcmp.Run {
 	return &merged
 }
 
+// suite collects one run's results, printing a progress line for each.
+type suite struct {
+	run      *benchcmp.Run
+	progress io.Writer // may be nil
+}
+
+func newSuite(quick bool, progress io.Writer) *suite {
+	return &suite{run: benchcmp.NewRun(quick), progress: progress}
+}
+
+// add records r, or returns err under r's name.
+func (s *suite) add(r benchcmp.Result, err error) error {
+	if err != nil {
+		return fmt.Errorf("%s: %w", r.Name, err)
+	}
+	s.run.Results = append(s.run.Results, r)
+	if s.progress != nil {
+		line := fmt.Sprintf("%-28s %12.0f ns/op %8.1f allocs/op", r.Name, r.NsPerOp, r.AllocsPerOp)
+		if r.EventsPerSec > 0 {
+			line += fmt.Sprintf(" %12.0f events/sec", r.EventsPerSec)
+		}
+		keys := make([]string, 0, len(r.Extra))
+		for k := range r.Extra {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			line += fmt.Sprintf(" %s=%.4g", k, r.Extra[k])
+		}
+		fmt.Fprintln(s.progress, line)
+	}
+	return nil
+}
+
+// done stamps the process's peak RSS on the run and returns it.
+func (s *suite) done() *benchcmp.Run {
+	s.run.PeakRSSBytes = peakRSS()
+	return s.run
+}
+
 // runSuite executes the fixed benchmark suite and assembles the run
 // record. progress receives one line per finished benchmark (may be nil).
-func runSuite(quick bool, progress *os.File) (*benchcmp.Run, error) {
-	run := &benchcmp.Run{
-		Schema:    benchcmp.Schema,
-		Date:      time.Now().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		Quick:     quick,
-	}
-	add := func(r benchcmp.Result, err error) error {
-		if err != nil {
-			return fmt.Errorf("%s: %w", r.Name, err)
-		}
-		run.Results = append(run.Results, r)
-		if progress != nil {
-			fmt.Fprintf(progress, "%-22s %12.0f ns/op %8.1f allocs/op %12.0f events/sec\n",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.EventsPerSec)
-		}
-		return nil
-	}
-
+func runSuite(quick bool, progress io.Writer) (*benchcmp.Run, error) {
+	s := newSuite(quick, progress)
 	for _, name := range []string{"TPCdisk66", "HPc3t3d0"} {
-		r, err := benchReplay(name, quick)
-		if err := add(r, err); err != nil {
+		if err := s.add(benchReplay(name, quick)); err != nil {
 			return nil, err
 		}
 	}
 	for _, pol := range []core.PolicyKind{core.PolicyWaiting, core.PolicyAR} {
-		r, err := benchPolicy(pol, quick)
-		if err := add(r, err); err != nil {
+		if err := s.add(benchPolicy(pol, quick)); err != nil {
 			return nil, err
 		}
 	}
-	if err := add(benchTuner(quick)); err != nil {
+	if err := s.add(benchTuner(quick)); err != nil {
 		return nil, err
 	}
 	shardRes, err := benchShardFleet(quick)
@@ -209,13 +248,11 @@ func runSuite(quick bool, progress *os.File) (*benchcmp.Run, error) {
 		return nil, err
 	}
 	for _, r := range shardRes {
-		if err := add(r, nil); err != nil {
+		if err := s.add(r, nil); err != nil {
 			return nil, err
 		}
 	}
-
-	run.PeakRSSBytes = peakRSS()
-	return run, nil
+	return s.done(), nil
 }
 
 // sweepPolicies are the scrub-policy families the sharded sweeps cover:
@@ -310,12 +347,8 @@ func benchShardFleet(quick bool) ([]benchcmp.Result, error) {
 // (members hydrate, run to the horizon and finalize without ever holding
 // more live state than the worker count), so the recorded peak RSS is
 // the engine's true at-scale footprint.
-func runSweep(maxDrives, shards int, progress *os.File) (*benchcmp.Run, error) {
-	run := &benchcmp.Run{
-		Schema:    benchcmp.Schema,
-		Date:      time.Now().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-	}
+func runSweep(maxDrives, shards int, progress io.Writer) (*benchcmp.Run, error) {
+	s := newSuite(false, progress)
 	const horizon = 2 * time.Second
 	m := disk.DemoSmall()
 	classes := sweepPolicies(&m)
@@ -341,7 +374,7 @@ func runSweep(maxDrives, shards int, progress *os.File) (*benchcmp.Run, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		res := benchcmp.Result{
+		if err := s.add(benchcmp.Result{
 			Name:         name,
 			NsPerOp:      float64(elapsed.Nanoseconds()),
 			EventsPerSec: float64(rep.Events) / elapsed.Seconds(),
@@ -351,14 +384,11 @@ func runSweep(maxDrives, shards int, progress *os.File) (*benchcmp.Run, error) {
 				"members_per_sec": float64(cls.Count) / elapsed.Seconds(),
 				"lses_found":      float64(rep.LSEsFound),
 			},
-		}
-		run.Results = append(run.Results, res)
-		if progress != nil {
-			fmt.Fprintf(progress, "%-16s %9d drives %12.0f events/sec %10.0f members/sec %8.1fs\n",
-				name, cls.Count, res.EventsPerSec, res.Extra["members_per_sec"], elapsed.Seconds())
+		}, nil); err != nil {
+			return nil, err
 		}
 	}
-	run.PeakRSSBytes = peakRSS()
+	run := s.done()
 	if progress != nil {
 		fmt.Fprintf(progress, "sweep: %d drives total, peak RSS %.1f MB\n",
 			maxDrives, float64(run.PeakRSSBytes)/1e6)
@@ -369,7 +399,7 @@ func runSweep(maxDrives, shards int, progress *os.File) (*benchcmp.Run, error) {
 // measure runs fn iters times after one discarded warmup and fills in the
 // metrics. Timing takes the best iteration — the minimum is the standard
 // noise-robust statistic for benchmarks, since interference only ever adds
-// time — while allocations average over all iterations (they are
+// time — while allocations average over the timed calls (they are
 // deterministic, and averaging smooths one-off pool growth). events
 // reports the simulator events fired by one fn call (zero when not
 // applicable).
@@ -378,87 +408,117 @@ func measure(name string, iters int, fn func() (events uint64, err error)) (benc
 	if _, err := fn(); err != nil { // warmup: size pools and buffers
 		return res, err
 	}
-	res.CalNs = calibrate()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	bestNs, bestEvents := int64(0), uint64(0)
+	cal := calibrate()
+	var ms runtime.MemStats
+	bestNs, bestEvents, mallocs := int64(0), uint64(0), uint64(0)
 	for i := 0; i < iters; i++ {
+		runtime.ReadMemStats(&ms)
+		m0 := ms.Mallocs
 		start := time.Now()
 		ev, err := fn()
 		elapsed := time.Since(start).Nanoseconds()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - m0
 		if err != nil {
 			return res, err
 		}
 		if i == 0 || elapsed < bestNs {
 			bestNs, bestEvents = elapsed, ev
 		}
+		// One more kernel run after each iteration spreads the
+		// calibration over the same window as the timed iterations, so
+		// the two minima see the same fastest stretch of the host.
+		cal = min(cal, calRun())
 	}
-	runtime.ReadMemStats(&ms1)
 
 	res.NsPerOp = float64(bestNs)
-	res.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(iters)
+	res.AllocsPerOp = float64(mallocs) / float64(iters)
+	res.CalNs = float64(cal)
 	if bestEvents > 0 && bestNs > 0 {
 		res.EventsPerSec = float64(bestEvents) / (float64(bestNs) / 1e9)
 	}
 	return res, nil
 }
 
-// calSink keeps the calibration memory walk observable so the compiler
-// cannot elide it.
-var calSink uint64
-
-// calibrate times a fixed reference workload — 100k pooled events
-// through a fresh simulator (the suite's innermost loop) plus a strided
-// walk over a working set far larger than L2 — and returns the best of 5
-// runs. Measured next to every benchmark, it gives benchcmp a per-result
-// host-speed reference so CPU frequency drift AND memory-bandwidth
-// contention (a co-tenant saturating the shared LLC slows the big-trace
-// replays far more than a cache-resident spin would admit) cancel out of
+// calibrate returns the best of 5 calibration runs. Measured next to
+// every benchmark, it gives benchcmp a per-result host-speed reference,
+// so CPU frequency drift and memory-bandwidth contention cancel out of
 // the time comparisons.
-func calibrate() float64 {
-	const (
-		reps   = 5
-		width  = 256
-		events = 100_000
-		// Working set for the memory component: 8 MB of uint64s,
-		// comfortably past typical per-core L2 so the walk pays the
-		// same shared-cache/DRAM costs the trace replays do.
-		words  = 1 << 20
-		stride = 17 // odd stride, coprime with words: full-cycle walk
-	)
-	buf := make([]uint64, words)
-	for i := range buf {
-		buf[i] = uint64(i)
+func calibrate() time.Duration {
+	best := calRun()
+	for r := 1; r < 5; r++ {
+		best = min(best, calRun())
 	}
-	best := int64(0)
-	for r := 0; r < reps; r++ {
-		s := sim.New()
-		fired := 0
-		var tick sim.EventFunc
-		tick = func(_ any, _ time.Duration) {
-			fired++
-			if fired < events {
-				s.ScheduleAfter(time.Microsecond*time.Duration(1+fired%7), tick, nil)
-			}
-		}
-		start := time.Now()
-		for i := 0; i < width; i++ {
-			s.ScheduleAfter(time.Microsecond, tick, nil)
-		}
-		if err := s.Run(); err != nil {
-			return 0
-		}
-		idx, sum := uint64(0), uint64(0)
-		for i := 0; i < 2*words; i++ {
-			sum += buf[idx]
-			idx = (idx + stride) % words
-		}
-		calSink += sum
-		if ns := time.Since(start).Nanoseconds(); r == 0 || ns < best {
-			best = ns
-		}
+	return best
+}
+
+// calRun times one kernel run. The collection before it gives the
+// kernel's own allocations the same heap to start from whatever ran
+// before; without it the kernel's garbage collection work, and so its
+// time, varies by ±20%.
+func calRun() time.Duration {
+	runtime.GC()
+	return calKernel()
+}
+
+// The calibration kernel below is a copy of e2ebench's (calKernel in
+// e2ebench/calib.go, a separate module that this one cannot import), and
+// the two must stay identical. It uses only the standard library, so no
+// change to the repository's code moves it, and it does what the
+// simulator does (heap-ordered events, small allocations, map updates,
+// scattered reads over a few MB), so it slows down with the host the way
+// the benchmarks do.
+
+type calEvent struct {
+	at float64
+	v  int64
+}
+
+type calHeap []*calEvent
+
+func (h calHeap) Len() int           { return len(h) }
+func (h calHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h calHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *calHeap) Push(x any)        { *h = append(*h, x.(*calEvent)) }
+func (h *calHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// calTable is the kernel's 4 MB scattered-read working set.
+var calTable = make([]int64, 1<<19)
+
+var calSink int64
+
+// calKernel runs the fixed calibration work once and returns its time.
+func calKernel() time.Duration {
+	t0 := time.Now()
+	x := uint64(88172645463325252)
+	rnd := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
 	}
-	return float64(best)
+	h := &calHeap{}
+	seen := map[int64]*calEvent{}
+	for i := 0; i < 4096; i++ {
+		heap.Push(h, &calEvent{at: float64(rnd()%100000) / 1000})
+	}
+	for i := 0; i < 60000; i++ {
+		ev := heap.Pop(h).(*calEvent)
+		r := rnd()
+		k := int64(r % 16384)
+		if old, ok := seen[k]; ok {
+			calSink += old.v
+		}
+		seen[k] = ev
+		calSink += calTable[r&(1<<19-1)]
+		heap.Push(h, &calEvent{at: ev.at + float64(r%1000)/1000 + 0.001, v: int64(r)})
+	}
+	return time.Since(t0)
 }
 
 // benchReplay replays one catalog trace through CFQ on the paper's SAS

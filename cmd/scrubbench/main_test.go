@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,7 +78,11 @@ func TestRunSuiteQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs := benchcmp.Regressions(benchcmp.Compare(loaded, run, 0.15)); len(regs) != 0 {
+	deltas, err := benchcmp.Compare(loaded, run, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs := benchcmp.Regressions(deltas); len(regs) != 0 {
 		t.Fatalf("self-comparison regressed: %v", regs)
 	}
 }
@@ -148,12 +153,83 @@ func TestBestOfPicksFasterSamplePerBenchmark(t *testing.T) {
 	}
 }
 
+// TestGateConfirmsBeforeFailing drives gate with canned runs against a
+// baseline: a regression that persists fails after two confirming
+// re-runs, a one-run noise episode passes with the better sample
+// written out, and a baseline from another GOMAXPROCS is refused.
+func TestGateConfirmsBeforeFailing(t *testing.T) {
+	dir := t.TempDir()
+	mk := func(ns float64) *benchcmp.Run {
+		run := benchcmp.NewRun(true)
+		run.Results = []benchcmp.Result{{Name: "x", NsPerOp: ns}}
+		return run
+	}
+	basePath := filepath.Join(dir, "base.json")
+	if err := mk(100).Write(basePath); err != nil {
+		t.Fatal(err)
+	}
+	runs := func(ns ...float64) (func() (*benchcmp.Run, error), *int) {
+		calls := 0
+		return func() (*benchcmp.Run, error) {
+			calls++
+			return mk(ns[min(calls, len(ns))-1]), nil
+		}, &calls
+	}
+	out := filepath.Join(dir, "out.json")
+
+	slow, calls := runs(200)
+	if err := gate(slow, out, "", basePath, 0.15); err == nil || *calls != 3 {
+		t.Fatalf("persistent regression: err %v after %d runs, want an error after 3", err, *calls)
+	}
+	noisy, calls := runs(200, 105)
+	if err := gate(noisy, out, "", basePath, 0.15); err != nil || *calls != 2 {
+		t.Fatalf("noise episode: err %v after %d runs, want a pass after 2", err, *calls)
+	}
+	written, err := benchcmp.Load(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := written.Find("x"); r == nil || r.NsPerOp != 105 {
+		t.Fatalf("written run %+v, want the confirming re-run's sample", written.Results)
+	}
+
+	other := mk(100)
+	other.Host.GOMAXPROCS++
+	if err := other.Write(basePath); err != nil {
+		t.Fatal(err)
+	}
+	same, _ := runs(100)
+	if err := gate(same, out, "", basePath, 0.15); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Fatalf("GOMAXPROCS mismatch: err %v, want a refusal", err)
+	}
+}
+
+// TestCalKernelMatchesE2ebench pins the calibration kernel to e2ebench's
+// copy, so both gates rescale by the same reference work.
+func TestCalKernelMatchesE2ebench(t *testing.T) {
+	kernel := func(path string) string {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := string(src)
+		from, to := strings.Index(s, "type calEvent struct"), strings.Index(s, "return time.Since(t0)")
+		if from < 0 || to < from {
+			t.Fatalf("%s: calibration kernel not found", path)
+		}
+		return s[from:to]
+	}
+	if kernel("main.go") != kernel(filepath.Join("..", "..", "e2ebench", "calib.go")) {
+		t.Fatal("calibration kernel differs from e2ebench/calib.go")
+	}
+}
+
 func TestCalibrateStable(t *testing.T) {
 	a, b := calibrate(), calibrate()
 	if a <= 0 || b <= 0 {
 		t.Fatalf("calibration returned %v, %v", a, b)
 	}
-	ratio := a / b
+	ratio := float64(a) / float64(b)
 	if ratio < 0.5 || ratio > 2 {
 		t.Fatalf("back-to-back calibrations differ by %vx", ratio)
 	}

@@ -20,8 +20,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/benchcmp"
@@ -43,52 +43,8 @@ func scenarioMain(argv []string) {
 	threshold := fs.Float64("threshold", 0.25, "tolerated relative regression vs the baseline")
 	fs.Parse(argv)
 
-	run, err := runScenarioBench(*quick, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scrubbench scenario:", err)
-		os.Exit(1)
-	}
-
-	path := *out
-	if path == "" {
-		path = "BENCH_SCENARIO_" + run.Date + ".json"
-	}
-	if err := run.Write(path); err != nil {
-		fmt.Fprintln(os.Stderr, "scrubbench scenario:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wrote", path)
-
-	if *baseline != "" {
-		base, err := benchcmp.Load(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scrubbench scenario:", err)
-			os.Exit(1)
-		}
-		deltas := benchcmp.Compare(base, run, *threshold)
-		for confirm := 0; confirm < 2 && len(benchcmp.Regressions(deltas)) > 0; confirm++ {
-			fmt.Fprintln(os.Stderr, "scrubbench scenario: possible regression, re-running to confirm")
-			rerun, err := runScenarioBench(*quick, os.Stderr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scrubbench scenario:", err)
-				os.Exit(1)
-			}
-			run = bestOf(run, rerun)
-			if err := run.Write(path); err != nil {
-				fmt.Fprintln(os.Stderr, "scrubbench scenario:", err)
-				os.Exit(1)
-			}
-			deltas = benchcmp.Compare(base, run, *threshold)
-		}
-		for _, d := range deltas {
-			fmt.Println(d)
-		}
-		if regs := benchcmp.Regressions(deltas); len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "scrubbench scenario: %d regression(s) beyond %.0f%%\n", len(regs), *threshold*100)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "no regressions vs", *baseline)
-	}
+	exitOn("scrubbench scenario", gate(func() (*benchcmp.Run, error) { return runScenarioBench(*quick, os.Stderr) },
+		*out, "BENCH_SCENARIO_", *baseline, *threshold))
 }
 
 // scenarioArrayConfig is the shrunk declustered array the rebuild stages
@@ -102,24 +58,8 @@ func scenarioArrayConfig() raidsim.Config {
 
 // runScenarioBench executes the scenario suite and assembles the run
 // record. progress receives one line per finished benchmark (may be nil).
-func runScenarioBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
-	run := &benchcmp.Run{
-		Schema:    benchcmp.Schema,
-		Date:      time.Now().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		Quick:     quick,
-	}
-	add := func(r benchcmp.Result, err error) error {
-		if err != nil {
-			return fmt.Errorf("%s: %w", r.Name, err)
-		}
-		run.Results = append(run.Results, r)
-		if progress != nil {
-			fmt.Fprintf(progress, "%-28s %12.0f ns/op %8.1f allocs/op %12.0f events/sec\n",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.EventsPerSec)
-		}
-		return nil
-	}
+func runScenarioBench(quick bool, progress io.Writer) (*benchcmp.Run, error) {
+	st := newSuite(quick, progress)
 
 	ssdOps, simDur, iters := int64(2_000_000), 2*time.Minute, 6
 	if quick {
@@ -148,7 +88,7 @@ func runScenarioBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 			"requests_per_sec": float64(ssdOps) / (res.NsPerOp / 1e9),
 		}
 	}
-	if err := add(res, err); err != nil {
+	if err := st.add(res, err); err != nil {
 		return nil, err
 	}
 
@@ -176,7 +116,7 @@ func runScenarioBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 		}
 		return sys.Sim.Fired(), nil
 	})
-	if err := add(res, err); err != nil {
+	if err := st.add(res, err); err != nil {
 		return nil, err
 	}
 
@@ -222,11 +162,11 @@ func runScenarioBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 		return res, nil
 	}
 	res, err = rebuild("scenario/declustered-rebuild", false)
-	if err := add(res, err); err != nil {
+	if err := st.add(res, err); err != nil {
 		return nil, err
 	}
 	res, err = rebuild("scenario/declustered-scrub", true)
-	if err := add(res, err); err != nil {
+	if err := st.add(res, err); err != nil {
 		return nil, err
 	}
 
@@ -263,10 +203,9 @@ func runScenarioBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 			"records_per_sec": float64(len(tr.Records)) / (res.NsPerOp / 1e9),
 		}
 	}
-	if err := add(res, err); err != nil {
+	if err := st.add(res, err); err != nil {
 		return nil, err
 	}
 
-	run.PeakRSSBytes = peakRSS()
-	return run, nil
+	return st.done(), nil
 }

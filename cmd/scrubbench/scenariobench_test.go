@@ -57,7 +57,11 @@ func TestRunScenarioBenchQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs := benchcmp.Regressions(benchcmp.Compare(loaded, run, 0.25)); len(regs) != 0 {
+	deltas, err := benchcmp.Compare(loaded, run, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs := benchcmp.Regressions(deltas); len(regs) != 0 {
 		t.Fatalf("self-comparison regressed: %v", regs)
 	}
 }

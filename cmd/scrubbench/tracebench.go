@@ -10,12 +10,9 @@
 //	trace/cache-read      stream the columnar cache back
 //	trace/replay-stream   open-loop replay of the cache through CFQ
 //
-// The replay stage doubles as the streaming-path acceptance proof: the
-// full suite pushes a 10M-record trace through RunSource's bounded
-// window (constant memory — the suite's peak RSS is recorded in the
-// emitted BENCH_TRACE_*.json), and a bulk-vs-stream parity check on a
-// materialized prefix fails the run outright if the streaming replay
-// diverges from the slice path by a single bit.
+// The replay stage doubles as the constant-memory proof: the full suite
+// pushes a 10M-record trace through RunSource's bounded window, and the
+// suite's peak RSS is recorded in the emitted BENCH_TRACE_*.json.
 //
 // Usage:
 //
@@ -28,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"repro/internal/benchcmp"
@@ -48,54 +44,8 @@ func traceMain(argv []string) {
 	threshold := fs.Float64("threshold", 0.25, "tolerated relative regression vs the baseline")
 	fs.Parse(argv)
 
-	run, err := runTraceBench(*quick, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scrubbench trace:", err)
-		os.Exit(1)
-	}
-	run.Quick = *quick
-
-	path := *out
-	if path == "" {
-		path = "BENCH_TRACE_" + run.Date + ".json"
-	}
-	if err := run.Write(path); err != nil {
-		fmt.Fprintln(os.Stderr, "scrubbench trace:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "wrote", path)
-
-	if *baseline != "" {
-		base, err := benchcmp.Load(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scrubbench trace:", err)
-			os.Exit(1)
-		}
-		deltas := benchcmp.Compare(base, run, *threshold)
-		for confirm := 0; confirm < 2 && len(benchcmp.Regressions(deltas)) > 0; confirm++ {
-			fmt.Fprintln(os.Stderr, "scrubbench trace: possible regression, re-running to confirm")
-			rerun, err := runTraceBench(*quick, os.Stderr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scrubbench trace:", err)
-				os.Exit(1)
-			}
-			rerun.Quick = *quick
-			run = bestOf(run, rerun)
-			if err := run.Write(path); err != nil {
-				fmt.Fprintln(os.Stderr, "scrubbench trace:", err)
-				os.Exit(1)
-			}
-			deltas = benchcmp.Compare(base, run, *threshold)
-		}
-		for _, d := range deltas {
-			fmt.Println(d)
-		}
-		if regs := benchcmp.Regressions(deltas); len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "scrubbench trace: %d regression(s) beyond %.0f%%\n", len(regs), *threshold*100)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "no regressions vs", *baseline)
-	}
+	exitOn("scrubbench trace", gate(func() (*benchcmp.Run, error) { return runTraceBench(*quick, os.Stderr) },
+		*out, "BENCH_TRACE_", *baseline, *threshold))
 }
 
 // traceGen is the fixture workload: a deterministic LCG over a metronome
@@ -153,29 +103,12 @@ func writeFixture(path string, write func(w io.Writer) error) error {
 
 // runTraceBench executes the ingestion suite and assembles the run
 // record. progress receives one line per finished benchmark (may be nil).
-func runTraceBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
-	run := &benchcmp.Run{
-		Schema:    benchcmp.Schema,
-		Date:      time.Now().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		Quick:     quick,
-	}
-	add := func(r benchcmp.Result, err error) error {
-		if err != nil {
-			return fmt.Errorf("%s: %w", r.Name, err)
-		}
-		run.Results = append(run.Results, r)
-		if progress != nil {
-			fmt.Fprintf(progress, "%-22s %12.0f ns/op %8.1f allocs/op %12.0f records/sec\n",
-				r.Name, r.NsPerOp, r.AllocsPerOp, r.Extra["records_per_sec"])
-		}
-		return nil
-	}
+func runTraceBench(quick bool, progress io.Writer) (*benchcmp.Run, error) {
+	st := newSuite(quick, progress)
 
 	// Fixture sizes: the parse/cache stages run over parseN records, the
-	// replay stage over replayN. The full suite's 10M-record replay is
-	// the ISSUE's streaming acceptance case.
-	parseN, replayN, parityN := int64(2_000_000), int64(10_000_000), int64(100_000)
+	// replay stage over replayN.
+	parseN, replayN := int64(2_000_000), int64(10_000_000)
 	parseIters, replayIters := 3, 1
 	if quick {
 		parseN, replayN = 250_000, 1_000_000
@@ -244,7 +177,7 @@ func runTraceBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 		}
 		return res, nil
 	}
-	for _, st := range []struct {
+	for _, stage := range []struct {
 		name   string
 		path   string
 		format trace.Format
@@ -253,7 +186,7 @@ func runTraceBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 		{"trace/parse-cello", celloPath, trace.FormatCello},
 		{"trace/parse-blktrace", blkPath, trace.FormatBlktrace},
 	} {
-		if err := add(parseStage(st.name, st.path, st.format)); err != nil {
+		if err := st.add(parseStage(stage.name, stage.path, stage.format)); err != nil {
 			return nil, err
 		}
 	}
@@ -276,12 +209,12 @@ func runTraceBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 			"records_per_sec": float64(parseN) / (res.NsPerOp / 1e9),
 		}
 	}
-	if err := add(res, err); err != nil {
+	if err := st.add(res, err); err != nil {
 		return nil, err
 	}
 
 	// Cache read: stream the compiled cache back.
-	if err := add(parseStage("trace/cache-read", cachePath, trace.FormatCache)); err != nil {
+	if err := st.add(parseStage("trace/cache-read", cachePath, trace.FormatCache)); err != nil {
 		return nil, err
 	}
 
@@ -320,93 +253,9 @@ func runTraceBench(quick bool, progress *os.File) (*benchcmp.Run, error) {
 			"records_per_sec": float64(replayN) / (res.NsPerOp / 1e9),
 		}
 	}
-	if err := add(res, err); err != nil {
+	if err := st.add(res, err); err != nil {
 		return nil, err
 	}
 
-	// Parity gate: the streaming path must agree with the slice path bit
-	// for bit. Materialize a prefix of the replay cache, run it down both
-	// paths from identical initial states, and fail the suite on any
-	// difference — timing is irrelevant if the answers diverge.
-	if err := traceParityCheck(replayCache, m, sectors, parityN); err != nil {
-		return nil, err
-	}
-	if progress != nil {
-		fmt.Fprintf(progress, "%-22s ok: bulk and streaming replays agree bit-for-bit over %d records\n",
-			"trace/parity", parityN)
-	}
-
-	run.PeakRSSBytes = peakRSS()
-	return run, nil
-}
-
-// traceParityCheck replays the first n records of the cache at path down
-// the bulk (slice) and streaming paths on fresh, identical stacks and
-// demands bit-identical results.
-func traceParityCheck(path string, m disk.Model, sectors, n int64) error {
-	src, err := trace.OpenCache(path)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-
-	tr, err := trace.ReadAll(trace.Limit(src, n))
-	if err != nil {
-		return err
-	}
-	if int64(len(tr.Records)) != n {
-		return fmt.Errorf("trace/parity: materialized %d of %d records", len(tr.Records), n)
-	}
-
-	stack := func() (*sim.Simulator, *blockdev.Queue, error) {
-		s := sim.New()
-		d, err := disk.New(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, blockdev.NewQueue(s, d, iosched.NewCFQ()), nil
-	}
-
-	s1, q1, err := stack()
-	if err != nil {
-		return err
-	}
-	bulk, err := (&replay.Replayer{}).RunSource(s1, q1, trace.NewSliceSource("", sectors, tr.Records), sectors)
-	if err != nil {
-		return err
-	}
-
-	if err := src.Reset(); err != nil {
-		return err
-	}
-	s2, q2, err := stack()
-	if err != nil {
-		return err
-	}
-	stream, err := (&replay.Replayer{}).RunSource(s2, q2, trace.Limit(src, n), sectors)
-	if err != nil {
-		return err
-	}
-
-	type cmp struct {
-		what       string
-		bulk, strm float64
-	}
-	checks := []cmp{
-		{"requests", float64(bulk.Requests), float64(stream.Requests)},
-		{"bytes", float64(bulk.Bytes), float64(stream.Bytes)},
-		{"span_ns", float64(bulk.Span), float64(stream.Span)},
-		{"resp_total", bulk.RespTotal, stream.RespTotal},
-		{"resp_max", bulk.RespMax, stream.RespMax},
-		{"wait_total", bulk.WaitTotal, stream.WaitTotal},
-		{"wait_max", bulk.WaitMax, stream.WaitMax},
-		{"mean_response", bulk.MeanResponse(), stream.MeanResponse()},
-		{"mean_wait", bulk.MeanWait(), stream.MeanWait()},
-	}
-	for _, c := range checks {
-		if c.bulk != c.strm {
-			return fmt.Errorf("trace/parity: %s diverged: bulk %v vs stream %v", c.what, c.bulk, c.strm)
-		}
-	}
-	return nil
+	return st.done(), nil
 }

@@ -9,12 +9,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Schema identifies the current BENCH file layout.
-const Schema = "scrubbench/v1"
+const Schema = "scrubbench/v2"
 
 // Result is one benchmark's measurements. Time and allocation metrics are
 // lower-is-better; *PerSec metrics are higher-is-better.
@@ -35,7 +39,7 @@ type Result struct {
 	// the time metrics; every other key is a count (drives, clients,
 	// records) and compares unscaled.
 	Extra map[string]float64 `json:"extra,omitempty"`
-	// CalNs is the wall time of scrubbench's fixed calibration spin,
+	// CalNs is the wall time of scrubbench's fixed calibration kernel,
 	// measured next to this benchmark. Comparisons use the base/current
 	// ratio to cancel host-speed differences (CPU frequency scaling,
 	// slower CI runners) out of the time metrics; it is never compared
@@ -43,18 +47,73 @@ type Result struct {
 	CalNs float64 `json:"cal_ns,omitempty"`
 }
 
+// Host records where a run was measured, with the same fields as
+// e2ebench's host block.
+type Host struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOARCH     string `json:"goarch"`
+	GoVersion  string `json:"go_version"`
+	// Commit is the revision the binary was built from, "unknown" when
+	// neither the build info nor git can tell.
+	Commit string `json:"commit"`
+}
+
 // Run is one scrubbench invocation's output file.
 type Run struct {
 	Schema string `json:"schema"`
 	// Date is the run date, YYYY-MM-DD.
 	Date string `json:"date"`
-	// GoVersion records the toolchain (runtime.Version()).
-	GoVersion string `json:"go_version"`
+	Host Host   `json:"host"`
 	// Quick marks a -quick (CI-sized) suite.
 	Quick bool `json:"quick"`
 	// PeakRSSBytes is the process high-water resident set after the suite.
 	PeakRSSBytes int64    `json:"peak_rss_bytes"`
 	Results      []Result `json:"results"`
+}
+
+// NewRun starts an empty run record stamped with today's date and the
+// current host.
+func NewRun(quick bool) *Run {
+	return &Run{
+		Schema: Schema,
+		Date:   time.Now().Format("2006-01-02"),
+		Host: Host{
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GOARCH:     runtime.GOARCH,
+			GoVersion:  runtime.Version(),
+			Commit:     commit(),
+		},
+		Quick: quick,
+	}
+}
+
+// commit is the build info's VCS stamp, else the working directory's git
+// HEAD (go run does not stamp binaries), else "unknown".
+func commit() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		rev, dirty := "", false
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+		if rev != "" {
+			if dirty {
+				rev += "+dirty"
+			}
+			return rev
+		}
+	}
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // Find returns the named result, or nil.
@@ -123,7 +182,16 @@ const allocSlack = 2.0
 // when they fall past it. A baseline result missing from the current run
 // is itself a regression (the gate must not pass because a benchmark
 // silently disappeared); results only in the current run are ignored.
-func Compare(base, cur *Run, threshold float64) []Delta {
+//
+// Two runs taken at different GOMAXPROCS are refused with an error: the
+// calibration kernel is single-threaded, so it cannot cancel the
+// speed-up or contention a different worker count gives the parallel
+// benchmarks.
+func Compare(base, cur *Run, threshold float64) ([]Delta, error) {
+	if base.Host.GOMAXPROCS != cur.Host.GOMAXPROCS {
+		return nil, fmt.Errorf("benchcmp: baseline ran at GOMAXPROCS=%d, this run at %d; rerun with GOMAXPROCS=%d",
+			base.Host.GOMAXPROCS, cur.Host.GOMAXPROCS, base.Host.GOMAXPROCS)
+	}
 	var out []Delta
 	for i := range base.Results {
 		b := &base.Results[i]
@@ -164,7 +232,7 @@ func Compare(base, cur *Run, threshold float64) []Delta {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Regressions filters a Compare result down to the failures.

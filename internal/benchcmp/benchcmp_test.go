@@ -2,6 +2,7 @@ package benchcmp
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -22,6 +23,15 @@ func baseRun() *Run {
 	}
 }
 
+func mustCompare(t *testing.T, base, cur *Run, threshold float64) []Delta {
+	t.Helper()
+	deltas, err := Compare(base, cur, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return deltas
+}
+
 func findDelta(t *testing.T, deltas []Delta, name, metric string) Delta {
 	t.Helper()
 	for _, d := range deltas {
@@ -39,7 +49,7 @@ func TestCompareWithinThreshold(t *testing.T) {
 	cur.Results[0].NsPerOp *= 1.10      // +10% slower: inside 15%
 	cur.Results[0].EventsPerSec *= 0.90 // -10% throughput: inside
 	cur.Results[1].AllocsPerOp = 1      // 0 -> 1: inside the alloc slack
-	if regs := Regressions(Compare(base, cur, 0.15)); len(regs) != 0 {
+	if regs := Regressions(mustCompare(t, base, cur, 0.15)); len(regs) != 0 {
 		t.Fatalf("unexpected regressions: %v", regs)
 	}
 }
@@ -48,7 +58,7 @@ func TestCompareFlagsTimeRegression(t *testing.T) {
 	base := baseRun()
 	cur := baseRun()
 	cur.Results[0].NsPerOp *= 1.30
-	regs := Regressions(Compare(base, cur, 0.15))
+	regs := Regressions(mustCompare(t, base, cur, 0.15))
 	if len(regs) != 1 {
 		t.Fatalf("want exactly the ns_per_op regression, got %v", regs)
 	}
@@ -63,7 +73,7 @@ func TestCompareFlagsThroughputDrop(t *testing.T) {
 	cur := baseRun()
 	cur.Results[0].EventsPerSec *= 0.5
 	cur.Results[0].Extra["records_per_sec"] *= 0.5
-	regs := Regressions(Compare(base, cur, 0.15))
+	regs := Regressions(mustCompare(t, base, cur, 0.15))
 	if len(regs) != 2 {
 		t.Fatalf("want events_per_sec and records_per_sec regressions, got %v", regs)
 	}
@@ -85,12 +95,12 @@ func TestCompareCountExtrasUnscaled(t *testing.T) {
 	base := run(20e6, 96, 500)
 	// The old rescaling read 96 drives as 192 on a host twice as fast.
 	for _, cal := range []float64{10e6, 40e6} {
-		if regs := Regressions(Compare(base, run(cal, 96, 500), 0.15)); len(regs) != 0 {
+		if regs := Regressions(mustCompare(t, base, run(cal, 96, 500), 0.15)); len(regs) != 0 {
 			t.Fatalf("cal %v: unchanged count or host-scaled time flagged: %v", cal, regs)
 		}
 	}
 	// On a host half as fast, the old rescaling read 192 drives as 96.
-	regs := Regressions(Compare(base, run(40e6, 192, 500), 0.15))
+	regs := Regressions(mustCompare(t, base, run(40e6, 192, 500), 0.15))
 	if len(regs) != 1 || regs[0].Metric != "drives" || regs[0].Cur != 192 {
 		t.Fatalf("doubled count not flagged unscaled: %v", regs)
 	}
@@ -100,11 +110,11 @@ func TestCompareAllocSlackAndLeak(t *testing.T) {
 	base := baseRun()
 	cur := baseRun()
 	cur.Results[1].AllocsPerOp = allocSlack // jitter: tolerated
-	if regs := Regressions(Compare(base, cur, 0.15)); len(regs) != 0 {
+	if regs := Regressions(mustCompare(t, base, cur, 0.15)); len(regs) != 0 {
 		t.Fatalf("alloc jitter flagged: %v", regs)
 	}
 	cur.Results[1].AllocsPerOp = allocSlack + 1 // leak: flagged
-	regs := Regressions(Compare(base, cur, 0.15))
+	regs := Regressions(mustCompare(t, base, cur, 0.15))
 	if len(regs) != 1 || regs[0].Metric != "allocs_per_op" {
 		t.Fatalf("alloc leak not flagged: %v", regs)
 	}
@@ -114,7 +124,7 @@ func TestCompareMissingBenchmark(t *testing.T) {
 	base := baseRun()
 	cur := baseRun()
 	cur.Results = cur.Results[:1]
-	regs := Regressions(Compare(base, cur, 0.15))
+	regs := Regressions(mustCompare(t, base, cur, 0.15))
 	if len(regs) != 1 || regs[0].Metric != "missing" || regs[0].Name != "queue/pooled" {
 		t.Fatalf("missing benchmark not flagged: %v", regs)
 	}
@@ -124,7 +134,7 @@ func TestCompareIgnoresNewBenchmarks(t *testing.T) {
 	base := baseRun()
 	cur := baseRun()
 	cur.Results = append(cur.Results, Result{Name: "brand/new", NsPerOp: 1e9})
-	if regs := Regressions(Compare(base, cur, 0.15)); len(regs) != 0 {
+	if regs := Regressions(mustCompare(t, base, cur, 0.15)); len(regs) != 0 {
 		t.Fatalf("new benchmark flagged: %v", regs)
 	}
 }
@@ -133,7 +143,7 @@ func TestRoundTripAndSchemaCheck(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_test.json")
 	base := baseRun()
-	base.GoVersion = "go-test"
+	base.Host = Host{NumCPU: 4, GOMAXPROCS: 2, GOARCH: "amd64", GoVersion: "go-test", Commit: "abc"}
 	base.PeakRSSBytes = 1 << 20
 	if err := base.Write(path); err != nil {
 		t.Fatal(err)
@@ -142,7 +152,7 @@ func TestRoundTripAndSchemaCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Date != base.Date || got.GoVersion != "go-test" || got.PeakRSSBytes != 1<<20 {
+	if got.Date != base.Date || got.Host != base.Host || got.PeakRSSBytes != 1<<20 {
 		t.Fatalf("round trip lost header fields: %+v", got)
 	}
 	if r := got.Find("queue/pooled"); r == nil || r.NsPerOp != 180 {
@@ -160,5 +170,35 @@ func TestRoundTripAndSchemaCheck(t *testing.T) {
 	}
 	if _, err := Load(path2); err == nil {
 		t.Fatal("Load accepted a foreign schema")
+	}
+}
+
+// TestCompareRefusesGOMAXPROCSMismatch pins that runs taken at different
+// worker counts are not compared: the error names both values, and no
+// deltas come back for a caller to misread as a pass.
+func TestCompareRefusesGOMAXPROCSMismatch(t *testing.T) {
+	base, cur := baseRun(), baseRun()
+	base.Host.GOMAXPROCS, cur.Host.GOMAXPROCS = 1, 2
+	deltas, err := Compare(base, cur, 0.15)
+	if err == nil || deltas != nil {
+		t.Fatalf("Compare = %v, %v; want a refusal", deltas, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "GOMAXPROCS=1") || !strings.Contains(msg, "at 2") {
+		t.Fatalf("refusal %q does not name both GOMAXPROCS values", msg)
+	}
+	cur.Host.GOMAXPROCS = 1
+	if _, err := Compare(base, cur, 0.15); err != nil {
+		t.Fatalf("matching GOMAXPROCS refused: %v", err)
+	}
+}
+
+func TestNewRunRecordsHost(t *testing.T) {
+	run := NewRun(true)
+	if run.Schema != Schema || !run.Quick {
+		t.Fatalf("run header wrong: %+v", run)
+	}
+	h := run.Host
+	if h.NumCPU <= 0 || h.GOMAXPROCS <= 0 || h.GOARCH == "" || h.GoVersion == "" || h.Commit == "" {
+		t.Fatalf("host block incomplete: %+v", h)
 	}
 }

@@ -44,19 +44,37 @@ func WriteFrame(w io.Writer, magic string, body []byte) (int64, error) {
 	if uint64(len(body)) > math.MaxUint32 {
 		return 0, fmt.Errorf("%w: %d-byte body", ErrTooLarge, len(body))
 	}
-	var pre, sum [4]byte
-	binary.BigEndian.PutUint32(pre[:], uint32(len(body)))
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body))
 	n, err := io.WriteString(w, magic)
 	total := int64(n)
-	for _, p := range [...][]byte{pre[:], body, sum[:]} {
-		if err != nil {
-			break
-		}
-		n, err = w.Write(p)
+	if err == nil {
+		n, err = writeUint32(w, uint32(len(body)))
+		total += int64(n)
+	}
+	if err == nil {
+		n, err = w.Write(body)
+		total += int64(n)
+	}
+	if err == nil {
+		n, err = writeUint32(w, crc32.ChecksumIEEE(body))
 		total += int64(n)
 	}
 	return total, err
+}
+
+// writeUint32 writes v big-endian. Through an io.ByteWriter (a
+// bufio.Writer, a bytes.Buffer) it goes byte by byte: a local array
+// handed to w.Write would escape and cost an allocation per frame.
+func writeUint32(w io.Writer, v uint32) (int, error) {
+	bw, ok := w.(io.ByteWriter)
+	if !ok {
+		return w.Write(binary.BigEndian.AppendUint32(nil, v))
+	}
+	for i := 0; i < 4; i++ {
+		if err := bw.WriteByte(byte(v >> (24 - 8*i))); err != nil {
+			return i, err
+		}
+	}
+	return 4, nil
 }
 
 // growChunk is ReadFrame's first growth step. Each later step at most

@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -120,6 +121,34 @@ func TestFrameReuseZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%v allocs per 3 frames, want 0", allocs)
+	}
+}
+
+// TestWriteFrameZeroAlloc pins the write side of the streaming
+// contract: framing into a bufio.Writer allocates nothing, and a plain
+// io.Writer receives the same bytes.
+func TestWriteFrameZeroAlloc(t *testing.T) {
+	body := make([]byte, 1000)
+	bw := bufio.NewWriterSize(io.Discard, 64<<10)
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, magic := range []string{"", "TESTMAG1"} {
+			if _, err := durable.WriteFrame(bw, magic, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per 2 frames, want 0", allocs)
+	}
+	var plain bytes.Buffer
+	if _, err := durable.WriteFrame(struct{ io.Writer }{&plain}, "TESTMAG1", body); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), frame(t, "TESTMAG1", body)) {
+		t.Fatal("a plain io.Writer received different frame bytes")
 	}
 }
 

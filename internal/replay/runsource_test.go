@@ -1,9 +1,9 @@
 package replay
 
-// Compatibility battery for the trace.Source replay path: the streaming
-// window must reproduce the bulk (slice) path exactly — same requests,
-// same aggregate response/wait metrics, same span — and hold constant
-// memory while doing it.
+// Battery for the trace.Source replay path: a slice source and a plain
+// source over the same records must replay identically — same requests,
+// same aggregate response/wait metrics, same span — and a plain source
+// must hold constant memory while doing it.
 
 import (
 	"errors"
@@ -18,7 +18,7 @@ import (
 )
 
 // streamOnly hides the concrete *trace.SliceSource type so RunSource
-// takes the streaming path over in-memory records.
+// keeps no per-request samples for in-memory records.
 type streamOnly struct{ trace.Source }
 
 func testTrace(t *testing.T, dur time.Duration) *trace.Trace {
@@ -34,8 +34,12 @@ func testTrace(t *testing.T, dur time.Duration) *trace.Trace {
 	return tr
 }
 
+// TestRunSourceSliceTakesBulkPath pins what a *trace.SliceSource keeps
+// beyond the aggregates: one response and one wait per record, stored by
+// request ID, and the source's own disk size when diskSectors is 0.
 func TestRunSourceSliceTakesBulkPath(t *testing.T) {
 	tr := testTrace(t, 2*time.Second)
+	n := len(tr.Records)
 
 	r1 := newRig(t)
 	want, err := (&Replayer{}).RunSource(r1.sim, r1.q, tr.Source(), tr.DiskSectors)
@@ -47,8 +51,16 @@ func TestRunSourceSliceTakesBulkPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Responses == nil {
-		t.Fatal("slice source did not take the bulk path")
+	if len(got.Responses) != n || len(got.Waits) != n {
+		t.Fatalf("slice replay kept %d responses, %d waits for %d records",
+			len(got.Responses), len(got.Waits), n)
+	}
+	maxResp := 0.0
+	for _, v := range got.Responses {
+		maxResp = max(maxResp, v)
+	}
+	if maxResp != got.RespMax {
+		t.Fatalf("max(Responses) = %v, RespMax = %v", maxResp, got.RespMax)
 	}
 	if len(got.Responses) != len(want.Responses) {
 		t.Fatalf("response counts differ: %d vs %d", len(got.Responses), len(want.Responses))
@@ -64,44 +76,73 @@ func TestRunSourceSliceTakesBulkPath(t *testing.T) {
 	}
 }
 
-// TestRunSourceStreamMatchesBulk is the tentpole compat claim: replaying
-// the same records through the streaming window yields byte-identical
-// aggregate metrics to the slice path.
+// TestRunSourceStreamMatchesBulk pins the one replay path from both
+// sides: a *trace.SliceSource and the same records behind trace.Limit
+// (a plain Source) give identical aggregate results at every look-ahead
+// window. The HPc3t3d0 case runs an idle-class scrubber beside the
+// replay, so foreground arrivals collide with in-flight scrub requests.
 func TestRunSourceStreamMatchesBulk(t *testing.T) {
-	tr := testTrace(t, 2*time.Second)
-
-	r1 := newRig(t)
-	want, err := (&Replayer{}).RunSource(r1.sim, r1.q, tr.Source(), tr.DiskSectors)
-	if err != nil {
-		t.Fatal(err)
+	hp, ok := trace.ByName("HPc3t3d0")
+	if !ok {
+		t.Fatal("HPc3t3d0 missing from catalog")
 	}
-	for _, window := range []int{0, 1, 7, 100000} {
-		r2 := newRig(t)
-		rp := &Replayer{Window: window}
-		got, err := rp.RunSource(r2.sim, r2.q, streamOnly{tr.Source()}, tr.DiskSectors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Responses != nil {
-			t.Fatal("streaming path unexpectedly retained per-request samples")
-		}
-		if got.Requests != want.Requests || got.Bytes != want.Bytes || got.Collisions != want.Collisions {
-			t.Fatalf("window %d: counts differ: %+v vs %+v", window, got, want)
-		}
-		if got.Span != want.Span {
-			t.Fatalf("window %d: span %v vs %v", window, got.Span, want.Span)
-		}
-		if got.RespTotal != want.RespTotal || got.RespMax != want.RespMax {
-			t.Fatalf("window %d: responses differ: %v/%v vs %v/%v",
-				window, got.RespTotal, got.RespMax, want.RespTotal, want.RespMax)
-		}
-		if got.WaitTotal != want.WaitTotal || got.WaitMax != want.WaitMax {
-			t.Fatalf("window %d: waits differ: %v/%v vs %v/%v",
-				window, got.WaitTotal, got.WaitMax, want.WaitTotal, want.WaitMax)
-		}
-		if got.MeanResponse() != want.MeanResponse() {
-			t.Fatalf("window %d: mean response %v vs %v", window, got.MeanResponse(), want.MeanResponse())
-		}
+	cases := []struct {
+		name  string
+		tr    *trace.Trace
+		scrub bool
+	}{
+		{"TPCdisk66", testTrace(t, 2*time.Second), false},
+		{"HPc3t3d0+idle-scrub", hp.Generate(3, time.Minute), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			replay := func(window int, src trace.Source) *Result {
+				t.Helper()
+				r := newRig(t)
+				if c.scrub {
+					r.scrubber(t, scrub.KernelMode, blockdev.ClassIdle, 0).Start()
+				}
+				res, err := (&Replayer{Window: window}).RunSource(r.sim, r.q, src, c.tr.DiskSectors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			n := len(c.tr.Records)
+			want := replay(0, c.tr.Source())
+			if c.scrub && want.Collisions == 0 {
+				t.Fatal("idle-class scrubber produced no collisions; fixture too idle")
+			}
+			for _, window := range []int{0, 1, 7, 100000} {
+				slice := replay(window, c.tr.Source())
+				stream := replay(window, trace.Limit(c.tr.Source(), int64(n)))
+				if stream.Responses != nil || stream.Waits != nil {
+					t.Fatal("non-slice source retained per-request samples")
+				}
+				if len(slice.Responses) != n {
+					t.Fatalf("window %d: slice replay kept %d of %d responses", window, len(slice.Responses), n)
+				}
+				for _, got := range []*Result{slice, stream} {
+					if got.Requests != want.Requests || got.Bytes != want.Bytes || got.Collisions != want.Collisions {
+						t.Fatalf("window %d: counts differ: %+v vs %+v", window, got, want)
+					}
+					if got.Span != want.Span {
+						t.Fatalf("window %d: span %v vs %v", window, got.Span, want.Span)
+					}
+					if got.RespTotal != want.RespTotal || got.RespMax != want.RespMax {
+						t.Fatalf("window %d: responses differ: %v/%v vs %v/%v",
+							window, got.RespTotal, got.RespMax, want.RespTotal, want.RespMax)
+					}
+					if got.WaitTotal != want.WaitTotal || got.WaitMax != want.WaitMax {
+						t.Fatalf("window %d: waits differ: %v/%v vs %v/%v",
+							window, got.WaitTotal, got.WaitMax, want.WaitTotal, want.WaitMax)
+					}
+					if got.MeanResponse() != want.MeanResponse() {
+						t.Fatalf("window %d: mean response %v vs %v", window, got.MeanResponse(), want.MeanResponse())
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package replay drives foreground workloads against a simulated device:
 // the synthetic sequential/random workloads of the paper's Section IV-B
 // (closed loop) and the replay of real-world trace records (open loop,
-// Section IV-C). It collects the response-time, slowdown and collision
-// metrics the paper's Figures 3, 6, 7 and Table III report.
+// Section IV-C), which streams any trace.Source, in-memory or on disk,
+// through one bounded look-ahead window. It collects the response-time,
+// slowdown and collision metrics the paper's Figures 3, 6, 7 and
+// Table III report.
 package replay
 
 import (

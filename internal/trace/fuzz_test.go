@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// FuzzParseRecord drives the CSV record parser with arbitrary lines and
-// checks that every accepted record satisfies the invariants the rest of
-// the system relies on: non-negative arrival, a valid [LBA, LBA+Sectors)
-// extent that does not overflow int64.
+// FuzzParseRecord drives the native CSV decoder with arbitrary record
+// lines under a valid header and checks that every accepted record
+// satisfies the invariants the rest of the system relies on:
+// non-negative arrival, a valid [LBA, LBA+Sectors) extent that does not
+// overflow int64.
 func FuzzParseRecord(f *testing.F) {
 	seeds := []string{
 		"0,R,2048,8",
@@ -30,18 +31,20 @@ func FuzzParseRecord(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		rec, err := parseRecord(line)
+		tr, err := readNative(header + "\n" + line + "\n")
 		if err != nil {
 			return // malformed input must error, never panic
 		}
-		if rec.Arrival < 0 {
-			t.Fatalf("accepted negative arrival %v from %q", rec.Arrival, line)
-		}
-		if rec.LBA < 0 || rec.Sectors <= 0 {
-			t.Fatalf("accepted invalid extent [%d,+%d) from %q", rec.LBA, rec.Sectors, line)
-		}
-		if rec.LBA+rec.Sectors < rec.LBA {
-			t.Fatalf("extent end overflows for %q", line)
+		for _, rec := range tr.Records {
+			if rec.Arrival < 0 {
+				t.Fatalf("accepted negative arrival %v from %q", rec.Arrival, line)
+			}
+			if rec.LBA < 0 || rec.Sectors <= 0 {
+				t.Fatalf("accepted invalid extent [%d,+%d) from %q", rec.LBA, rec.Sectors, line)
+			}
+			if rec.LBA+rec.Sectors < rec.LBA {
+				t.Fatalf("extent end overflows for %q", line)
+			}
 		}
 	})
 }
@@ -88,8 +91,13 @@ func FuzzParseMSR(f *testing.F) {
 	})
 }
 
+// readNative decodes the package's own CSV through NativeSource.
+func readNative(data string) (*Trace, error) {
+	return ReadAll(NewNativeSource(strings.NewReader(data)))
+}
+
 // FuzzRead exercises the package's own CSV decoder and checks that every
-// accepted trace round-trips through Write and Read unchanged.
+// accepted trace round-trips through Write and NativeSource unchanged.
 func FuzzRead(f *testing.F) {
 	seeds := []string{
 		"# trace: x disk_sectors: 4096\narrival_us,op,lba,sectors\n0,R,0,8\n10,W,8,8\n",
@@ -103,7 +111,7 @@ func FuzzRead(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := Read(strings.NewReader(data))
+		tr, err := readNative(data)
 		if err != nil {
 			return
 		}
@@ -111,7 +119,7 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&b, tr); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		tr2, err := Read(strings.NewReader(b.String()))
+		tr2, err := readNative(b.String())
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}

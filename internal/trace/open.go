@@ -190,11 +190,11 @@ func CloseSource(src Source) error {
 	return nil
 }
 
-// NativeSource streams this package's own CSV in constant memory — the
-// Source counterpart of Read, with the same strictness: the column
-// header is required, arrivals must be non-decreasing (no clamping; the
-// writer never produces inversions), and metadata comments set the name
-// and address space.
+// NativeSource streams this package's own CSV, as Write encodes it, in
+// constant memory. The column header is required once, comment lines
+// (#) and blank lines are tolerated anywhere, arrivals must be
+// non-decreasing (no clamping; the writer never produces inversions),
+// and metadata comments set the name and address space.
 type NativeSource struct {
 	r      io.Reader
 	lr     *lineReader

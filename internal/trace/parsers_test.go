@@ -292,42 +292,6 @@ func TestBlktraceBigEndian(t *testing.T) {
 	}
 }
 
-func TestNativeSourceMatchesRead(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	want, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewNativeSource(bytes.NewReader(buf.Bytes()))
-	got := drain(t, src)
-	if len(got) != len(want.Records) {
-		t.Fatalf("source %d records, Read %d", len(got), len(want.Records))
-	}
-	for i := range got {
-		if got[i] != want.Records[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, got[i], want.Records[i])
-		}
-	}
-	if src.Name() != tr.Name || src.DiskSectors() != tr.DiskSectors {
-		t.Fatalf("metadata = %q/%d", src.Name(), src.DiskSectors())
-	}
-	// Same strictness as Read: backwards arrivals rejected.
-	bad := "arrival_us,op,lba,sectors\n5,R,0,8\n4,R,0,8\n"
-	src = NewNativeSource(strings.NewReader(bad))
-	var rec Record
-	var e error
-	for e == nil {
-		e = src.Next(&rec)
-	}
-	if !errors.Is(e, ErrBadFormat) {
-		t.Fatalf("backwards arrival err = %v", e)
-	}
-}
-
 func TestDetectFormatAndOpen(t *testing.T) {
 	dir := t.TempDir()
 

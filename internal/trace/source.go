@@ -84,10 +84,6 @@ func (s *SliceSource) Name() string { return s.name }
 // Len returns the number of records remaining plus consumed.
 func (s *SliceSource) Len() int { return len(s.recs) }
 
-// Records exposes the backing slice; consumers with a bulk fast path
-// (replay.Replayer) use it to keep the slice-era behavior byte-for-byte.
-func (s *SliceSource) Records() []Record { return s.recs }
-
 // ReadAll drains a source into a materialized *Trace. It resets the
 // source first when possible, so a partially consumed resettable source
 // still yields the full trace.

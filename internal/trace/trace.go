@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -102,55 +101,6 @@ func Write(w io.Writer, t *Trace) error {
 // ErrBadFormat reports a malformed trace file.
 var ErrBadFormat = errors.New("trace: bad format")
 
-// Read decodes a CSV trace written by Write. Comment lines (#) are
-// tolerated anywhere; the column header is required once.
-func Read(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	t := &Trace{}
-	sawHeader := false
-	lineNo := 0
-	var prev time.Duration
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			// Optional metadata comment.
-			if name, sectors, ok := parseMeta(line); ok {
-				t.Name = name
-				t.DiskSectors = sectors
-			}
-			continue
-		}
-		if !sawHeader {
-			if line != header {
-				return nil, fmt.Errorf("%w: line %d: expected header %q, got %q", ErrBadFormat, lineNo, header, line)
-			}
-			sawHeader = true
-			continue
-		}
-		rec, err := parseRecord(line)
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, lineNo, err)
-		}
-		if rec.Arrival < prev {
-			return nil, fmt.Errorf("%w: line %d: arrival went backwards", ErrBadFormat, lineNo)
-		}
-		prev = rec.Arrival
-		t.Records = append(t.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("%w: missing header", ErrBadFormat)
-	}
-	return t, nil
-}
-
 func parseMeta(line string) (name string, sectors int64, ok bool) {
 	fields := strings.Fields(strings.TrimPrefix(line, "#"))
 	for i := 0; i+1 < len(fields); i++ {
@@ -164,38 +114,4 @@ func parseMeta(line string) (name string, sectors int64, ok bool) {
 		}
 	}
 	return name, sectors, name != "" || sectors != 0
-}
-
-func parseRecord(line string) (Record, error) {
-	var rec Record
-	parts := strings.Split(line, ",")
-	if len(parts) != 4 {
-		return rec, fmt.Errorf("want 4 fields, got %d", len(parts))
-	}
-	us, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return rec, fmt.Errorf("arrival: %v", err)
-	}
-	if us < 0 || us > math.MaxInt64/int64(time.Microsecond) {
-		return rec, fmt.Errorf("arrival %dus out of range", us)
-	}
-	rec.Arrival = time.Duration(us) * time.Microsecond
-	switch parts[1] {
-	case "R", "r":
-		rec.Write = false
-	case "W", "w":
-		rec.Write = true
-	default:
-		return rec, fmt.Errorf("op %q", parts[1])
-	}
-	if rec.LBA, err = strconv.ParseInt(parts[2], 10, 64); err != nil {
-		return rec, fmt.Errorf("lba: %v", err)
-	}
-	if rec.Sectors, err = strconv.ParseInt(parts[3], 10, 64); err != nil {
-		return rec, fmt.Errorf("sectors: %v", err)
-	}
-	if rec.LBA < 0 || rec.Sectors <= 0 || rec.Sectors > math.MaxInt64-rec.LBA {
-		return rec, fmt.Errorf("invalid extent [%d,+%d)", rec.LBA, rec.Sectors)
-	}
-	return rec, nil
 }

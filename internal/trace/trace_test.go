@@ -22,12 +22,13 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Read(&buf)
+	src := NewNativeSource(&buf)
+	out, err := ReadAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Name != in.Name || out.DiskSectors != in.DiskSectors {
-		t.Fatalf("meta = %q/%d", out.Name, out.DiskSectors)
+	if src.Name() != in.Name || out.DiskSectors != in.DiskSectors {
+		t.Fatalf("meta = %q/%d", src.Name(), out.DiskSectors)
 	}
 	if len(out.Records) != len(in.Records) {
 		t.Fatalf("got %d records", len(out.Records))
@@ -53,7 +54,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"arrival_us,op,lba,sectors\n5,R,0,8\n1,R,0,8\n", // time travel
 	}
 	for i, c := range cases {
-		if _, err := Read(strings.NewReader(c)); !errors.Is(err, ErrBadFormat) {
+		if _, err := ReadAll(NewNativeSource(strings.NewReader(c))); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("case %d: err = %v, want ErrBadFormat", i, err)
 		}
 	}
@@ -61,7 +62,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 
 func TestReadToleratesCommentsAndBlank(t *testing.T) {
 	src := "# hello\n\narrival_us,op,lba,sectors\n# mid comment\n10,w,5,8\n"
-	tr, err := Read(strings.NewReader(src))
+	tr, err := ReadAll(NewNativeSource(strings.NewReader(src)))
 	if err != nil {
 		t.Fatal(err)
 	}

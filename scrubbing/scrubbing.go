@@ -156,10 +156,10 @@ var (
 )
 
 // Replayer replays a workload trace through a System's block layer
-// while its scrubber runs. It consumes any trace source: materialized
-// slices take the exact bulk path with per-request samples; streaming
-// sources (parsers, caches, generators) replay in constant memory with
-// aggregate metrics:
+// while its scrubber runs. It consumes any trace source through one
+// bounded look-ahead window: materialized slices also keep per-request
+// samples; streaming sources (parsers, caches, generators) replay in
+// constant memory with aggregate metrics:
 //
 //	src, _ := scrubbing.OpenTrace("workload.blktrace", scrubbing.TraceFormatAuto)
 //	defer scrubbing.CloseTraceSource(src)
