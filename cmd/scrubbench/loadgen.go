@@ -5,17 +5,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/benchcmp"
-	"repro/internal/obs"
 	"repro/internal/scrubd"
 )
 
@@ -29,8 +30,8 @@ import (
 //     each, POSTed in batches by -clients concurrent feeders (429
 //     backpressure answered by draining /v1/sync, then retrying).
 //  2. Query phase: -queries GET /v1/decide calls from -clients
-//     concurrent clients, per-request latency into fixed-bucket
-//     histograms merged for p50/p90/p99.
+//     concurrent clients; every request's latency is kept, and the
+//     merged, sorted samples give nearest-rank p50/p90/p99.
 //  3. Determinism spot check: a subset of the feed replayed twice
 //     through fresh engines at different batch sizes must produce
 //     byte-identical decision encodings and metric snapshots.
@@ -270,22 +271,22 @@ func loadgenSync(client *http.Client, base string) error {
 }
 
 // loadgenQuery fires the decision-query phase and reports throughput
-// plus latency percentiles.
+// plus latency percentiles, taken by nearest rank over every request's
+// measured latency.
 func loadgenQuery(cfg loadgenConfig, client *http.Client, base string, lastAt []int64, progress io.Writer) (benchcmp.Result, error) {
 	res := benchcmp.Result{Name: "loadgen/decide"}
 	perClient := cfg.queries / cfg.clients
-	hists := make([]*obs.Histogram, cfg.clients)
+	samples := make([][]time.Duration, cfg.clients)
 	errs := make(chan error, cfg.clients)
 	var wg sync.WaitGroup
 
 	start := time.Now()
 	for c := 0; c < cfg.clients; c++ {
-		hists[c] = obs.NewHistogram(nil)
+		samples[c] = make([]time.Duration, 0, perClient)
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.seed + 7_777_777 + int64(c)))
-			h := hists[c]
 			nameBuf := make([]byte, 0, 16)
 			var urlBuf bytes.Buffer
 			for q := 0; q < perClient; q++ {
@@ -304,7 +305,7 @@ func loadgenQuery(cfg loadgenConfig, client *http.Client, base string, lastAt []
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				h.Observe(time.Since(t0))
+				samples[c] = append(samples[c], time.Since(t0))
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Errorf("decide: unexpected status %d", resp.StatusCode)
 					return
@@ -320,27 +321,34 @@ func loadgenQuery(cfg loadgenConfig, client *http.Client, base string, lastAt []
 	}
 	elapsed := time.Since(start)
 
-	merged := obs.NewHistogram(nil)
-	for _, h := range hists {
-		if err := merged.Merge(h); err != nil {
-			return res, err
-		}
-	}
+	lat := slices.Concat(samples...)
+	slices.Sort(lat)
 	total := perClient * cfg.clients
 	res.NsPerOp = float64(elapsed.Nanoseconds()) / float64(total)
 	res.EventsPerSec = float64(total) / elapsed.Seconds()
 	res.Extra = map[string]float64{
 		"queries": float64(total),
 		"clients": float64(cfg.clients),
-		"p50_us":  float64(merged.Quantile(0.50)) / 1e3,
-		"p90_us":  float64(merged.Quantile(0.90)) / 1e3,
-		"p99_us":  float64(merged.Quantile(0.99)) / 1e3,
+		"p50_us":  float64(nearestRank(lat, 0.50)) / 1e3,
+		"p90_us":  float64(nearestRank(lat, 0.90)) / 1e3,
+		"p99_us":  float64(nearestRank(lat, 0.99)) / 1e3,
 	}
 	if progress != nil {
 		fmt.Fprintf(progress, "loadgen/decide %8d queries %12.0f qps   p50 %.0fµs p90 %.0fµs p99 %.0fµs\n",
 			total, res.EventsPerSec, res.Extra["p50_us"], res.Extra["p90_us"], res.Extra["p99_us"])
 	}
 	return res, nil
+}
+
+// nearestRank returns the q-quantile of ascending samples by nearest
+// rank: the smallest sample with at least a q share of the samples at or
+// below it (zero for no samples).
+func nearestRank(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // loadgenDeterminism replays a slice of the synthetic feed twice

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -26,7 +27,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) error { return runTo(os.Stdout, args) }
+
+func runTo(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("traceanal", flag.ContinueOnError)
 	name := fs.String("trace", "MSRsrc11", "catalog trace name")
 	file := fs.String("file", "", "trace file (overrides -trace); format sniffed unless -format is set")
@@ -59,24 +62,24 @@ func run(args []string) error {
 		tr = spec.Generate(*seed, *dur)
 	}
 
-	fmt.Printf("trace: %s\n\n", tr.Name)
+	fmt.Fprintf(w, "trace: %s\n\n", tr.Name)
 
 	// The one-stop Section V-A characterization.
 	profile := stats.ProfileArrivals(tr.Arrivals())
-	fmt.Println(profile)
+	fmt.Fprintln(w, profile)
 	if profile.WaitingFriendly() {
-		fmt.Println("\nverdict: waiting-friendly — a tuned Waiting scrubber will hide well here")
+		fmt.Fprintln(w, "\nverdict: waiting-friendly — a tuned Waiting scrubber will hide well here")
 	} else {
-		fmt.Println("\nverdict: not waiting-friendly (memoryless or thin idle tail)")
+		fmt.Fprintln(w, "\nverdict: not waiting-friendly (memoryless or thin idle tail)")
 	}
 
 	// Fig. 13 detail: the wait-threshold trade-off table.
 	gaps := stats.IdleGaps(tr.Arrivals())
 	a := stats.NewIdleAnalysis(gaps)
-	fmt.Printf("\nusable idle time after waiting (Fig. 13):\n")
-	for _, w := range []float64{0.01, 0.05, 0.1, 0.5, 1} {
-		fmt.Printf("  wait %6.0f ms -> %5.1f%% usable, %5.2f%% of intervals picked\n",
-			w*1e3, 100*a.UsableAfterWait(w), 100*a.FractionLonger(w))
+	fmt.Fprintf(w, "\nusable idle time after waiting (Fig. 13):\n")
+	for _, wait := range []float64{0.01, 0.05, 0.1, 0.5, 1} {
+		fmt.Fprintf(w, "  wait %6.0f ms -> %5.1f%% usable, %5.2f%% of intervals picked\n",
+			wait*1e3, 100*a.UsableAfterWait(wait), 100*a.FractionLonger(wait))
 	}
 	return nil
 }

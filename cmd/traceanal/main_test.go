@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +41,26 @@ func TestAnalyzeCSVFile(t *testing.T) {
 	}
 	if err := run([]string{"-file", "/no/such/file"}); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestAnalyzeCSVFileMetadataName checks that a native CSV's "# trace:"
+// metadata name, not the file path, heads the report.
+func TestAnalyzeCSVFileMetadataName(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.csv")
+	content := "# trace: tpcc-east disk_sectors: 1000000\narrival_us,op,lba,sectors\n"
+	for i := 0; i < 500; i++ {
+		content += itoa(int64(i)*100000) + ",W," + itoa(int64(i)*100) + ",8\n"
+	}
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runTo(&out, []string{"-file", path}); err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := strings.Cut(out.String(), "\n"); first != "trace: tpcc-east" {
+		t.Fatalf("report starts %q, want the metadata name", first)
 	}
 }
 

@@ -37,24 +37,27 @@ func checkSourceInvariants(t *testing.T, src Source) {
 	}
 }
 
+// msrCambridgeSeeds cover the MSR decoder's Windows-export hardening
+// paths (BOM prefix, CRLF line endings) and its range checks.
+var msrCambridgeSeeds = []string{
+	msrSample,
+	"\xef\xbb\xbf" + strings.ReplaceAll(msrSample, "\n", "\r\n"),
+	"\xef\xbb\xbf128166372003061629,src1,1,Read,1024,4096,411\r\n",
+	"\xef\xbb\xbf# comment first\r\n128166372003061629,src1,1,Write,0,512,1\r\n",
+	"\xef\xbb",     // torn BOM
+	"\xef\xbb\xbf", // BOM only
+	"100,h,0,Read,1024,4096,1\n\xef\xbb\xbf200,h,0,Write,0,512,1\n", // mid-file BOM
+	"128166372003061629,src1,1,Read,1024,4096\r\r\n",
+	"9223372036854775807,h,0,Read,0,1,0\r\n0,h,0,Read,0,1,0\r\n",
+	"0,h,0,Read,9223372036854775295,512,0\n",
+	"1000000,h,0,Read,0,512,1\n999000,h,0,Read,512,512,1\n",
+	strings.Repeat("x", 200) + "\n",
+}
+
 // FuzzParseMSRCambridge drives the streaming MSR decoder, including the
 // Windows-export hardening paths (BOM prefix, CRLF line endings).
 func FuzzParseMSRCambridge(f *testing.F) {
-	seeds := []string{
-		msrSample,
-		"\xef\xbb\xbf" + strings.ReplaceAll(msrSample, "\n", "\r\n"),
-		"\xef\xbb\xbf128166372003061629,src1,1,Read,1024,4096,411\r\n",
-		"\xef\xbb\xbf# comment first\r\n128166372003061629,src1,1,Write,0,512,1\r\n",
-		"\xef\xbb",     // torn BOM
-		"\xef\xbb\xbf", // BOM only
-		"100,h,0,Read,1024,4096,1\n\xef\xbb\xbf200,h,0,Write,0,512,1\n", // mid-file BOM
-		"128166372003061629,src1,1,Read,1024,4096\r\r\n",
-		"9223372036854775807,h,0,Read,0,1,0\r\n0,h,0,Read,0,1,0\r\n",
-		"0,h,0,Read,9223372036854775295,512,0\n",
-		"1000000,h,0,Read,0,512,1\n999000,h,0,Read,512,512,1\n",
-		strings.Repeat("x", 200) + "\n",
-	}
-	for _, s := range seeds {
+	for _, s := range msrCambridgeSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data string) {

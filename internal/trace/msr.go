@@ -39,7 +39,6 @@ type MSRSource struct {
 	r      io.Reader
 	lr     *lineReader
 	closer io.Closer
-	fields [][]byte
 
 	base     int64
 	haveBase bool
@@ -109,42 +108,59 @@ func (m *MSRSource) Next(rec *Record) error {
 }
 
 // parseLine decodes one CSV line into rec, applying filters; ok reports
-// whether the record passed them.
+// whether the record passed them. One pass over the line cuts its six
+// leading fields in place and parses the integer ones as they are cut;
+// the checks then run in a fixed order: field count, timestamp, host
+// filter, disk number and disk filter, type, offset, size, extent, span.
 func (m *MSRSource) parseLine(line []byte, rec *Record) (ok bool, err error) {
-	m.fields = splitByte(line, ',', m.fields)
-	if len(m.fields) < 6 {
-		return false, m.errf("want >= 6 fields, got %d", len(m.fields))
+	ticks, okTicks, e0 := scanIntField(line, 0)
+	if e0 == len(line) {
+		return false, m.short(1)
 	}
-	ticks, okv := parseIntBytes(m.fields[0])
-	if !okv || ticks < 0 {
-		return false, m.errf("timestamp %q", m.fields[0])
+	e1 := cutField(line, e0+1)
+	if e1 == len(line) {
+		return false, m.short(2)
 	}
-	if m.opts.Hostname != "" && !equalFoldASCII(trimBytes(m.fields[1]), m.opts.Hostname) {
+	diskNo, okDisk, e2 := scanIntField(line, e1+1)
+	if e2 == len(line) {
+		return false, m.short(3)
+	}
+	e3 := cutField(line, e2+1)
+	if e3 == len(line) {
+		return false, m.short(4)
+	}
+	offset, okOffset, e4 := scanIntField(line, e3+1)
+	if e4 == len(line) {
+		return false, m.short(5)
+	}
+	size, okSize, e5 := scanIntField(line, e4+1)
+
+	if !okTicks || ticks < 0 {
+		return false, m.errf("timestamp %q", line[:e0])
+	}
+	if m.opts.Hostname != "" && !equalFoldASCII(trimBytes(line[e0+1:e1]), m.opts.Hostname) {
 		return false, nil
 	}
-	diskNo, okv := parseIntBytes(m.fields[2])
-	if !okv {
-		return false, m.errf("disk number %q", m.fields[2])
+	if !okDisk {
+		return false, m.errf("disk number %q", line[e1+1:e2])
 	}
 	if m.opts.DiskNumber >= 0 && diskNo != int64(m.opts.DiskNumber) {
 		return false, nil
 	}
 	var write bool
-	switch typ := trimBytes(m.fields[3]); {
+	switch typ := trimBytes(line[e2+1 : e3]); {
 	case equalFoldASCII(typ, "read"):
 		write = false
 	case equalFoldASCII(typ, "write"):
 		write = true
 	default:
-		return false, m.errf("type %q", m.fields[3])
+		return false, m.errf("type %q", line[e2+1:e3])
 	}
-	offset, okv := parseIntBytes(m.fields[4])
-	if !okv || offset < 0 {
-		return false, m.errf("offset %q", m.fields[4])
+	if !okOffset || offset < 0 {
+		return false, m.errf("offset %q", line[e3+1:e4])
 	}
-	size, okv := parseIntBytes(m.fields[5])
-	if !okv || size <= 0 || size > math.MaxInt64-511 {
-		return false, m.errf("size %q", m.fields[5])
+	if !okSize || size <= 0 || size > math.MaxInt64-511 {
+		return false, m.errf("size %q", line[e4+1:e5])
 	}
 	lba := offset / 512
 	sectors := (size + 511) / 512
@@ -171,6 +187,11 @@ func (m *MSRSource) parseLine(line []byte, rec *Record) (ok bool, err error) {
 		m.maxEnd = end
 	}
 	return true, nil
+}
+
+// short reports a line that ended after n < 6 fields.
+func (m *MSRSource) short(n int) error {
+	return m.errf("want >= 6 fields, got %d", n)
 }
 
 // errf builds a line-annotated ErrBadFormat.

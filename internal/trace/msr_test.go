@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"strings"
@@ -118,5 +119,80 @@ func TestReadMSRToleratesCommentsAndBlanks(t *testing.T) {
 	}
 	if len(tr.Records) != 1 {
 		t.Fatalf("records = %d", len(tr.Records))
+	}
+}
+
+// tpcMSR renders a TPC-C-style stream as MSR CSV the way the replay
+// benchmarks fabricate their files: TPCdisk66 uplifted ×4 onto a 300 GB
+// drive (so offsets run to 12 digits), written by WriteMSR.
+func tpcMSR(tb testing.TB, dur time.Duration) []byte {
+	tb.Helper()
+	tpc, ok := ByName("TPCdisk66")
+	if !ok {
+		tb.Fatal("catalog has no TPCdisk66")
+	}
+	up, err := Uplift(tpc.Source(1, dur), UpliftOptions{Profile: ProfileHDD300, TimeScale: 4, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteMSR(&buf, up, "tpcc", 66); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkMSRDecode measures the streaming MSR decoder per record
+// (ns/op is ns per record) over about 21k TPC-style lines, rewinding
+// the source whenever it drains.
+func BenchmarkMSRDecode(b *testing.B) {
+	data := tpcMSR(b, 30*time.Second)
+	src := NewMSRSource(bytes.NewReader(data), MSROptions{DiskNumber: -1})
+	n, _, err := Count(src)
+	if err != nil || n == 0 {
+		b.Fatalf("fixture: %d records, err %v", n, err)
+	}
+	b.SetBytes(int64(len(data)) / n)
+	b.ReportAllocs()
+	var rec Record
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Next(&rec); err != nil {
+			if err != io.EOF {
+				b.Fatal(err)
+			}
+			if err := src.Reset(); err != nil {
+				b.Fatal(err)
+			}
+			i--
+		}
+	}
+}
+
+// TestMSRSourceSteadyStateAllocs pins the decoder's accept path: after
+// warm-up, a full pass over a TPC-style file, filters on, allocates
+// nothing per record.
+func TestMSRSourceSteadyStateAllocs(t *testing.T) {
+	data := tpcMSR(t, 2*time.Second)
+	src := NewMSRSource(bytes.NewReader(data), MSROptions{Hostname: "TPCC", DiskNumber: 66})
+	want, _, err := Count(src)
+	if err != nil || want == 0 {
+		t.Fatalf("fixture: %d records, err %v", want, err)
+	}
+	var rec Record
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := src.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		n := int64(0)
+		for src.Next(&rec) == nil {
+			n++
+		}
+		if n != want {
+			t.Fatalf("pass read %d records, want %d", n, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per pass over %d records, want 0", allocs, want)
 	}
 }

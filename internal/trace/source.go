@@ -86,12 +86,14 @@ func (s *SliceSource) Len() int { return len(s.recs) }
 
 // ReadAll drains a source into a materialized *Trace. It resets the
 // source first when possible, so a partially consumed resettable source
-// still yields the full trace.
+// still yields the full trace. Name and DiskSectors are read after the
+// drain, since a decoder may learn either from the stream (a native
+// CSV's "# trace:" metadata line).
 func ReadAll(src Source) (*Trace, error) {
 	if err := src.Reset(); err != nil && err != ErrNotResettable {
 		return nil, err
 	}
-	t := &Trace{Name: src.Name()}
+	t := &Trace{}
 	var rec Record
 	for {
 		err := src.Next(&rec)
@@ -103,6 +105,7 @@ func ReadAll(src Source) (*Trace, error) {
 		}
 		t.Records = append(t.Records, rec)
 	}
+	t.Name = src.Name()
 	t.DiskSectors = src.DiskSectors()
 	if t.DiskSectors == 0 {
 		for _, r := range t.Records {

@@ -10,9 +10,12 @@ import (
 // Byte-level line scanning shared by the streaming text parsers (native
 // CSV, MSR-Cambridge, HP Cello/SRT). The goal is constant memory and no
 // per-line allocations: lines are served out of the bufio buffer when
-// they fit, fields are sliced in place, and numbers parse straight from
-// bytes. Real SNIA exports are Windows-generated, so the reader strips a
-// UTF-8 BOM from the first line and a trailing CR from every line.
+// they fit, fields are sliced in place (splitByte/splitSpace for the
+// native and Cello decoders; the MSR decoder cuts its six fields and
+// parses their digits in one pass with scanIntField), and numbers parse
+// straight from bytes. Real SNIA exports are Windows-generated, so the
+// reader strips a UTF-8 BOM from the first line and a trailing CR from
+// every line.
 
 // maxLineLen bounds a single trace line; anything longer is corruption,
 // not data.
@@ -120,9 +123,39 @@ func trimBytes(b []byte) []byte {
 	return b
 }
 
+// maxFastDigits is the longest run of plain digits that parses without
+// an overflow check: 10^18-1 < 2^63-1, so 18 decimal digits always fit
+// an int64.
+const maxFastDigits = 18
+
+// leadingDigits returns the value and length of b's leading run of
+// decimal digits. The value is exact only for runs of up to
+// maxFastDigits; callers take the checked path for anything longer.
+func leadingDigits(b []byte) (v int64, n int) {
+	for ; n < len(b); n++ {
+		d := b[n] - '0'
+		if d > 9 {
+			break
+		}
+		v = v*10 + int64(d)
+	}
+	return v, n
+}
+
 // parseIntBytes parses a base-10 signed integer without allocating,
-// rejecting empty input, stray characters and int64 overflow.
+// rejecting empty input, stray characters and int64 overflow. A field of
+// 1–18 plain digits, the common case, skips the per-digit overflow
+// check; anything else takes parseIntChecked.
 func parseIntBytes(b []byte) (int64, bool) {
+	if v, n := leadingDigits(b); n == len(b) && n > 0 && n <= maxFastDigits {
+		return v, true
+	}
+	return parseIntChecked(b)
+}
+
+// parseIntChecked is parseIntBytes' general path: surrounding spaces and
+// tabs, a sign, and a per-digit overflow check.
+func parseIntChecked(b []byte) (int64, bool) {
 	b = trimBytes(b)
 	neg := false
 	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
@@ -147,6 +180,37 @@ func parseIntBytes(b []byte) (int64, bool) {
 		v = -v
 	}
 	return v, true
+}
+
+// scanIntField parses the comma-ended field of line that starts at i as
+// a base-10 int64, in the same pass that finds its end: end is the index
+// of the comma closing the field, or len(line) when the field runs to
+// the end of the line. It accepts and rejects exactly what parseIntBytes
+// does on line[i:end]: a field of 1–18 plain digits is parsed as it is
+// cut, and any other field is cut at its comma and takes
+// parseIntChecked.
+//
+//scrub:hotpath
+func scanIntField(line []byte, i int) (v int64, ok bool, end int) {
+	v, n := leadingDigits(line[i:])
+	end = i + n
+	if n > 0 && n <= maxFastDigits && (end == len(line) || line[end] == ',') {
+		return v, true, end
+	}
+	end = cutField(line, end)
+	v, ok = parseIntChecked(line[i:end])
+	return v, ok, end
+}
+
+// cutField returns the index of the first comma in line at or after i,
+// or len(line) when there is none.
+//
+//scrub:hotpath
+func cutField(line []byte, i int) int {
+	for i < len(line) && line[i] != ',' {
+		i++
+	}
+	return i
 }
 
 // parseFloatBytes parses a plain fixed-notation float (the shape of SRT
@@ -243,13 +307,12 @@ func equalFoldASCII(b []byte, s string) bool {
 	}
 	for i := 0; i < len(b); i++ {
 		c, d := b[i], s[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
+		if c == d {
+			continue
 		}
-		if 'A' <= d && d <= 'Z' {
-			d += 'a' - 'A'
-		}
-		if c != d {
+		// Unequal bytes match only as the two cases of one letter: they
+		// differ in the case bit alone, and setting it gives a-z.
+		if lc := c | 0x20; lc != d|0x20 || lc < 'a' || lc > 'z' {
 			return false
 		}
 	}

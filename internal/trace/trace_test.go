@@ -22,13 +22,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	src := NewNativeSource(&buf)
-	out, err := ReadAll(src)
+	out, err := ReadAll(NewNativeSource(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Name() != in.Name || out.DiskSectors != in.DiskSectors {
-		t.Fatalf("meta = %q/%d", src.Name(), out.DiskSectors)
+	if out.Name != in.Name || out.DiskSectors != in.DiskSectors {
+		t.Fatalf("meta = %q/%d", out.Name, out.DiskSectors)
 	}
 	if len(out.Records) != len(in.Records) {
 		t.Fatalf("got %d records", len(out.Records))
