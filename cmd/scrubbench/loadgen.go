@@ -13,7 +13,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/benchcmp"
@@ -27,8 +26,8 @@ import (
 // networking:
 //
 //  1. Feed phase: -devices synthetic devices, -records feed records
-//     each, POSTed in batches by -clients concurrent feeders (429
-//     backpressure answered by draining /v1/sync, then retrying).
+//     each, POSTed in batches by -clients concurrent feeders. Each
+//     POST returns once its records are applied.
 //  2. Query phase: -queries GET /v1/decide calls from -clients
 //     concurrent clients; every request's latency is kept, and the
 //     merged, sorted samples give nearest-rank p50/p90/p99.
@@ -111,8 +110,6 @@ func runLoadgen(cfg loadgenConfig, quick bool, progress io.Writer) (*benchcmp.Ru
 	}
 
 	eng := scrubd.NewEngine(scrubd.Config{Shards: cfg.shards})
-	eng.Start()
-	defer eng.Close()
 	srv := scrubd.NewServer(eng, scrubd.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -150,7 +147,6 @@ func runLoadgen(cfg loadgenConfig, quick bool, progress io.Writer) (*benchcmp.Ru
 func loadgenFeed(cfg loadgenConfig, client *http.Client, base string, progress io.Writer) (benchcmp.Result, []int64, error) {
 	res := benchcmp.Result{Name: "loadgen/feed"}
 	lastAt := make([]int64, cfg.devices)
-	var firedBackpressure atomic.Int64
 
 	const batchDevs = 64 // devices per POST body
 	type job struct{ lo, hi int }
@@ -186,7 +182,7 @@ func loadgenFeed(cfg loadgenConfig, client *http.Client, base string, progress i
 					lastAt[i] = at
 				}
 				body.WriteString(`]}`)
-				if err := loadgenPost(client, base+"/v1/feed", body.Bytes(), &firedBackpressure); err != nil {
+				if err := loadgenPost(client, base+"/v1/feed", body.Bytes()); err != nil {
 					errs <- err
 					return
 				}
@@ -207,65 +203,33 @@ func loadgenFeed(cfg loadgenConfig, client *http.Client, base string, progress i
 		return res, nil, err
 	default:
 	}
-	if err := loadgenSync(client, base); err != nil {
-		return res, nil, err
-	}
 	elapsed := time.Since(start)
 
 	total := cfg.devices * cfg.records
 	res.NsPerOp = float64(elapsed.Nanoseconds())
 	res.EventsPerSec = float64(total) / elapsed.Seconds()
 	res.Extra = map[string]float64{
-		"devices":      float64(cfg.devices),
-		"records":      float64(total),
-		"clients":      float64(cfg.clients),
-		"backpressure": float64(firedBackpressure.Load()),
+		"devices": float64(cfg.devices),
+		"records": float64(total),
+		"clients": float64(cfg.clients),
 	}
 	if progress != nil {
-		fmt.Fprintf(progress, "loadgen/feed   %8d devices %9d records %12.0f records/sec (%d backpressure)\n",
-			cfg.devices, total, res.EventsPerSec, firedBackpressure.Load())
+		fmt.Fprintf(progress, "loadgen/feed   %8d devices %9d records %12.0f records/sec\n",
+			cfg.devices, total, res.EventsPerSec)
 	}
 	return res, lastAt, nil
 }
 
-// loadgenPost sends one feed batch, answering 429 backpressure by
-// draining the queues via /v1/sync and resending. The engine's stale
-// drop makes resending the full body safe: already-applied records are
-// idempotently ignored.
-func loadgenPost(client *http.Client, url string, body []byte, backpressure *atomic.Int64) error {
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return nil
-		case http.StatusTooManyRequests:
-			if attempt > 50 {
-				return fmt.Errorf("feed: backpressure persisted for %d retries", attempt)
-			}
-			backpressure.Add(1)
-			if err := loadgenSync(client, url[:len(url)-len("/v1/feed")]); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("feed: unexpected status %d", resp.StatusCode)
-		}
-	}
-}
-
-func loadgenSync(client *http.Client, base string) error {
-	resp, err := client.Post(base+"/v1/sync", "application/json", nil)
+// loadgenPost sends one feed batch.
+func loadgenPost(client *http.Client, url string, body []byte) error {
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("sync: unexpected status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("feed: unexpected status %d", resp.StatusCode)
 	}
 	return nil
 }
@@ -352,10 +316,10 @@ func nearestRank(sorted []time.Duration, q float64) time.Duration {
 }
 
 // loadgenDeterminism replays a slice of the synthetic feed twice
-// through fresh engines — single batch vs. many small batches, applied
-// manually — and fails the run unless decision encodings and metric
-// snapshots are byte-identical. The same invariant the scrubd test
-// battery pins, checked here against this binary's actual workload.
+// through fresh engines — single batch vs. many small batches — and
+// fails the run unless decision encodings and metric snapshots are
+// byte-identical. The same invariant the scrubd test battery pins,
+// checked here against this binary's actual workload.
 func loadgenDeterminism(cfg loadgenConfig) error {
 	devs := cfg.devices
 	if devs > 1000 {
@@ -366,16 +330,9 @@ func loadgenDeterminism(cfg loadgenConfig) error {
 		var recs []scrubd.Record
 		nameBuf := make([]byte, 0, 16)
 		flush := func() error {
-			for len(recs) > 0 {
-				n, err := eng.IngestBatch(recs)
-				eng.ApplyQueued()
-				if err != nil {
-					return err
-				}
-				recs = recs[n:]
-			}
+			_, err := eng.IngestBatch(recs)
 			recs = recs[:0]
-			return nil
+			return err
 		}
 		last := make([]int64, devs)
 		for i := 0; i < devs; i++ {

@@ -1,8 +1,9 @@
 // Command scrubd serves the paper's scrub-scheduling policies as a
 // long-running daemon. It ingests batched per-device I/O feed records
 // over HTTP (POST /v1/feed), folds them into online idle statistics
-// and incrementally refitted AR models, and answers scrub-decision
-// queries (GET /v1/decide?dev=sda&now_us=...) with scrub-now / wait
+// and incrementally refitted AR models before it answers the feed
+// request, and serves scrub-decision queries
+// (GET /v1/decide?dev=sda&now_us=...) with scrub-now / wait
 // verdicts and suggested request sizes. Metrics export on /metrics in
 // the Prometheus text format (or ?format=json|csv).
 //
@@ -14,9 +15,9 @@
 // Usage:
 //
 //	scrubd [-listen 127.0.0.1:9477] [-checkpoint state.ckpt] [-resume]
-//	       [-shards 8] [-queue-cap 65536] [-wait-threshold 500ms]
-//	       [-ar-threshold 2s] [-max-order 8] [-refit-every 64]
-//	       [-min-gaps 16] [-scrub-rate 67108864] [-checkpoint-every 0]
+//	       [-shards 8] [-wait-threshold 500ms] [-ar-threshold 2s]
+//	       [-max-order 8] [-refit-every 64] [-min-gaps 16]
+//	       [-scrub-rate 67108864] [-checkpoint-every 0]
 //
 // With -checkpoint set, POST /v1/checkpoint writes the state file
 // atomically, -checkpoint-every adds a periodic write, and a final
@@ -60,7 +61,6 @@ func main() {
 	ckptEvery := flag.Duration("checkpoint-every", 0, "write a checkpoint this often (0 disables periodic checkpoints)")
 	resume := flag.Bool("resume", false, "restore state from -checkpoint at startup when the file exists")
 	shards := flag.Int("shards", 0, "device shards (0 = default)")
-	queueCap := flag.Int("queue-cap", 0, "per-shard feed queue capacity in records (0 = default)")
 	waitThr := flag.Duration("wait-threshold", 0, "Waiting policy idle threshold (0 = default)")
 	arThr := flag.Duration("ar-threshold", 0, "AR policy predicted-idle threshold (0 = default)")
 	maxOrder := flag.Int("max-order", 0, "max AR order for AIC selection (0 = default)")
@@ -73,7 +73,6 @@ func main() {
 
 	cfg := scrubd.Config{
 		Shards:        *shards,
-		QueueCap:      *queueCap,
 		WaitThreshold: *waitThr,
 		ARThreshold:   *arThr,
 		MaxOrder:      *maxOrder,
@@ -101,7 +100,6 @@ func main() {
 	if eng == nil {
 		eng = scrubd.NewEngine(cfg)
 	}
-	eng.Start()
 
 	srv := scrubd.NewServer(eng, scrubd.ServerConfig{
 		MaxBodyBytes:   *maxBody,

@@ -224,3 +224,40 @@ func TestResumeForgedLength(t *testing.T) {
 		t.Fatalf("forged length allocated %d bytes", grew)
 	}
 }
+
+// FuzzResume drives Resume with arbitrary bytes, seeded from the
+// fixture and its truncations: it must reject damage with an error,
+// never panic or over-allocate, and whatever it accepts must checkpoint
+// and resume again at the same slice boundary.
+func FuzzResume(f *testing.F) {
+	good, err := os.ReadFile("testdata/fleet.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	forged := append([]byte(checkpointMagic), 0xFF, 0xFF, 0xFF, 0xF0)
+	forged = append(forged, make([]byte, 16)...)
+	for _, s := range [][]byte{
+		good, good[:len(good)-1], good[:len(good)-4], good[:len(good)/2],
+		good[:len(checkpointMagic)+4], good[:len(checkpointMagic)], forged, {},
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := Resume(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+		}
+		again, err := Resume(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint rejected: %v", err)
+		}
+		if again.Now() != e.Now() || len(again.slots) != len(e.slots) {
+			t.Fatalf("round trip moved the fleet: now %v -> %v, %d -> %d members",
+				e.Now(), again.Now(), len(e.slots), len(again.slots))
+		}
+	})
+}

@@ -15,7 +15,9 @@ var contentTypes = map[string]string{
 // any other export format. snap is called once per request; it is the
 // caller's job to make that call safe against concurrent writers (e.g.
 // snapshotting per-shard registries under their locks and merging).
-func Handler(snap func() Snapshot) http.Handler {
+// When snap fails the handler answers 500 with the error, rather than
+// serving an empty or partial snapshot.
+func Handler(snap func() (Snapshot, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET, HEAD")
@@ -31,6 +33,11 @@ func Handler(snap func() Snapshot) http.Handler {
 			http.Error(w, "unknown format "+format, http.StatusBadRequest)
 			return
 		}
+		s, err := snap()
+		if err != nil {
+			http.Error(w, "metrics snapshot: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", ct)
 		if r.Method == http.MethodHead {
 			return
@@ -38,6 +45,6 @@ func Handler(snap func() Snapshot) http.Handler {
 		// Snapshot exports are deterministic and small; render errors
 		// here can only be transport errors, which the client sees
 		// directly.
-		_ = snap().WriteTo(w, format)
+		_ = s.WriteTo(w, format)
 	})
 }

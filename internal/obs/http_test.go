@@ -2,12 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
 func TestHandlerFormats(t *testing.T) {
-	h := Handler(func() Snapshot { return goldenRegistry().Snapshot() })
+	h := Handler(func() (Snapshot, error) { return goldenRegistry().Snapshot(), nil })
 	cases := []struct {
 		url, wantCT string
 	}{
@@ -43,7 +45,7 @@ func TestHandlerFormats(t *testing.T) {
 }
 
 func TestHandlerErrors(t *testing.T) {
-	h := Handler(func() Snapshot { return Snapshot{} })
+	h := Handler(func() (Snapshot, error) { return Snapshot{}, nil })
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=xml", nil))
@@ -64,5 +66,27 @@ func TestHandlerErrors(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("HEAD", "/metrics", nil))
 	if rec.Code != 200 || rec.Body.Len() != 0 {
 		t.Fatalf("HEAD: status %d body %d bytes, want 200 and empty", rec.Code, rec.Body.Len())
+	}
+}
+
+// TestHandlerSnapshotError requires a failed snapshot to surface as a
+// 500 naming the failure, for GET and HEAD alike, and never as a 200
+// with an empty or partial export.
+func TestHandlerSnapshotError(t *testing.T) {
+	h := Handler(func() (Snapshot, error) {
+		return goldenRegistry().Snapshot(), errors.New("merge: kind mismatch")
+	})
+	for _, method := range []string{"GET", "HEAD"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, "/metrics?format=json", nil))
+		if rec.Code != 500 {
+			t.Fatalf("%s: status %d, want 500", method, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
+			t.Fatalf("%s: failed scrape served as %q", method, ct)
+		}
+		if method == "GET" && !strings.Contains(rec.Body.String(), "merge: kind mismatch") {
+			t.Fatalf("GET: body %q does not name the failure", rec.Body.String())
+		}
 	}
 }

@@ -42,9 +42,8 @@ type checkpoint struct {
 }
 
 // Checkpoint serializes the engine's device table and metrics,
-// returning the bytes written. Call Sync (or ApplyQueued) first:
-// queued-but-unapplied records are not part of a checkpoint, only
-// applied state is.
+// returning the bytes written. Every batch whose IngestBatch call has
+// returned is part of it.
 func (e *Engine) Checkpoint(w io.Writer) (int64, error) {
 	ck := checkpoint{Version: checkpointVersion, Cfg: e.cfg}
 	for _, s := range e.shards {
@@ -97,7 +96,7 @@ func (e *Engine) CheckpointFile(path string) (int64, error) {
 // Restore rebuilds an engine from a checkpoint, verifying magic,
 // length and CRC before decoding anything. The restored engine answers
 // the same decisions and exports the same metrics snapshot as the
-// original did at checkpoint time; call Start to resume ingestion.
+// original did at checkpoint time, and ingests like it from then on.
 func Restore(r io.Reader) (*Engine, error) {
 	body, err := durable.ReadFrame(r, checkpointMagic, nil, math.MaxUint32)
 	if err != nil {

@@ -24,7 +24,6 @@ func buildEngine(t *testing.T, cfg scrubd.Config, seed int64, devices, per int) 
 	if _, err := eng.IngestBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	eng.ApplyQueued()
 	return eng, last
 }
 
@@ -108,7 +107,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if _, err := e.IngestBatch(more); err != nil {
 			t.Fatal(err)
 		}
-		e.ApplyQueued()
 	}
 	if a, b := decisions(t, eng, last2), decisions(t, restored, last2); !bytes.Equal(a, b) {
 		t.Fatal("decisions diverged after post-restore feeding")
@@ -171,34 +169,53 @@ func TestCheckpointRejectsDamage(t *testing.T) {
 	})
 }
 
-// TestCheckpointFixture pins the on-disk format to a checkpoint written
-// before the frame codec moved into internal/durable (commit f6d77a3):
-// the same engine encodes to the same bytes, the file restores to the
-// same decisions, and every strict prefix is rejected.
+// TestCheckpointFixture pins the on-disk format with two fixtures of
+// the same engine. scrubd.ckpt was written before the frame codec moved
+// into internal/durable (commit f6d77a3) and still carries the dropped
+// Config.QueueCap field: it must restore to the same decisions and the
+// same metrics snapshot. scrubd-noqueuecap.ckpt pins today's encoding
+// byte for byte (regenerate with go test -run TestCheckpointFixture
+// -update). Every strict prefix of either file is rejected.
 func TestCheckpointFixture(t *testing.T) {
-	const fixture = "testdata/scrubd.ckpt"
-	want, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const legacy, current = "testdata/scrubd.ckpt", "testdata/scrubd-noqueuecap.ckpt"
 	eng, last := buildEngine(t, scrubd.Config{Shards: 2, MinGaps: 4}, 5, 6, 12)
 	var buf bytes.Buffer
 	if _, err := eng.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("checkpoint encodes to %d bytes that differ from the %d-byte fixture", buf.Len(), len(want))
+	if *update {
+		if err := os.WriteFile(current, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	restored, err := scrubd.RestoreFile(fixture)
+	want, err := os.ReadFile(current)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := decisions(t, eng, last), decisions(t, restored, last); !bytes.Equal(a, b) {
-		t.Fatal("fixture-restored decisions differ")
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("checkpoint encodes to %d bytes that differ from the %d-byte fixture", buf.Len(), len(want))
 	}
-	for n := range want {
-		if _, err := scrubd.Restore(bytes.NewReader(want[:n])); err == nil {
-			t.Fatalf("prefix of %d bytes accepted", n)
+	wantSnap := snapJSON(t, eng)
+	wantDec := decisions(t, eng, last)
+	for _, fixture := range []string{legacy, current} {
+		restored, err := scrubd.RestoreFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snapJSON(t, restored); got != wantSnap {
+			t.Fatalf("%s: restored metrics snapshot differs:\n%s\nvs\n%s", fixture, got, wantSnap)
+		}
+		if got := decisions(t, restored, last); !bytes.Equal(got, wantDec) {
+			t.Fatalf("%s: restored decisions differ", fixture)
+		}
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := range data {
+			if _, err := scrubd.Restore(bytes.NewReader(data[:n])); err == nil {
+				t.Fatalf("%s: prefix of %d bytes accepted", fixture, n)
+			}
 		}
 	}
 }
@@ -254,7 +271,6 @@ func TestCheckpointFileOrdersWriters(t *testing.T) {
 	if _, err := eng.IngestBatch(recs[:half]); err != nil {
 		t.Fatal(err)
 	}
-	eng.ApplyQueued()
 	fs := &stallFS{FS: durable.OS, stalled: make(chan struct{}), release: make(chan struct{})}
 	scrubd.SetCheckpointFS(eng, fs)
 	path := filepath.Join(t.TempDir(), "scrubd.ckpt")
@@ -268,7 +284,6 @@ func TestCheckpointFileOrdersWriters(t *testing.T) {
 	if _, err := eng.IngestBatch(recs[half:]); err != nil {
 		t.Fatal(err)
 	}
-	eng.ApplyQueued()
 	var want bytes.Buffer
 	if _, err := eng.Checkpoint(&want); err != nil {
 		t.Fatal(err)
@@ -319,7 +334,11 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, s := range [][]byte{good, good[:len(good)-3], good[:11], forgedLength(), {}} {
+	current, err := os.ReadFile("testdata/scrubd-noqueuecap.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range [][]byte{good, good[:len(good)-3], good[:11], forgedLength(), {}, current} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,7 +2,6 @@ package scrubd_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -40,9 +39,8 @@ func genRecords(seed int64, devices, per int) ([]scrubd.Record, []int64) {
 	return recs, last
 }
 
-// replay feeds recs through a fresh engine in batches of batch records
-// (manual apply: no applier goroutines, fully deterministic), then
-// queries every device at three idle offsets and returns the
+// replay feeds recs through a fresh engine in batches of batch records,
+// then queries every device at three idle offsets and returns the
 // concatenated decision encodings plus the metrics snapshot JSON.
 func replay(t *testing.T, cfg scrubd.Config, recs []scrubd.Record, last []int64, batch int) ([]byte, string) {
 	t.Helper()
@@ -53,12 +51,10 @@ func replay(t *testing.T, cfg scrubd.Config, recs []scrubd.Record, last []int64,
 		if n > len(rest) {
 			n = len(rest)
 		}
-		acc, err := eng.IngestBatch(rest[:n])
-		if err != nil && !errors.Is(err, scrubd.ErrBackpressure) {
+		if _, err := eng.IngestBatch(rest[:n]); err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
-		eng.ApplyQueued()
-		rest = rest[acc:]
+		rest = rest[n:]
 	}
 	var dec scrubd.Decision
 	var out []byte
@@ -130,7 +126,6 @@ func TestStaleRecordsIdempotent(t *testing.T) {
 	if _, err := eng.IngestBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	eng.ApplyQueued()
 	var before scrubd.Decision
 	if err := eng.Decide([]byte("d0000"), last[0]+100_000, &before); err != nil {
 		t.Fatal(err)
@@ -139,7 +134,6 @@ func TestStaleRecordsIdempotent(t *testing.T) {
 	if _, err := eng.IngestBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	eng.ApplyQueued()
 	var after scrubd.Decision
 	if err := eng.Decide([]byte("d0000"), last[0]+100_000, &after); err != nil {
 		t.Fatal(err)
@@ -169,38 +163,9 @@ func TestStaleRecordsIdempotent(t *testing.T) {
 	}
 }
 
-// TestBackpressure pins the bounded-queue contract: a full shard queue
-// reports ErrBackpressure with a partial accept count, and the
-// remainder ingests cleanly after a drain.
-func TestBackpressure(t *testing.T) {
-	eng := scrubd.NewEngine(scrubd.Config{Shards: 1, QueueCap: 8})
-	recs := make([]scrubd.Record, 16)
-	for i := range recs {
-		recs[i] = scrubd.Record{Dev: []byte("sda"), AtUs: int64(i + 1), Bytes: 1}
-	}
-	n, err := eng.IngestBatch(recs)
-	if !errors.Is(err, scrubd.ErrBackpressure) {
-		t.Fatalf("err = %v, want ErrBackpressure", err)
-	}
-	if n != 8 {
-		t.Fatalf("accepted %d, want 8", n)
-	}
-	if eng.Pending() != 8 {
-		t.Fatalf("pending = %d, want 8", eng.Pending())
-	}
-	if applied := eng.ApplyQueued(); applied != 8 {
-		t.Fatalf("applied %d, want 8", applied)
-	}
-	if n2, err := eng.IngestBatch(recs[n:]); err != nil || n2 != len(recs)-n {
-		t.Fatalf("retry: accepted %d err %v", n2, err)
-	}
-	eng.ApplyQueued()
-	if eng.Pending() != 0 {
-		t.Fatalf("pending = %d after drain", eng.Pending())
-	}
-}
-
-// TestMaxDevices pins the device-table cap.
+// TestMaxDevices pins the device-table cap. A full table rejects only
+// records of new devices: records of known devices in the same batch,
+// before or after the rejected one, are still applied.
 func TestMaxDevices(t *testing.T) {
 	eng := scrubd.NewEngine(scrubd.Config{Shards: 1, MaxDevices: 2})
 	recs := []scrubd.Record{
@@ -216,6 +181,17 @@ func TestMaxDevices(t *testing.T) {
 	if eng.Devices() != 2 {
 		t.Fatalf("devices = %d, want 2", eng.Devices())
 	}
+
+	more := []scrubd.Record{{Dev: []byte("a"), AtUs: 2}, {Dev: []byte("d"), AtUs: 1}, {Dev: []byte("b"), AtUs: 2}}
+	if n, err := eng.IngestBatch(more); !errors.Is(err, scrubd.ErrTooManyDevices) || n != 2 {
+		t.Fatalf("known devices around a rejected one: applied %d err %v, want 2 and ErrTooManyDevices", n, err)
+	}
+	var dec scrubd.Decision
+	for _, dev := range []string{"a", "b"} {
+		if err := eng.Decide([]byte(dev), 0, &dec); err != nil || dec.Gaps != 1 {
+			t.Fatalf("%s: gaps %d err %v, want 1 gap", dev, dec.Gaps, err)
+		}
+	}
 }
 
 // TestClosedEngine pins post-Close behavior: feeding fails typed,
@@ -225,7 +201,6 @@ func TestClosedEngine(t *testing.T) {
 	if _, err := eng.IngestBatch([]scrubd.Record{{Dev: []byte("sda"), AtUs: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Start()
 	eng.Close()
 	if _, err := eng.IngestBatch([]scrubd.Record{{Dev: []byte("sda"), AtUs: 2}}); !errors.Is(err, scrubd.ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -270,7 +245,6 @@ func TestDecisionSemantics(t *testing.T) {
 	if _, err := eng.IngestBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	eng.ApplyQueued()
 
 	var dec scrubd.Decision
 	// Cold device, idle below threshold: hold, warming.
@@ -331,7 +305,6 @@ func TestQueryHotPathZeroAllocs(t *testing.T) {
 	if _, err := eng.IngestBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	eng.ApplyQueued()
 
 	query := fmt.Sprintf("dev=d0000&now_us=%d", last[0]+100_000)
 	var dec scrubd.Decision
@@ -378,7 +351,6 @@ func TestIngestSteadyStateZeroAllocs(t *testing.T) {
 		if _, err := eng.IngestBatch(recs); err != nil {
 			t.Fatal(err)
 		}
-		eng.ApplyQueued()
 	}
 	for i := 0; i < 64; i++ {
 		feed() // warm: create devices, size pools, reach steady refits
@@ -388,20 +360,19 @@ func TestIngestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentFeedDecide exercises the started engine under
-// concurrent feeders, deciders and snapshotters; run under -race this
-// is the data-race battery. Accounting must still be exact.
+// TestConcurrentFeedDecide exercises the engine under concurrent
+// feeders, deciders and snapshotters; run under -race this is the
+// data-race battery. Accounting must still be exact.
 func TestConcurrentFeedDecide(t *testing.T) {
 	const feeders, perFeeder, perDev = 4, 200, 10
-	eng := scrubd.NewEngine(scrubd.Config{Shards: 4, QueueCap: 256, MinGaps: 4, RefitEvery: 8})
-	eng.Start()
+	eng := scrubd.NewEngine(scrubd.Config{Shards: 4, MinGaps: 4, RefitEvery: 8})
 
-	var wg sync.WaitGroup
+	var feedWG, wg sync.WaitGroup
 	errc := make(chan error, feeders+3)
 	for f := 0; f < feeders; f++ {
-		wg.Add(1)
+		feedWG.Add(1)
 		go func(f int) {
-			defer wg.Done()
+			defer feedWG.Done()
 			batch := make([]scrubd.Record, 0, perDev)
 			for d := 0; d < perFeeder; d++ {
 				name := []byte(fmt.Sprintf("f%d-d%03d", f, d))
@@ -409,14 +380,9 @@ func TestConcurrentFeedDecide(t *testing.T) {
 				for j := 0; j < perDev; j++ {
 					batch = append(batch, scrubd.Record{Dev: name, AtUs: int64(1 + j*10_000), Bytes: 1})
 				}
-				rest := batch
-				for len(rest) > 0 {
-					n, err := eng.IngestBatch(rest)
-					rest = rest[n:]
-					if err != nil && !errors.Is(err, scrubd.ErrBackpressure) {
-						errc <- err
-						return
-					}
+				if _, err := eng.IngestBatch(batch); err != nil {
+					errc <- err
+					return
 				}
 			}
 		}(f)
@@ -458,18 +424,9 @@ func TestConcurrentFeedDecide(t *testing.T) {
 		}
 	}()
 
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := eng.Sync(ctx); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
+	feedWG.Wait()
 	close(stop)
-	<-done
+	wg.Wait()
 	select {
 	case err := <-errc:
 		t.Fatal(err)
@@ -495,20 +452,70 @@ func TestConcurrentFeedDecide(t *testing.T) {
 	}
 }
 
-// TestSyncContext pins Sync's cancellation path: with no appliers
-// running and records pending, Sync must return the context error.
-func TestSyncContext(t *testing.T) {
-	eng := scrubd.NewEngine(scrubd.Config{Shards: 1})
-	if _, err := eng.IngestBatch([]scrubd.Record{{Dev: []byte("sda"), AtUs: 1}}); err != nil {
+// TestInvalidRecordAppliesNothing requires a batch to be validated as a
+// whole: an invalid record at index 2 rejects the batch before any of
+// it, even the records in front of it, reaches a device.
+func TestInvalidRecordAppliesNothing(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		eng := scrubd.NewEngine(scrubd.Config{Shards: shards})
+		recs := []scrubd.Record{
+			{Dev: []byte("sda"), AtUs: 1},
+			{Dev: []byte("sdb"), AtUs: 1},
+			{Dev: []byte("sdc"), AtUs: 0}, // invalid: non-positive timestamp
+			{Dev: []byte("sda"), AtUs: 2},
+		}
+		n, err := eng.IngestBatch(recs)
+		if err == nil || n != 0 {
+			t.Fatalf("shards=%d: applied %d err %v, want 0 and an error", shards, n, err)
+		}
+		if eng.Devices() != 0 {
+			t.Fatalf("shards=%d: %d devices created by a rejected batch", shards, eng.Devices())
+		}
+		var dec scrubd.Decision
+		if err := eng.Decide([]byte("sda"), 0, &dec); !errors.Is(err, scrubd.ErrUnknownDevice) {
+			t.Fatalf("shards=%d: decide sda = %v, want ErrUnknownDevice", shards, err)
+		}
+		if got := counter(t, eng, "scrubd.ingest.records"); got != 0 {
+			t.Fatalf("shards=%d: ingest.records = %d, want 0", shards, got)
+		}
+	}
+}
+
+// TestIngestVisibleToDecide requires IngestBatch to apply its records
+// before it returns: a Decide right after it, with no other call in
+// between, sees every gap of the batch.
+func TestIngestVisibleToDecide(t *testing.T) {
+	recs, last := genRecords(13, 6, 20)
+	eng := scrubd.NewEngine(scrubd.Config{Shards: 2, MinGaps: 4, RefitEvery: 8})
+	if n, err := eng.IngestBatch(recs); err != nil || n != len(recs) {
+		t.Fatalf("ingest: applied %d of %d, err %v", n, len(recs), err)
+	}
+	var dec scrubd.Decision
+	for i, lastAt := range last {
+		name := []byte(fmt.Sprintf("d%04d", i))
+		if err := eng.Decide(name, lastAt, &dec); err != nil {
+			t.Fatal(err)
+		}
+		if dec.Gaps != 19 || dec.IdleUs != 0 {
+			t.Fatalf("%s: gaps %d idle %dus, want 19 gaps at idle 0", name, dec.Gaps, dec.IdleUs)
+		}
+	}
+	if n := eng.ApplyQueued(); n != 0 {
+		t.Fatalf("ApplyQueued applied %d records, want 0", n)
+	}
+}
+
+// counter reads one counter from the engine's merged snapshot.
+func counter(t *testing.T, eng *scrubd.Engine, name string) int64 {
+	t.Helper()
+	snap, err := eng.ObsSnapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := eng.Sync(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sync = %v, want context.Canceled", err)
+	for _, c := range snap.Counters {
+		if c.Name == name {
+			return c.Value
+		}
 	}
-	eng.ApplyQueued()
-	if err := eng.Sync(context.Background()); err != nil {
-		t.Fatalf("sync after drain: %v", err)
-	}
+	return 0
 }

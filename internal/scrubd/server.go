@@ -31,7 +31,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 //
 //	POST /v1/feed        batched feed records
 //	GET  /v1/decide      scrub decision for one device
-//	POST /v1/sync        block until the feed queues drain
+//	POST /v1/sync        204 at once: a feed is applied before it answers
 //	POST /v1/checkpoint  write a checkpoint file
 //	GET  /metrics        obs export (prom/json/csv)
 //	GET  /healthz        liveness
@@ -50,7 +50,6 @@ type Server struct {
 	regMu    sync.Mutex
 	reg      *obs.Registry
 	gDevices *obs.Gauge
-	gPending *obs.Gauge
 
 	bufs sync.Pool // *[]byte: response bodies and feed bodies
 	recs sync.Pool // *[]Record: decoded feed batches
@@ -60,7 +59,6 @@ type Server struct {
 func NewServer(eng *Engine, cfg ServerConfig) *Server {
 	s := &Server{eng: eng, cfg: cfg.withDefaults(), mux: http.NewServeMux(), reg: obs.New()}
 	s.gDevices = s.reg.Gauge("scrubd.server.devices")
-	s.gPending = s.reg.Gauge("scrubd.server.queue_pending")
 	s.bufs.New = func() any { b := make([]byte, 0, 4096); return &b }
 	s.recs.New = func() any { r := make([]Record, 0, 256); return &r }
 	s.mux.HandleFunc("/v1/feed", s.handleFeed)
@@ -76,22 +74,18 @@ func NewServer(eng *Engine, cfg ServerConfig) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // scrape merges the engine's deterministic snapshot with the server's
-// operational gauges.
-func (s *Server) scrape() obs.Snapshot {
+// operational gauges. A failure of either step is returned, never
+// served as an empty or partial snapshot.
+func (s *Server) scrape() (obs.Snapshot, error) {
 	eng, err := s.eng.ObsSnapshot()
 	if err != nil {
-		return obs.Snapshot{}
+		return obs.Snapshot{}, err
 	}
 	s.regMu.Lock()
 	s.gDevices.Set(s.eng.Devices())
-	s.gPending.Set(s.eng.Pending())
 	op := s.reg.Snapshot()
 	s.regMu.Unlock()
-	merged, err := obs.MergeSnapshots(eng, op)
-	if err != nil {
-		return eng
-	}
-	return merged
+	return obs.MergeSnapshots(eng, op)
 }
 
 // writeJSON sends buf with the API content type.
@@ -157,11 +151,10 @@ func (s *Server) readBody(r *http.Request) ([]byte, func(), *APIError) {
 // The static instances feedStatus hands out, so the feed path does not
 // allocate error values.
 var (
-	feedErrBackpressure = &APIError{http.StatusTooManyRequests, "backpressure"}
-	feedErrTooManyDevs  = &APIError{http.StatusInsufficientStorage, "too_many_devices"}
-	feedErrClosed       = &APIError{http.StatusServiceUnavailable, "closed"}
-	feedErrBadRecord    = &APIError{http.StatusBadRequest, "bad_record"}
-	feedErrInternal     = &APIError{http.StatusInternalServerError, "internal"}
+	feedErrTooManyDevs = &APIError{http.StatusInsufficientStorage, "too_many_devices"}
+	feedErrClosed      = &APIError{http.StatusServiceUnavailable, "closed"}
+	feedErrBadRecord   = &APIError{http.StatusBadRequest, "bad_record"}
+	feedErrInternal    = &APIError{http.StatusInternalServerError, "internal"}
 )
 
 // feedStatus maps an engine ingestion error onto a typed response.
@@ -169,8 +162,6 @@ func feedStatus(err error) *APIError {
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, ErrBackpressure):
-		return feedErrBackpressure
 	case errors.Is(err, ErrTooManyDevices):
 		return feedErrTooManyDevs
 	case errors.Is(err, ErrClosed):
@@ -253,19 +244,16 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 var errUnknownDev = &APIError{404, "unknown_device"}
 
+// handleSync answers 204 at once: every feed is applied before its own
+// response, so there is nothing to wait for. The route stays for
+// clients that still call it.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.methodNotAllowed(w, "POST")
 		return
 	}
-	if err := s.eng.Sync(r.Context()); err != nil {
-		s.writeAPIError(w, errSyncCancelled)
-		return
-	}
 	w.WriteHeader(http.StatusNoContent)
 }
-
-var errSyncCancelled = &APIError{http.StatusServiceUnavailable, "sync_cancelled"}
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -2,7 +2,6 @@ package scrubd_test
 
 import (
 	"flag"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -37,12 +36,10 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// newTestServer stands up an engine (with running appliers) behind the
-// full HTTP surface.
+// newTestServer stands up an engine behind the full HTTP surface.
 func newTestServer(t *testing.T, cfg scrubd.Config, scfg scrubd.ServerConfig) (*scrubd.Engine, *httptest.Server) {
 	t.Helper()
 	eng := scrubd.NewEngine(cfg)
-	eng.Start()
 	ts := httptest.NewServer(scrubd.NewServer(eng, scfg).Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -170,73 +167,6 @@ func TestServiceErrors(t *testing.T) {
 				t.Fatalf("body %q missing kind %q", b, c.wantKind)
 			}
 		})
-	}
-}
-
-// TestServiceBackpressure is the slow-consumer battery: with tiny
-// queues and no appliers draining them, feeding must answer 429 with a
-// partial accept count — and report ErrBackpressure at the engine API.
-func TestServiceBackpressure(t *testing.T) {
-	// No Start: records queue but are never applied, like a stalled
-	// consumer.
-	eng := scrubd.NewEngine(scrubd.Config{Shards: 1, QueueCap: 4})
-	ts := httptest.NewServer(scrubd.NewServer(eng, scrubd.ServerConfig{}).Handler())
-	t.Cleanup(ts.Close)
-
-	// body(lo) renders records lo..9 — the retry protocol sends only
-	// the unaccepted remainder.
-	const total = 10
-	body := func(lo int) string {
-		var sb strings.Builder
-		sb.WriteString(`{"records":[`)
-		for i := lo; i < total; i++ {
-			if i > lo {
-				sb.WriteString(",")
-			}
-			sb.WriteString(`{"dev":"sda","at_us":` + strings.Repeat("1", i+1) + `}`)
-		}
-		sb.WriteString(`]}`)
-		return sb.String()
-	}
-
-	code, resp := post(t, ts.URL+"/v1/feed", body(0))
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429 (%s)", code, resp)
-	}
-	if resp != "{\"accepted\":4,\"error\":\"backpressure\"}\n" {
-		t.Fatalf("body %q", resp)
-	}
-
-	// Drain four slots, retry the remainder, repeat: every round makes
-	// progress and the last lands with 200.
-	sent := 4
-	for round := 0; sent < total; round++ {
-		if round > 5 {
-			t.Fatal("backpressure never cleared")
-		}
-		if n := eng.ApplyQueued(); n == 0 {
-			t.Fatal("drain made no progress")
-		}
-		code, resp = post(t, ts.URL+"/v1/feed", body(sent))
-		var acc int
-		if _, err := fmt.Sscanf(resp, `{"accepted":%d`, &acc); err != nil {
-			t.Fatalf("unparsable feed response %q", resp)
-		}
-		sent += acc
-		if code == 200 {
-			continue
-		}
-		if code != http.StatusTooManyRequests {
-			t.Fatalf("retry: status %d (%s)", code, resp)
-		}
-	}
-	eng.ApplyQueued()
-	if eng.Pending() != 0 {
-		t.Fatalf("pending = %d after final drain", eng.Pending())
-	}
-	var dec scrubd.Decision
-	if err := eng.Decide([]byte("sda"), 0, &dec); err != nil || dec.Gaps != total-1 {
-		t.Fatalf("after retries: gaps = %d err %v, want %d", dec.Gaps, err, total-1)
 	}
 }
 
