@@ -23,12 +23,12 @@
 //
 // Two further directives feed the snapshot-integrity analyzers:
 //
-//	//scrublint:transient <reason>  — on a live-struct field, declares the
-//	    field intentionally outside the snapshot (rebuilt, derived, or
-//	    host-side); snapshotdrift requires the reason.
+//	//scrublint:transient <reason>  — on a field beside a component's
+//	    state st (or of a paired live struct), declares the field
+//	    intentionally outside the state; snapshotdrift requires the reason.
 //	//scrublint:snapshot <LiveType> — on a snapshot struct or capture
-//	    method, pairs it with a live struct the State/Snapshot method
-//	    heuristic cannot see (builder-pattern checkpoints, tuple clocks).
+//	    function, pairs it with a live struct that keeps no st field
+//	    (builder-pattern checkpoints, tuple clocks).
 //
 // Analyzers that need a whole-program view (gobsafe walks the type graph
 // reachable from every gob checkpoint root and must see gob.Register

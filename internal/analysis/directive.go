@@ -2,64 +2,23 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"strings"
 )
 
 // Field- and decl-level directives the snapshot-integrity analyzers
 // consume, beyond the shared //scrublint:allow suppression:
 //
-//	//scrublint:transient <reason>  — this live-struct field is
-//	    intentionally not captured by the snapshot companion (rebuilt
-//	    from config, derived, or host-side instrumentation). The reason
-//	    is mandatory; snapshotdrift reports a bare directive.
-//	//scrublint:snapshot <LiveType> — pairs the annotated snapshot
-//	    struct (or capture method) with a live struct the method
-//	    heuristic cannot see.
+//	//scrublint:transient <reason>  — as a live-struct field's doc or
+//	    line comment: the field is intentionally outside the state (wiring,
+//	    configuration, derived, or recorded in its own form at capture).
+//	    The reason is mandatory; snapshotdrift reports a bare directive.
+//	//scrublint:snapshot <LiveType> [field=Capture ...] — pairs the
+//	    annotated snapshot struct (or capture function) with a live struct
+//	    checkpointed without an st field.
 const (
 	transientDirective = "//scrublint:transient"
 	snapshotDirective  = "//scrublint:snapshot"
 )
-
-// lineDirectives scans the files for the given directive prefix and
-// maps filename -> line -> the directive's trailing text (trimmed). A
-// directive is addressed by its own line and, like allow directives, by
-// the line immediately below, so it works trailing or preceding.
-func lineDirectives(fset *token.FileSet, files []*ast.File, prefix string) map[string]map[int]string {
-	out := make(map[string]map[int]string)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, prefix)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				lines := out[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]string)
-					out[pos.Filename] = lines
-				}
-				lines[pos.Line] = strings.TrimSpace(rest)
-			}
-		}
-	}
-	return out
-}
-
-// directiveAt looks a line-addressed directive up at line or the line
-// above (the trailing-comment and preceding-comment conventions).
-func directiveAt(m map[string]map[int]string, filename string, line int) (string, bool) {
-	lines, ok := m[filename]
-	if !ok {
-		return "", false
-	}
-	if text, ok := lines[line]; ok {
-		return text, true
-	}
-	text, ok := lines[line-1]
-	return text, ok
-}
 
 // docDirective extracts the directive's argument from a doc comment
 // group ("" and false when the group carries no such directive).

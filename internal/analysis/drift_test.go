@@ -65,10 +65,11 @@ func dropLinesContaining(data []byte, needle string) []byte {
 }
 
 // TestDeletingSnapshotFieldFailsLint is the acceptance check for
-// snapshotdrift: remove a captured field (HeadCyl) from disk.State —
-// field declaration, capture entry and restore assignment — and the
-// analyzer must flag the now-orphaned live field Disk.headCyl. The
-// unmutated package must stay clean, proving the finding comes from the
+// snapshotdrift: a field dropped from disk.State no longer compiles, so
+// the drift left to catch is a live field added beside Disk.st. Two
+// mutations of the disk package must each be flagged — a plain int64
+// counter with no reason and a pending-event handle — while the
+// unmutated package stays clean, proving each finding comes from the
 // drift, not the fixture.
 func TestDeletingSnapshotFieldFailsLint(t *testing.T) {
 	src := filepath.Join("..", "disk")
@@ -76,21 +77,29 @@ func TestDeletingSnapshotFieldFailsLint(t *testing.T) {
 	if diags := runOn(t, clean, "repro/internal/disk", analysis.SnapshotDriftAnalyzer); len(diags) != 0 {
 		t.Fatalf("unmutated disk package is not clean: %v", diags)
 	}
-	mutated := copyPackage(t, src, func(name string, data []byte) []byte {
-		if name != "snapshot.go" {
-			return data
+	const anchor = "\tst State // live state"
+	for field, mutate := range map[string]func(string) string{
+		"parked": func(s string) string {
+			return strings.Replace(s, anchor, "\tparked int64\n"+anchor, 1)
+		},
+		"retryEv": func(s string) string {
+			s = strings.Replace(s, anchor, "\tretryEv *sim.Event\n"+anchor, 1)
+			return strings.Replace(s, `"repro/internal/obs"`, "\"repro/internal/obs\"\n\t\"repro/internal/sim\"", 1)
+		},
+	} {
+		mutated := copyPackage(t, src, func(name string, data []byte) []byte {
+			if name != "disk.go" {
+				return data
+			}
+			return []byte(mutate(string(data)))
+		})
+		found := false
+		for _, d := range runOn(t, mutated, "repro/internal/disk", analysis.SnapshotDriftAnalyzer) {
+			found = found || strings.Contains(d.Message, "Disk."+field+" sits beside its state st")
 		}
-		return dropLinesContaining(data, "HeadCyl")
-	})
-	diags := runOn(t, mutated, "repro/internal/disk", analysis.SnapshotDriftAnalyzer)
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "Disk.headCyl") && strings.Contains(d.Message, "not captured") {
-			found = true
+		if !found {
+			t.Errorf("adding Disk.%s beside st did not fail lint", field)
 		}
-	}
-	if !found {
-		t.Fatalf("deleting State.HeadCyl did not flag Disk.headCyl; got %v", diags)
 	}
 }
 

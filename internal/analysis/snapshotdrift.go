@@ -1,165 +1,168 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
 // SnapshotDriftAnalyzer enforces the snapshot-completeness invariant
-// behind every checkpoint/restore pair in the simulator: when a live
-// struct has a State/Snapshot companion, every live field must either
-// have a captured counterpart in the companion or carry an explicit
+// behind every checkpoint/restore pair in the simulator. A parkable
+// component keeps its live state in one field, st, whose type is the
+// component's gob-encoded State: a field dropped from the State is a
+// compile error, and a field added to it is captured by the copy that
+// parks the component. What the compiler cannot see is a live field
+// added beside st — it would be silently dropped at park, and the
+// restored simulation would diverge from the uninterrupted one, which is
+// the bug the 1-vs-N-shard determinism batteries exist to catch, found
+// at compile time instead. So every field of a struct that has an st
+// field must either be st, be a func (a prebuilt callback or hook) or an
+// internal/obs instrument (alone or in a slice or array), or carry
 //
 //	//scrublint:transient <reason>
 //
-// directive. The failure mode it guards against is silent: add a field
-// to disk.Disk, forget to mirror it in disk.State, and checkpoint
-// round-trips still succeed — the restored simulation just diverges
-// from the uncheckpointed one, which is exactly the bug the 1-vs-N-shard
-// determinism batteries exist to catch, found at compile time instead.
-//
-// Pairing is heuristic plus directive:
-//
-//   - A method named State or Snapshot on live type L returning a
-//     same-package struct S (directly, behind a pointer, or alongside an
-//     error) pairs L with S, provided the package also declares a
-//     Restore* function or method mentioning L or S — one-way exports
-//     without a restore path (obs snapshots) are not checkpoints.
-//   - //scrublint:snapshot <LiveType> on a struct type pairs it as the
-//     companion of LiveType (builder-pattern checkpoints whose capture
-//     is open-coded, like the fleet and scrubd checkpoint frames).
-//   - //scrublint:snapshot <LiveType> on a function or method whose
-//     results are named pairs LiveType with the result tuple (clock
-//     captures like sim.Simulator.Clock).
-//
-// A live field counts as captured when a companion field matches it
-// case-insensitively: exact match, either-direction prefix (cache →
-// CacheClock), a leading "Has" stripped from the companion (pollEv →
-// HasPoll), or a fold suffix of at least four characters (inflEvKind →
-// EvKind). Everything else must be declared transient, with a reason.
+// as its doc or line comment. Live types checkpointed another way are
+// paired explicitly with //scrublint:snapshot <LiveType> [field=Name ...]
+// on the snapshot struct (every struct field is a capture) or on a
+// capture function (every named result is a capture): then each live
+// field must match a capture by name, case-insensitively, or be renamed
+// onto one in the directive, exempt or transient.
 var SnapshotDriftAnalyzer = &Analyzer{
 	Name: "snapshotdrift",
-	Doc:  "live checkpointed structs must capture every field in their State/Snapshot companion or declare it //scrublint:transient with a reason",
+	Doc:  "fields beside a component's state st, and fields of //scrublint:snapshot-paired live types without a capture, must be funcs, obs instruments or declared transient with a reason",
 	Run:  runSnapshotDrift,
 }
 
-// snapshotPair is one live-struct/companion pairing to audit.
-type snapshotPair struct {
-	live      *types.Named
-	companion string   // display name of the capturing struct or method
-	captures  []string // companion field or result names
+// stateField names the field that holds a component's live State.
+const stateField = "st"
+
+// companion is the capture side of a //scrublint:snapshot pairing.
+type companion struct {
+	name     string          // display name of the snapshot struct or capture function
+	captures map[string]bool // lower-cased captured field names
 }
 
 func runSnapshotDrift(pass *Pass) error {
-	pairs := collectSnapshotPairs(pass)
-	if len(pairs) == 0 {
-		return nil
-	}
-	transients := lineDirectives(pass.Fset, pass.Files, transientDirective)
-
-	// Deterministic report order: by live type name, then field order.
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].live.Obj().Name() != pairs[j].live.Obj().Name() {
-			return pairs[i].live.Obj().Name() < pairs[j].live.Obj().Name()
-		}
-		return pairs[i].companion < pairs[j].companion
-	})
-
-	for _, pr := range pairs {
-		st, ok := pr.live.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if fieldCaptured(f.Name(), pr.captures) {
+	companions := collectCompanions(pass)
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
 				continue
 			}
-			fpos := pass.Fset.Position(f.Pos())
-			if reason, ok := directiveAt(transients, fpos.Filename, fpos.Line); ok {
-				if reason == "" {
-					pass.Reportf(f.Pos(), "transient directive on %s.%s needs a reason (//scrublint:transient <why this field is safe to drop>)",
-						pr.live.Obj().Name(), f.Name())
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
 				}
-				continue
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					checkLiveStruct(pass, ts.Name.Name, st, companions[ts.Name.Name])
+				}
 			}
-			pass.Reportf(f.Pos(), "live field %s.%s is not captured by %s; checkpoint restore will silently diverge — capture it or mark it //scrublint:transient <reason>",
-				pr.live.Obj().Name(), f.Name(), pr.companion)
 		}
 	}
 	return nil
 }
 
-// collectSnapshotPairs discovers live/companion pairs in the package via
-// the State/Snapshot method heuristic and //scrublint:snapshot
-// directives. Pairs for the same live type are merged so several capture
-// paths (a State method plus a directive-annotated frame) union their
-// capture sets.
-func collectSnapshotPairs(pass *Pass) []*snapshotPair {
-	byLive := make(map[*types.Named]*snapshotPair)
-	add := func(live *types.Named, companion string, captures []string) {
-		if live == nil || len(captures) == 0 {
+// checkLiveStruct audits one struct: a component holding st, or a live
+// type paired by directive (comp non-nil). Any other struct is skipped.
+func checkLiveStruct(pass *Pass, typeName string, st *ast.StructType, comp *companion) {
+	hasState := false
+	for _, f := range st.Fields.List {
+		for _, n := range f.Names {
+			hasState = hasState || n.Name == stateField
+		}
+	}
+	if !hasState && comp == nil {
+		return
+	}
+	for _, f := range st.Fields.List {
+		for _, n := range f.Names {
+			if (hasState && n.Name == stateField) || (comp != nil && comp.captures[strings.ToLower(n.Name)]) {
+				continue
+			}
+			if exemptField(pass.Info.TypeOf(f.Type)) {
+				continue
+			}
+			if reason, ok := transientReason(f); ok {
+				if reason == "" {
+					pass.Reportf(n.Pos(), "transient directive on %s.%s needs a reason (%s <why this field is safe to drop>)", typeName, n.Name, transientDirective)
+				}
+				continue
+			}
+			if comp != nil {
+				pass.Reportf(n.Pos(), "live field %s.%s is not captured by %s; checkpoint restore will silently diverge — capture it or mark it %s <reason>", typeName, n.Name, comp.name, transientDirective)
+			} else {
+				pass.Reportf(n.Pos(), "field %s.%s sits beside its state %s; checkpoint restore will silently diverge — move it into the State or mark it %s <reason>", typeName, n.Name, stateField, transientDirective)
+			}
+		}
+	}
+}
+
+// exemptField reports whether a field of type t needs no capture: funcs
+// are rebuilt or re-attached, and obs instruments are host-side.
+func exemptField(t types.Type) bool {
+	for t != nil {
+		switch u := t.(type) {
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		case *types.Pointer:
+			n, ok := u.Elem().(*types.Named)
+			return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == obsPath
+		default:
+			_, ok := t.Underlying().(*types.Signature)
+			return ok
+		}
+	}
+	return false
+}
+
+// transientReason returns the reason of a transient directive in the
+// field's doc or line comment.
+func transientReason(f *ast.Field) (string, bool) {
+	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
+		if reason, ok := docDirective(cg, transientDirective); ok {
+			return reason, true
+		}
+	}
+	return "", false
+}
+
+// collectCompanions maps each live type named by a //scrublint:snapshot
+// directive to its captures: the annotated struct's fields or the
+// annotated function's named results, plus the directive's
+// field=Capture renames onto them.
+func collectCompanions(pass *Pass) map[string]*companion {
+	out := make(map[string]*companion)
+	add := func(doc *ast.CommentGroup, name string, fields *ast.FieldList) {
+		arg, ok := docDirective(doc, snapshotDirective)
+		args := strings.Fields(arg)
+		if !ok || len(args) == 0 || fields == nil {
 			return
 		}
-		if p, ok := byLive[live]; ok {
-			p.captures = append(p.captures, captures...)
-			return
+		c := out[args[0]]
+		if c == nil {
+			c = &companion{name: name, captures: make(map[string]bool)}
+			out[args[0]] = c
 		}
-		p := &snapshotPair{live: live, companion: companion, captures: captures}
-		byLive[live] = p
+		for _, f := range fields.List {
+			for _, n := range f.Names {
+				c.captures[strings.ToLower(n.Name)] = true
+			}
+		}
+		for _, r := range args[1:] {
+			if live, capture, ok := strings.Cut(r, "="); ok && c.captures[strings.ToLower(capture)] {
+				c.captures[strings.ToLower(live)] = true
+			}
+		}
 	}
-	restores := collectRestoreIdents(pass)
-
-	lookupNamed := func(name string) *types.Named {
-		obj := pass.Pkg.Scope().Lookup(name)
-		if obj == nil {
-			return nil
-		}
-		tn, ok := obj.(*types.TypeName)
-		if !ok {
-			return nil
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			return nil
-		}
-		return named
-	}
-
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				fnObj, ok := pass.Info.Defs[d.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				sig := fnObj.Type().(*types.Signature)
-				if liveName, ok := docDirective(d.Doc, snapshotDirective); ok && liveName != "" {
-					live := lookupNamed(strings.Fields(liveName)[0])
-					if comp := resultCompanion(pass, sig); comp != nil {
-						add(live, companionLabel(comp, d.Name.Name), structFieldNames(comp))
-					} else {
-						add(live, d.Name.Name+"()", resultNames(sig))
-					}
-					continue
-				}
-				if sig.Recv() == nil || (d.Name.Name != "State" && d.Name.Name != "Snapshot") {
-					continue
-				}
-				live := recvNamed(sig)
-				comp := resultCompanion(pass, sig)
-				if live == nil || comp == nil || comp == live {
-					continue
-				}
-				// One-way exports (no restore path) are not checkpoints.
-				if !restores[live.Obj().Name()] && !restores[comp.Obj().Name()] {
-					continue
-				}
-				add(live, comp.Obj().Name(), structFieldNames(comp))
+				add(d.Doc, d.Name.Name+"()", d.Type.Results)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					ts, ok := spec.(*ast.TypeSpec)
@@ -170,145 +173,12 @@ func collectSnapshotPairs(pass *Pass) []*snapshotPair {
 					if doc == nil && len(d.Specs) == 1 {
 						doc = d.Doc
 					}
-					liveName, ok := docDirective(doc, snapshotDirective)
-					if !ok || liveName == "" {
-						continue
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						add(doc, ts.Name.Name, st.Fields)
 					}
-					live := lookupNamed(strings.Fields(liveName)[0])
-					comp := lookupNamed(ts.Name.Name)
-					if comp == nil {
-						continue
-					}
-					add(live, comp.Obj().Name(), structFieldNames(comp))
 				}
 			}
 		}
 	}
-	pairs := make([]*snapshotPair, 0, len(byLive))
-	for _, p := range byLive {
-		pairs = append(pairs, p)
-	}
-	return pairs
-}
-
-// collectRestoreIdents records, for every package-level Restore* func or
-// method, the identifiers appearing in its receiver and signature — the
-// evidence that a State companion actually has a restore path.
-func collectRestoreIdents(pass *Pass) map[string]bool {
-	idents := make(map[string]bool)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !strings.HasPrefix(fd.Name.Name, "Restore") {
-				continue
-			}
-			for _, n := range []ast.Node{fd.Recv, fd.Type} {
-				if n == nil || n == (*ast.FieldList)(nil) {
-					continue
-				}
-				ast.Inspect(n, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						idents[id.Name] = true
-					}
-					return true
-				})
-			}
-		}
-	}
-	return idents
-}
-
-// recvNamed unwraps a method receiver to its named type.
-func recvNamed(sig *types.Signature) *types.Named {
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-// resultCompanion finds the first result of sig that is a same-package
-// named struct (directly or behind a pointer) — the snapshot companion
-// of a State/Snapshot method, also returned alongside error.
-func resultCompanion(pass *Pass, sig *types.Signature) *types.Named {
-	res := sig.Results()
-	for i := 0; i < res.Len(); i++ {
-		t := res.At(i).Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok || named.Obj().Pkg() != pass.Pkg {
-			continue
-		}
-		if _, ok := named.Underlying().(*types.Struct); ok {
-			return named
-		}
-	}
-	return nil
-}
-
-// companionLabel names a companion struct reached through a directive on
-// a method, for diagnostics.
-func companionLabel(comp *types.Named, via string) string {
-	return fmt.Sprintf("%s (via %s)", comp.Obj().Name(), via)
-}
-
-// structFieldNames returns the field names of a named struct type.
-func structFieldNames(named *types.Named) []string {
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	names := make([]string, 0, st.NumFields())
-	for i := 0; i < st.NumFields(); i++ {
-		names = append(names, st.Field(i).Name())
-	}
-	return names
-}
-
-// resultNames returns the named results of a capture method (tuple
-// captures like Clock() (now int64, seq uint64, fired uint64)).
-func resultNames(sig *types.Signature) []string {
-	res := sig.Results()
-	var names []string
-	for i := 0; i < res.Len(); i++ {
-		if n := res.At(i).Name(); n != "" {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
-// fieldCaptured reports whether a live field name has a counterpart in
-// the companion capture set. Matching is case-insensitive and tolerant
-// of the repo's established naming drift between live and snapshot
-// fields: exact, either-direction prefix (cache → CacheClock, gcq →
-// GCQIdx), leading "Has" stripped from the companion (pollEv → HasPoll),
-// and fold suffix of ≥ 4 characters (inflEvKind → EvKind). Single- and
-// two-letter live names only match exactly — prefix rules would make "n"
-// match any companion starting with n.
-func fieldCaptured(live string, captures []string) bool {
-	lf := strings.ToLower(live)
-	for _, c := range captures {
-		for _, g := range []string{strings.ToLower(c), strings.TrimPrefix(strings.ToLower(c), "has")} {
-			if g == "" {
-				continue
-			}
-			if lf == g {
-				return true
-			}
-			if len(lf) < 3 || len(g) < 3 {
-				continue
-			}
-			if strings.HasPrefix(g, lf) || strings.HasPrefix(lf, g) {
-				return true
-			}
-			if len(g) >= 4 && strings.HasSuffix(lf, g) {
-				return true
-			}
-		}
-	}
-	return false
+	return out
 }

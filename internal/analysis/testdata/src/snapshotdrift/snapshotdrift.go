@@ -1,88 +1,61 @@
 // Package snapshotdrift exercises the snapshot-completeness analyzer:
-// State/Snapshot method pairing, directive pairing for builder-pattern
-// frames and tuple clocks, the field-matching rules, the transient
-// directive (with and without a reason) and the no-restore exemption.
+// the st rule (fields beside a component's state, with the func and obs
+// exemptions), directive pairing for builder-pattern frames, renames and
+// tuple clocks, and the transient directive with and without a reason.
 package snapshotdrift
 
-// Disk is the canonical method-paired live struct. The uncovered field
-// must be flagged; the transient ones must not.
-type Disk struct {
-	pos    int64
-	served uint64
-	model  string // want `live field Disk.model is not captured by State`
-	cache  []byte //scrublint:transient rebuilt cold on restore
-	instr  int    //scrublint:transient host-side instrumentation only
-	//scrublint:transient
-	bare int // want `transient directive on Disk.bare needs a reason`
-}
+import "repro/internal/obs"
 
-// State is Disk's snapshot companion.
+// State is Disk's live state.
 type State struct {
 	Pos    int64
 	Served uint64
 }
 
-// State captures the disk.
-func (d *Disk) State() *State { return &State{Pos: d.pos, Served: d.served} }
+// Disk is the canonical component: its state lives in st, so only what
+// sits beside it is audited.
+type Disk struct {
+	st State
 
-// RestoreDisk rebuilds a Disk from its snapshot.
-func RestoreDisk(st *State) *Disk { return &Disk{pos: st.Pos, served: st.Served} }
-
-// Queue exercises the lenient matching rules: Has-stripping
-// (pollEv → HasPoll), fold suffix (inflEvKind → EvKind), prefix
-// (cacheLRU → Cache), exact short names ("n") — and proves short names
-// do not accidentally capture longer ones (noise is not captured by N).
-type Queue struct {
-	pollEv     bool
-	inflEvKind uint8
-	cacheLRU   []int
-	n          int
-	noise      float64 // want `live field Queue.noise is not captured by QState`
-}
-
-// QState is Queue's snapshot companion.
-type QState struct {
-	HasPoll bool
-	EvKind  uint8
-	Cache   []int
-	N       int
-}
-
-// Snapshot captures the queue (the Snapshot spelling must pair too).
-func (q *Queue) Snapshot() (QState, error) {
-	return QState{HasPoll: q.pollEv, EvKind: q.inflEvKind, Cache: q.cacheLRU, N: q.n}, nil
-}
-
-// RestoreQueue rebuilds a Queue.
-func RestoreQueue(st QState) *Queue {
-	return &Queue{pollEv: st.HasPoll, inflEvKind: st.EvKind, cacheLRU: st.Cache, n: st.N}
+	model string // want `field Disk.model sits beside its state st`
+	//scrublint:transient rebuilt cold on restore
+	cache  []byte
+	onDone func(int64)
+	hooks  []func()
+	hits   *obs.Counter
+	svc    [3]*obs.Histogram
+	reg    *obs.Registry
+	snap   obs.Snapshot // want `field Disk.snap sits beside its state st`
+	//scrublint:transient
+	bare int // want `transient directive on Disk.bare needs a reason`
+	a, b int // want `field Disk.a sits beside` `field Disk.b sits beside`
 }
 
 // Engine is checkpointed by a builder-pattern frame, paired via the
-// //scrublint:snapshot directive on the frame type.
+// //scrublint:snapshot directive on the frame type, with one rename.
 type Engine struct {
-	cfg  string
-	now  int64
-	done bool // want `live field Engine.done is not captured by engineFrame`
+	cfg      string
+	now      int64
+	lastNano int64
+	done     bool // want `live field Engine.done is not captured by engineFrame`
 }
 
 // engineFrame is the serialized form of a checkpointed Engine.
 //
-//scrublint:snapshot Engine
+//scrublint:snapshot Engine lastNano=LastNanos
 type engineFrame struct {
-	Cfg string
-	Now int64
+	Cfg       string
+	Now       int64
+	LastNanos int64
 }
-
-// RestoreEngine rebuilds an Engine from its frame.
-func RestoreEngine(f engineFrame) *Engine { return &Engine{cfg: f.Cfg, now: f.Now} }
 
 // Clock is captured as a tuple by a directive-annotated method with
 // named results.
 type Clock struct {
 	now  int64
 	seq  uint64
-	hook func() // want `live field Clock.hook is not captured by Read`
+	wall int64 // want `live field Clock.wall is not captured by Read\(\)`
+	tick func()
 }
 
 // Read captures the clock as a tuple.
@@ -90,18 +63,9 @@ type Clock struct {
 //scrublint:snapshot Clock
 func (c *Clock) Read() (now int64, seq uint64) { return c.now, c.seq }
 
-// Exporter has a Snapshot method but no restore path anywhere in the
-// package: a one-way observability export, not a checkpoint, so its
-// uncaptured field is fine.
+// Exporter has neither an st field nor a directive: not a checkpoint,
+// so nothing is audited.
 type Exporter struct {
 	rows   []string
 	pretty bool
 }
-
-// ExportView is the one-way export shape.
-type ExportView struct {
-	Rows []string
-}
-
-// Snapshot exports the rows (one-way; no Restore* mentions Exporter).
-func (e *Exporter) Snapshot() ExportView { return ExportView{Rows: e.rows} }

@@ -41,7 +41,7 @@ type OnlineAR struct {
 	// Preallocated recursion scratch.
 	cov       []float64 //scrublint:transient Levinson-Durbin scratch, recomputed by the next fit
 	prev, cur []float64 //scrublint:transient Levinson-Durbin scratch, recomputed by the next fit
-	coeffsBuf []float64
+	coeffsBuf []float64 //scrublint:transient backing array of coeffs, captured as Coeffs
 }
 
 // minEffectiveWeight is the decayed sample mass a lag must have
@@ -242,6 +242,8 @@ func (o *OnlineAR) Predict() float64 {
 }
 
 // OnlineARState is the serializable snapshot of an OnlineAR.
+//
+//scrublint:snapshot OnlineAR
 type OnlineARState struct {
 	MaxOrder int
 	Decay    float64

@@ -47,44 +47,32 @@ type RetryPolicy struct {
 // dispatch loop: requests enter through Submit, pass through the elevator
 // (or the barrier path), and are serviced by the disk one at a time.
 type Queue struct {
-	sim   *sim.Simulator //scrublint:transient wiring, supplied to the restore constructor
-	dev   disk.Device    //scrublint:transient wiring, supplied to the restore constructor
-	sched Scheduler      //scrublint:transient wiring, supplied to the restore constructor
+	st QState // live state; the in-flight request and poll timer are recorded by SaveState
 
-	inflight *Request
-	seq      uint64
+	sim   *sim.Simulator //scrublint:transient wiring, supplied at construction
+	dev   disk.Device    //scrublint:transient wiring, supplied at construction
+	sched Scheduler      //scrublint:transient wiring, supplied at construction
 
-	// Identity of the event service() last scheduled for the inflight
-	// request — a completion or a retry re-service. Snapshots need the
-	// (at, seq) pair to re-enqueue the event on restore; three scalar
-	// stores per service are free next to the mechanical model.
-	inflEvKind uint8 // 0 none, 1 completion, 2 retry
-	inflEvAt   time.Duration
-	inflEvSeq  uint64
+	inflight *Request //scrublint:transient recorded as Inflight by SaveState
 
 	// Barrier machinery: the head barrier waits for the elevator to
 	// drain; requests submitted after it stage until it completes.
-	headBarrier *Request   //scrublint:transient State refuses a queue with a barrier in flight
-	staged      []*Request //scrublint:transient State refuses a queue with a barrier in flight
+	headBarrier *Request   //scrublint:transient SaveState refuses a queue with a barrier pending
+	staged      []*Request //scrublint:transient SaveState refuses a queue with a barrier pending
 
-	pollEv *sim.Event
+	pollEv *sim.Event //scrublint:transient pending event, recorded by SaveState
 
-	idleSince time.Duration
-	everBusy  bool
-	idleNow   bool
+	idleSubs     []func(now time.Duration)
+	submitSubs   []func(r *Request)
+	completeSubs []func(r *Request)
 
-	idleSubs     []func(now time.Duration) //scrublint:transient subscriptions re-registered by owning components on restore
-	submitSubs   []func(r *Request)        //scrublint:transient subscriptions re-registered by owning components on restore
-	completeSubs []func(r *Request)        //scrublint:transient subscriptions re-registered by owning components on restore
-
-	retry RetryPolicy //scrublint:transient configuration, supplied to the restore constructor
-	stats QueueStats
+	retry RetryPolicy //scrublint:transient configuration, supplied by SetRetryPolicy
 
 	// completeFn/serviceFn/pollFn are the queue's event callbacks, built
 	// once at construction so scheduling a completion, retry or re-poll
 	// allocates no closure.
-	completeFn sim.EventFunc //scrublint:transient prebuilt event callback, rebuilt at construction
-	serviceFn  sim.EventFunc //scrublint:transient prebuilt event callback, rebuilt at construction
+	completeFn sim.EventFunc
+	serviceFn  sim.EventFunc
 	pollFn     func()
 
 	// freeReqs is the request free list behind GetRequest. Like the
@@ -92,19 +80,17 @@ type Queue struct {
 	// this queue, so reuse order is deterministic.
 	freeReqs []*Request //scrublint:transient request free list; pooled memory is identity, not state
 
-	// instrumented short-circuits every observability hook in the hot
-	// path with a single branch when no registry is attached.
-	instrumented bool //scrublint:transient derived from registry attachment on restore
-
-	// Observability instruments (nil when uninstrumented).
-	obsDepth   *obs.Gauge        //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsWait    [2]*obs.Histogram //scrublint:transient host-side instrument (queueing delay by origin-1), re-resolved by Instrument
-	obsColl    *obs.Counter      //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsMedErr  *obs.Counter      //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsRetries *obs.Counter      //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsExhaust *obs.Counter      //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsTimeout *obs.Counter      //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsTrace   *obs.Ring         //scrublint:transient host-side instrument, re-resolved by Instrument
+	// Observability instruments (nil when uninstrumented). A nil obsColl
+	// short-circuits every observability hook in the hot path with a
+	// single branch when no registry is attached.
+	obsDepth   *obs.Gauge
+	obsWait    [2]*obs.Histogram // queueing delay by origin-1
+	obsColl    *obs.Counter
+	obsMedErr  *obs.Counter
+	obsRetries *obs.Counter
+	obsExhaust *obs.Counter
+	obsTimeout *obs.Counter
+	obsTrace   *obs.Ring
 }
 
 // NewQueue builds a Queue over a simulator, disk and elevator.
@@ -157,7 +143,7 @@ func (q *Queue) SetRetryPolicy(p RetryPolicy) { q.retry = p }
 func (q *Queue) RetryPolicy() RetryPolicy { return q.retry }
 
 // Stats returns a copy of the accumulated statistics.
-func (q *Queue) Stats() QueueStats { return q.stats }
+func (q *Queue) Stats() QueueStats { return q.st.Stats }
 
 // Busy reports whether a request is being serviced.
 func (q *Queue) Busy() bool { return q.inflight != nil }
@@ -188,7 +174,7 @@ func (q *Queue) Quiesced() bool {
 
 // IdleSince returns when the device last became idle; meaningful only
 // while Idle() is true.
-func (q *Queue) IdleSince() time.Duration { return q.idleSince }
+func (q *Queue) IdleSince() time.Duration { return q.st.IdleSince }
 
 // SubscribeIdle registers fn to run whenever the device transitions to
 // idle (nothing in flight, nothing dispatchable). Scrub scheduling
@@ -215,7 +201,6 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	q.instrumented = true
 	q.obsDepth = reg.Gauge("blockdev.queue_depth")
 	q.obsWait[Foreground-1] = reg.Histogram("blockdev.wait_time.foreground")
 	q.obsWait[Scrub-1] = reg.Histogram("blockdev.wait_time.scrub")
@@ -243,21 +228,21 @@ func (q *Queue) depth() int64 {
 func (q *Queue) Submit(r *Request) {
 	now := q.sim.Now()
 	r.Submit = now
-	q.seq++
-	r.seq = q.seq
+	q.st.Seq++
+	r.seq = q.st.Seq
 	if r.Origin == Scrub || r.Origin == Foreground {
-		q.stats.Submitted[r.Origin-1]++
+		q.st.Stats.Submitted[r.Origin-1]++
 	}
 	// Collision accounting: a foreground request arriving to find the
 	// disk busy with a scrub request (the paper's definition).
 	if r.Origin == Foreground && q.inflight != nil && q.inflight.Origin == Scrub {
 		r.Collision = true
-		q.stats.Collisions++
-		if q.instrumented {
+		q.st.Stats.Collisions++
+		if q.obsColl != nil {
 			q.obsColl.Inc()
 		}
 	}
-	if q.instrumented {
+	if q.obsColl != nil {
 		q.obsTrace.Emit(now, "blockdev", "submit", r.LBA, r.Sectors)
 	}
 	for _, fn := range q.submitSubs {
@@ -319,11 +304,11 @@ func (q *Queue) markIdleIfSo(now time.Duration) {
 	// "Idle" from the device's perspective: nothing in flight. Requests
 	// may be parked in the elevator (CFQ idle class waiting for its
 	// gate); the device is still physically idle then.
-	if !q.everBusy || q.idleNow {
+	if !q.st.EverBusy || q.st.IdleNow {
 		return
 	}
-	q.idleNow = true
-	q.idleSince = now
+	q.st.IdleNow = true
+	q.st.IdleSince = now
 	for _, fn := range q.idleSubs {
 		fn(now)
 	}
@@ -334,10 +319,10 @@ func (q *Queue) markIdleIfSo(now time.Duration) {
 //scrub:hotpath
 func (q *Queue) start(r *Request, now time.Duration) {
 	q.inflight = r
-	q.everBusy = true
-	q.idleNow = false
+	q.st.EverBusy = true
+	q.st.IdleNow = false
 	r.Dispatch = now
-	if q.instrumented {
+	if q.obsColl != nil {
 		if r.Origin == Scrub || r.Origin == Foreground {
 			q.obsWait[r.Origin-1].Observe(now - r.Submit)
 		}
@@ -370,9 +355,9 @@ func (q *Queue) service(r *Request, at time.Duration) {
 			// condition to degrade on.
 			panic(err)
 		}
-		q.stats.MediumErrors++
+		q.st.Stats.MediumErrors++
 		q.obsMedErr.Inc()
-		if q.instrumented {
+		if q.obsColl != nil {
 			q.obsTrace.Emit(at, "blockdev", "medium_error", me.First(), int64(len(me.LBAs)))
 		}
 		next := res.Done + q.retry.Backoff
@@ -380,23 +365,23 @@ func (q *Queue) service(r *Request, at time.Duration) {
 		timedOut := q.retry.Timeout > 0 && next-r.Dispatch > q.retry.Timeout
 		if canRetry && !timedOut {
 			r.Retries++
-			q.stats.Retries++
+			q.st.Stats.Retries++
 			q.obsRetries.Inc()
 			q.sim.Schedule(next, q.serviceFn, r)
-			q.inflEvKind, q.inflEvAt, q.inflEvSeq = evRetry, next, q.sim.Seq()
+			q.st.EvKind, q.st.EvAt, q.st.EvSeq = evRetry, next, q.sim.Seq()
 			return
 		}
 		r.Err = me
 		if canRetry && timedOut {
-			q.stats.Timeouts++
+			q.st.Stats.Timeouts++
 			q.obsTimeout.Inc()
 		} else {
-			q.stats.RetryExhausted++
+			q.st.Stats.RetryExhausted++
 			q.obsExhaust.Inc()
 		}
 	}
 	q.sim.Schedule(res.Done, q.completeFn, r)
-	q.inflEvKind, q.inflEvAt, q.inflEvSeq = evComplete, res.Done, q.sim.Seq()
+	q.st.EvKind, q.st.EvAt, q.st.EvSeq = evComplete, res.Done, q.sim.Seq()
 }
 
 // complete finishes a request and continues the dispatch loop.
@@ -404,13 +389,13 @@ func (q *Queue) service(r *Request, at time.Duration) {
 //scrub:hotpath
 func (q *Queue) complete(r *Request, now time.Duration) {
 	q.inflight = nil
-	q.inflEvKind = evNone
+	q.st.EvKind = evNone
 	r.Done = now
 	if r.Origin == Scrub || r.Origin == Foreground {
-		q.stats.Completed[r.Origin-1]++
-		q.stats.Bytes[r.Origin-1] += r.Bytes()
+		q.st.Stats.Completed[r.Origin-1]++
+		q.st.Stats.Bytes[r.Origin-1] += r.Bytes()
 	}
-	if q.instrumented {
+	if q.obsColl != nil {
 		q.obsTrace.Emit(now, "blockdev", "complete", r.LBA, r.Sectors)
 		if q.obsDepth != nil {
 			q.obsDepth.Set(q.depth())
@@ -441,7 +426,7 @@ func (q *Queue) complete(r *Request, now time.Duration) {
 		if m.Origin == Scrub || m.Origin == Foreground {
 			// The carrier's byte count already covers absorbed sectors;
 			// only the completion count needs the merged requests.
-			q.stats.Completed[m.Origin-1]++
+			q.st.Stats.Completed[m.Origin-1]++
 		}
 		if m.OnComplete != nil {
 			m.OnComplete(m)

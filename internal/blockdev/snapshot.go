@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Inflight-event kinds recorded by service() for snapshots.
+// In-flight event kinds (QState.EvKind).
 const (
 	evNone uint8 = iota
 	evComplete
@@ -44,12 +44,15 @@ type ReqState struct {
 	Seq     uint64
 }
 
-// QState is the compact serializable state of a Queue. It exists only
-// for "parkable" queues: elevator drained, no barrier or staged
-// requests, at most one unmerged in-flight request. The fleet engine
-// rolls a member forward event by event until the queue reaches such a
-// point — always nearby, since anything occupying the queue completes
-// within device-latency timescales.
+// QState is the queue's live state, and gob-encoded it is the compact
+// serializable state of a parked one. A queue parks only at a "parkable"
+// point: elevator drained, no barrier or staged requests, at most one
+// unmerged in-flight request. The fleet engine rolls a member forward
+// event by event until the queue reaches such a point — always nearby,
+// since anything occupying the queue completes within device-latency
+// timescales. A live queue does not read the poll-timer record or
+// Inflight: the timer handle and the in-flight request hold those, and
+// SaveState records them.
 type QState struct {
 	Seq       uint64
 	Stats     QueueStats
@@ -62,80 +65,80 @@ type QState struct {
 	PollSeq uint64
 
 	Inflight *ReqState
-	EvKind   uint8 // evComplete or evRetry when Inflight != nil
-	EvAt     time.Duration
-	EvSeq    uint64
+	// EvKind, EvAt and EvSeq identify the event service() last scheduled
+	// for the in-flight request — a completion (evComplete) or a retry
+	// re-service (evRetry) — so a restore can re-enqueue it at its
+	// (at, seq) slot. EvKind is evNone with nothing in flight.
+	EvKind uint8
+	EvAt   time.Duration
+	EvSeq  uint64
 }
 
-// State captures the queue's serializable state. classify maps the
-// in-flight request (if any) to an opaque callback tag; it should return
-// an error for a request whose completion callback it does not own.
-func (q *Queue) State(classify func(*Request) (uint8, error)) (*QState, error) {
+// SaveState copies the queue's state into dst, reusing dst's in-flight
+// record and slices. classify maps the in-flight request (if any) to an
+// opaque callback tag; it should return an error for a request whose
+// completion callback it does not own.
+func (q *Queue) SaveState(dst *QState, classify func(*Request) (uint8, error)) error {
 	switch {
 	case q.headBarrier != nil && q.headBarrier != q.inflight:
-		return nil, fmt.Errorf("blockdev: cannot snapshot with a pending barrier")
+		return fmt.Errorf("blockdev: cannot snapshot with a pending barrier")
 	case len(q.staged) > 0:
-		return nil, fmt.Errorf("blockdev: cannot snapshot with %d staged requests", len(q.staged))
+		return fmt.Errorf("blockdev: cannot snapshot with %d staged requests", len(q.staged))
 	case q.sched.Len() > 0:
-		return nil, fmt.Errorf("blockdev: cannot snapshot with %d requests in the elevator", q.sched.Len())
+		return fmt.Errorf("blockdev: cannot snapshot with %d requests in the elevator", q.sched.Len())
 	}
-	st := &QState{
-		Seq:       q.seq,
-		Stats:     q.stats,
-		EverBusy:  q.everBusy,
-		IdleNow:   q.idleNow,
-		IdleSince: q.idleSince,
+	r, rs := q.inflight, dst.Inflight
+	if r == nil {
+		*dst = q.st
+		dst.HasPoll, dst.PollAt, dst.PollSeq = sim.Pending(q.pollEv)
+		dst.Inflight, dst.EvKind, dst.EvAt, dst.EvSeq = nil, evNone, 0, 0
+		return nil
 	}
-	if q.pollEv != nil {
-		st.HasPoll = true
-		st.PollAt = q.pollEv.At()
-		st.PollSeq = q.pollEv.Seq()
+	if len(r.mergeOf) > 0 {
+		return fmt.Errorf("blockdev: cannot snapshot an in-flight request carrying %d merged requests", len(r.mergeOf))
 	}
-	if r := q.inflight; r != nil {
-		if len(r.mergeOf) > 0 {
-			return nil, fmt.Errorf("blockdev: cannot snapshot an in-flight request carrying %d merged requests", len(r.mergeOf))
-		}
-		if q.inflEvKind == evNone {
-			return nil, fmt.Errorf("blockdev: in-flight request has no pending event")
-		}
-		cb, err := classify(r)
-		if err != nil {
-			return nil, err
-		}
-		rs := &ReqState{
-			Op:          r.Op,
-			LBA:         r.LBA,
-			Sectors:     r.Sectors,
-			Class:       r.Class,
-			Origin:      r.Origin,
-			Tag:         r.Tag,
-			Barrier:     r.Barrier,
-			BypassCache: r.BypassCache,
-			ID:          r.ID,
-			Callback:    cb,
-			Submit:      r.Submit,
-			Dispatch:    r.Dispatch,
-			Collision:   r.Collision,
-			CacheHit:    r.CacheHit,
-			Retries:     r.Retries,
-			Seq:         r.seq,
-		}
-		if len(r.LSEs) > 0 {
-			rs.LSEs = append([]int64(nil), r.LSEs...)
-		}
-		if r.Err != nil {
-			me, ok := r.Err.(*disk.MediumError)
-			if !ok {
-				return nil, fmt.Errorf("blockdev: cannot snapshot request error %T", r.Err)
-			}
-			rs.ErrLBAs = append([]int64(nil), me.LBAs...)
-		}
-		st.Inflight = rs
-		st.EvKind = q.inflEvKind
-		st.EvAt = q.inflEvAt
-		st.EvSeq = q.inflEvSeq
+	if q.st.EvKind == evNone {
+		return fmt.Errorf("blockdev: in-flight request has no pending event")
 	}
-	return st, nil
+	cb, err := classify(r)
+	if err != nil {
+		return err
+	}
+	var errLBAs []int64
+	if r.Err != nil {
+		me, ok := r.Err.(*disk.MediumError)
+		if !ok {
+			return fmt.Errorf("blockdev: cannot snapshot request error %T", r.Err)
+		}
+		errLBAs = me.LBAs
+	}
+	if rs == nil {
+		rs = new(ReqState)
+	}
+	*rs = ReqState{
+		Op:          r.Op,
+		LBA:         r.LBA,
+		Sectors:     r.Sectors,
+		Class:       r.Class,
+		Origin:      r.Origin,
+		Tag:         r.Tag,
+		Barrier:     r.Barrier,
+		BypassCache: r.BypassCache,
+		ID:          r.ID,
+		Callback:    cb,
+		Submit:      r.Submit,
+		Dispatch:    r.Dispatch,
+		Collision:   r.Collision,
+		CacheHit:    r.CacheHit,
+		LSEs:        append(rs.LSEs[:0], r.LSEs...),
+		ErrLBAs:     append(rs.ErrLBAs[:0], errLBAs...),
+		Retries:     r.Retries,
+		Seq:         r.seq,
+	}
+	*dst = q.st
+	dst.HasPoll, dst.PollAt, dst.PollSeq = sim.Pending(q.pollEv)
+	dst.Inflight = rs
+	return nil
 }
 
 // RestoreState overwrites the queue with a snapshot. The queue may be
@@ -150,69 +153,64 @@ func (q *Queue) RestoreState(st *QState, resolve func(uint8) func(*Request)) err
 	if r := q.inflight; r != nil && r.pooled {
 		q.putRequest(r)
 	}
-	q.inflight, q.headBarrier, q.pollEv = nil, nil, nil
-	q.inflEvKind, q.inflEvAt, q.inflEvSeq = evNone, 0, 0
+	q.inflight, q.headBarrier = nil, nil
 	clear(q.staged)
 	q.staged = q.staged[:0]
-	q.seq = st.Seq
-	q.stats = st.Stats
-	q.everBusy = st.EverBusy
-	q.idleNow = st.IdleNow
-	q.idleSince = st.IdleSince
-	if st.HasPoll {
-		ev, err := q.sim.RestoreAt(st.PollAt, st.PollSeq, q.pollFn)
-		if err != nil {
-			return fmt.Errorf("blockdev: restore poll event: %w", err)
-		}
-		q.pollEv = ev
+	q.st = *st
+	q.st.Inflight = nil
+	var err error
+	if q.pollEv, err = q.sim.Rearm(st.HasPoll, st.PollAt, st.PollSeq, q.pollFn); err != nil {
+		return fmt.Errorf("blockdev: restore poll event: %w", err)
 	}
-	if rs := st.Inflight; rs != nil {
-		r := q.GetRequest()
-		r.Op = rs.Op
-		r.LBA = rs.LBA
-		r.Sectors = rs.Sectors
-		r.Class = rs.Class
-		r.Origin = rs.Origin
-		r.Tag = rs.Tag
-		r.Barrier = rs.Barrier
-		r.BypassCache = rs.BypassCache
-		r.ID = rs.ID
-		r.Submit = rs.Submit
-		r.Dispatch = rs.Dispatch
-		r.Collision = rs.Collision
-		r.CacheHit = rs.CacheHit
-		r.Retries = rs.Retries
-		r.seq = rs.Seq
-		if len(rs.LSEs) > 0 {
-			r.LSEs = append([]int64(nil), rs.LSEs...)
-		}
-		if len(rs.ErrLBAs) > 0 {
-			r.Err = &disk.MediumError{Op: rs.Op, LBAs: append([]int64(nil), rs.ErrLBAs...)}
-		}
-		if cb := resolve(rs.Callback); cb != nil {
-			r.OnComplete = cb
-		} else if rs.Callback != 0 {
-			return fmt.Errorf("blockdev: unresolved callback tag %d", rs.Callback)
-		}
-		q.inflight = r
-		if r.Barrier {
-			// A barrier in service still occupies the barrier slot; it is
-			// released by its own completion.
-			q.headBarrier = r
-		}
-		var fn sim.EventFunc
-		switch st.EvKind {
-		case evComplete:
-			fn = q.completeFn
-		case evRetry:
-			fn = q.serviceFn
-		default:
-			return fmt.Errorf("blockdev: in-flight request with event kind %d", st.EvKind)
-		}
-		if err := q.sim.RestoreSchedule(st.EvAt, st.EvSeq, fn, r); err != nil {
-			return fmt.Errorf("blockdev: restore in-flight event: %w", err)
-		}
-		q.inflEvKind, q.inflEvAt, q.inflEvSeq = st.EvKind, st.EvAt, st.EvSeq
+	rs := st.Inflight
+	if rs == nil {
+		q.st.EvKind = evNone
+		return nil
+	}
+	r := q.GetRequest()
+	r.Op = rs.Op
+	r.LBA = rs.LBA
+	r.Sectors = rs.Sectors
+	r.Class = rs.Class
+	r.Origin = rs.Origin
+	r.Tag = rs.Tag
+	r.Barrier = rs.Barrier
+	r.BypassCache = rs.BypassCache
+	r.ID = rs.ID
+	r.Submit = rs.Submit
+	r.Dispatch = rs.Dispatch
+	r.Collision = rs.Collision
+	r.CacheHit = rs.CacheHit
+	r.Retries = rs.Retries
+	r.seq = rs.Seq
+	if len(rs.LSEs) > 0 {
+		r.LSEs = append([]int64(nil), rs.LSEs...)
+	}
+	if len(rs.ErrLBAs) > 0 {
+		r.Err = &disk.MediumError{Op: rs.Op, LBAs: append([]int64(nil), rs.ErrLBAs...)}
+	}
+	if cb := resolve(rs.Callback); cb != nil {
+		r.OnComplete = cb
+	} else if rs.Callback != 0 {
+		return fmt.Errorf("blockdev: unresolved callback tag %d", rs.Callback)
+	}
+	q.inflight = r
+	if r.Barrier {
+		// A barrier in service still occupies the barrier slot; it is
+		// released by its own completion.
+		q.headBarrier = r
+	}
+	var fn sim.EventFunc
+	switch st.EvKind {
+	case evComplete:
+		fn = q.completeFn
+	case evRetry:
+		fn = q.serviceFn
+	default:
+		return fmt.Errorf("blockdev: in-flight request with event kind %d", st.EvKind)
+	}
+	if err := q.sim.RestoreSchedule(st.EvAt, st.EvSeq, fn, r); err != nil {
+		return fmt.Errorf("blockdev: restore in-flight event: %w", err)
 	}
 	return nil
 }

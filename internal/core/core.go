@@ -77,7 +77,8 @@ const (
 
 // Config assembles a System. It is the gob-serializable member template:
 // fleet.MemberClass carries one, fleet checkpoints store it, and
-// RestoreSystem rebuilds a parked member from it. Interactive callers
+// NewFromConfig followed by System.Restore rebuilds a parked member from
+// it. Interactive callers
 // usually reach the same fields through New and functional Options.
 type Config struct {
 	// Model is the drive model (default: Hitachi Ultrastar 15K450).
@@ -127,28 +128,28 @@ type Config struct {
 // System is an assembled simulation stack ready to run scrub campaigns
 // against foreground workloads.
 type System struct {
-	Sim *sim.Simulator //scrublint:transient the simulator is rebuilt and re-armed by Restore
+	Sim *sim.Simulator //scrublint:transient clock recorded as Now/Seq/Fired by Snapshot
 	// Device is the drive the stack runs against — rotational or
 	// solid-state. Disk aliases it when (and only when) the device is the
 	// rotational model; it is nil for SSD-backed systems, so code that
 	// needs seek-model specifics must nil-check it.
-	Device   disk.Device //scrublint:transient rebuilt from cfg and per-device state by Restore
+	Device   disk.Device //scrublint:transient recorded as Disk or SSD by Snapshot
 	Disk     *disk.Disk
 	Queue    *blockdev.Queue
-	Scrubber *scrub.Scrubber
+	Scrubber *scrub.Scrubber //scrublint:transient recorded as Scrub by Snapshot
 	// Faults is the LSE injector, non-nil when the system was built with
 	// WithFaults. It starts planting errors when the system starts.
-	Faults *fault.Injector
+	Faults *fault.Injector //scrublint:transient recorded as Fault by Snapshot
 
 	cfg    Config             //scrublint:transient configuration, supplied to Restore by the caller
 	cfq    *iosched.CFQ       // nil unless Sched is CFQ
 	sched  blockdev.Scheduler //scrublint:transient wiring rebuilt from cfg by Restore
 	policy schedpolicy.Policy
-	reg    *obs.Registry //scrublint:transient host-side registry, re-attached by the caller
+	reg    *obs.Registry
 
 	// kickEv is the pending Kick timer, kickFn its prebuilt callback —
 	// tracked as fields so a snapshot can record and re-arm the timer.
-	kickEv *sim.Event
+	kickEv *sim.Event //scrublint:transient pending event, recorded as HasKick/KickAt/KickSeq by Snapshot
 	kickFn func()
 }
 

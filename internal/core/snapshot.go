@@ -10,14 +10,17 @@ import (
 	"repro/internal/iosched"
 	"repro/internal/schedpolicy"
 	"repro/internal/scrub"
+	"repro/internal/sim"
 )
 
 // SystemState is the compact serializable state of a parked System: the
 // kernel clock plus one sub-state per component, each carrying its own
 // pending events as (at, seq) records. Configuration is not embedded —
-// the restorer supplies a stack of the same Config (RestoreSystem builds
+// the restorer supplies a stack of the same Config (NewFromConfig builds
 // one; the fleet engine reuses one live stack per class) and Restore
 // applies this state on top, which keeps a million parked members cheap.
+//
+//scrublint:snapshot System
 type SystemState struct {
 	Now   time.Duration
 	Seq   uint64
@@ -84,60 +87,59 @@ func (sys *System) classifyInflight(r *blockdev.Request) (uint8, error) {
 	return uint8(k), nil
 }
 
-// Snapshot captures the full serializable state of a parked system.
-func (sys *System) Snapshot() (*SystemState, error) {
+// Snapshot fills st with the full serializable state of a parked
+// system. It reuses st's component states and their buffers, so a member
+// parked slice after slice into the same SystemState allocates only for
+// growth; nothing in st shares memory with the live stack.
+func (sys *System) Snapshot(st *SystemState) error {
 	if err := sys.Parkable(); err != nil {
-		return nil, err
+		return err
 	}
-	now, seq, fired := sys.Sim.Clock()
-	st := &SystemState{Now: now, Seq: seq, Fired: fired}
+	st.Now, st.Seq, st.Fired = sys.Sim.Clock()
 	switch dev := sys.Device.(type) {
 	case *disk.Disk:
-		st.Disk = dev.State()
+		st.Disk, st.SSD = reuse(st.Disk), nil
+		dev.SaveState(st.Disk)
 	case *disk.SSD:
-		st.SSD = dev.State()
+		st.Disk, st.SSD = nil, reuse(st.SSD)
+		dev.SaveState(st.SSD)
 	default:
-		return nil, fmt.Errorf("core: device %T is not snapshotable", sys.Device)
+		return fmt.Errorf("core: device %T is not snapshotable", sys.Device)
 	}
-	var err error
-	if st.Queue, err = sys.Queue.State(sys.classifyInflight); err != nil {
-		return nil, err
+	st.Queue, st.CFQ, st.Scrub = reuse(st.Queue), reuse(st.CFQ), reuse(st.Scrub)
+	if err := sys.Queue.SaveState(st.Queue, sys.classifyInflight); err != nil {
+		return err
 	}
-	if st.CFQ, err = sys.cfq.State(); err != nil {
-		return nil, err
+	if err := sys.cfq.SaveState(st.CFQ); err != nil {
+		return err
 	}
-	if st.Scrub, err = sys.Scrubber.State(); err != nil {
-		return nil, err
+	if err := sys.Scrubber.SaveState(st.Scrub); err != nil {
+		return err
 	}
-	if sys.Faults != nil {
-		if st.Fault, err = sys.Faults.State(); err != nil {
-			return nil, err
+	if sys.Faults == nil {
+		st.Fault = nil
+	} else {
+		st.Fault = reuse(st.Fault)
+		if err := sys.Faults.SaveState(st.Fault); err != nil {
+			return err
 		}
 	}
-	if sys.kickEv != nil {
-		st.HasKick = true
-		st.KickAt = sys.kickEv.At()
-		st.KickSeq = sys.kickEv.Seq()
-	}
+	st.HasKick, st.KickAt, st.KickSeq = sim.Pending(sys.kickEv)
 	if w, ok := sys.policy.(*schedpolicy.Waiting); ok {
-		st.Policy = w.State()
+		st.Policy = reuse(st.Policy)
+		w.SaveState(st.Policy)
+	} else {
+		st.Policy = nil
 	}
-	return st, nil
+	return nil
 }
 
-// RestoreSystem rebuilds a parked system: a fresh stack from the same
-// Config (wiring order identical to New, so subscriber order — and with
-// it determinism — is preserved), then Restore applies the snapshot on
-// top with the Config's fault seed.
-func RestoreSystem(cfg Config, st *SystemState) (*System, error) {
-	sys, err := build(cfg)
-	if err != nil {
-		return nil, err
+// reuse returns p, or a new T when p is nil.
+func reuse[T any](p *T) *T {
+	if p == nil {
+		return new(T)
 	}
-	if err := sys.Restore(st, cfg.FaultSeed); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return p
 }
 
 // Restore overwrites the system in place with a snapshot taken from a
@@ -147,8 +149,7 @@ func RestoreSystem(cfg Config, st *SystemState) (*System, error) {
 // clock restores first and discards every pending event, then every
 // component overwrites all of its state, and each re-enqueued event
 // keeps its recorded sequence number. This is the only restore path:
-// RestoreSystem is a build followed by Restore, and the fleet engine
-// restores member after member onto one live stack.
+// the fleet engine restores member after member onto one live stack.
 func (sys *System) Restore(st *SystemState, faultSeed int64) error {
 	if err := sys.serializable(); err != nil {
 		return err
@@ -195,13 +196,9 @@ func (sys *System) Restore(st *SystemState, faultSeed int64) error {
 	} else if sys.Faults != nil {
 		return fmt.Errorf("core: config has a fault model but snapshot carries no fault state")
 	}
-	sys.kickEv = nil
-	if st.HasKick {
-		ev, err := sys.Sim.RestoreAt(st.KickAt, st.KickSeq, sys.kickFn)
-		if err != nil {
-			return fmt.Errorf("core: restore kick timer: %w", err)
-		}
-		sys.kickEv = ev
+	var err error
+	if sys.kickEv, err = sys.Sim.Rearm(st.HasKick, st.KickAt, st.KickSeq, sys.kickFn); err != nil {
+		return fmt.Errorf("core: restore kick timer: %w", err)
 	}
 	w, isWaiting := sys.policy.(*schedpolicy.Waiting)
 	switch {

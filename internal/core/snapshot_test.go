@@ -94,6 +94,21 @@ func rollToParkable(t *testing.T, sys *core.System) {
 	t.Fatalf("still not parkable after 2^20 events: %v", sys.Parkable())
 }
 
+// snapshot returns sys's parked state in a new SystemState.
+func snapshot(sys *core.System) (*core.SystemState, error) {
+	st := new(core.SystemState)
+	return st, sys.Snapshot(st)
+}
+
+// restoreSystem builds a stack of cfg and restores st onto it.
+func restoreSystem(cfg core.Config, st *core.SystemState) (*core.System, error) {
+	sys, err := core.NewFromConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys, sys.Restore(st, cfg.FaultSeed)
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -141,7 +156,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 				rollToParkable(t, orig)
 
-				st, err := orig.Snapshot()
+				st, err := snapshot(orig)
 				if err != nil {
 					t.Fatalf("cut %v: %v", cut, err)
 				}
@@ -162,7 +177,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 				rcfg := cfg
 				rcfg.Obs = restReg
-				rest, err := core.RestoreSystem(rcfg, &rt)
+				rest, err := restoreSystem(rcfg, &rt)
 				if err != nil {
 					t.Fatalf("cut %v: restore: %v", cut, err)
 				}
@@ -206,7 +221,7 @@ func TestSnapshotRejectsUnparkable(t *testing.T) {
 	if sys.Parkable() == nil {
 		t.Fatal("system with a foreign request reported parkable")
 	}
-	if _, err := sys.Snapshot(); err == nil {
+	if err := sys.Snapshot(new(core.SystemState)); err == nil {
 		t.Fatal("Snapshot succeeded with a foreign request in the queue")
 	}
 }
@@ -220,18 +235,18 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rollToParkable(t, sys)
-	st, err := sys.Snapshot()
+	st, err := snapshot(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bare := cfg
 	bare.Faults = nil
 	bare.FaultSeed = 0
-	if _, err := core.RestoreSystem(bare, st); err == nil {
+	if _, err := restoreSystem(bare, st); err == nil {
 		t.Error("fault-state snapshot restored into fault-free config")
 	}
 	st.Fault = nil
-	if _, err := core.RestoreSystem(cfg, st); err == nil {
+	if _, err := restoreSystem(cfg, st); err == nil {
 		t.Error("fault-free snapshot restored into fault-model config")
 	}
 
@@ -240,16 +255,16 @@ func TestRestoreConfigMismatch(t *testing.T) {
 	waiting := cfg
 	waiting.Faults, waiting.FaultSeed = nil, 0
 	waiting.Policy = core.PolicyWaiting
-	if _, err := core.RestoreSystem(waiting, st); err == nil {
+	if _, err := restoreSystem(waiting, st); err == nil {
 		t.Error("snapshot without waiting-policy state restored into a waiting config")
 	}
 	wsys, _ := buildSys(t, waiting)
 	rollToParkable(t, wsys)
-	wst, err := wsys.Snapshot()
+	wst, err := snapshot(wsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.RestoreSystem(bare, wst); err == nil {
+	if _, err := restoreSystem(bare, wst); err == nil {
 		t.Error("waiting-policy snapshot restored into a fixed-delay config")
 	}
 }

@@ -207,7 +207,7 @@ func TestCacheIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestCacheIndexSurvivesRestore round-trips a Disk through State and
+// TestCacheIndexSurvivesRestore round-trips a Disk through SaveState and
 // RestoreState, into a fresh disk and into one whose cache held other
 // segments, and requires all three to serve an identical command stream
 // identically afterwards: a stale or missing index would miss hits the
@@ -233,14 +233,12 @@ func TestCacheIndexSurvivesRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := orig.State()
+	st := saved(orig)
 	if len(st.CacheSegs) < 2 {
 		t.Fatalf("stream left %d cache segments; want several", len(st.CacheSegs))
 	}
-	fresh, err := RestoreDisk(m, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := MustNew(m)
+	fresh.RestoreState(st)
 	used.RestoreState(st)
 	hits := 0
 	for i := 0; i < 3000; i++ {
@@ -267,13 +265,20 @@ func TestCacheIndexSurvivesRestore(t *testing.T) {
 		t.Fatal("no cache hits after the restore; the round trip proves nothing")
 	}
 	for _, d := range []*Disk{fresh, used} {
-		if !reflect.DeepEqual(d.State(), orig.State()) {
+		if !reflect.DeepEqual(saved(d), saved(orig)) {
 			t.Fatal("restored disk state diverged from the original")
 		}
 		if msg := checkIndex(d.cache); msg != "" {
 			t.Fatal(msg)
 		}
 	}
+}
+
+// saved returns a copy of d's state.
+func saved(d *Disk) *State {
+	var st State
+	d.SaveState(&st)
+	return &st
 }
 
 // BenchmarkCacheMissFill times the disk cache on replay's random-read

@@ -70,29 +70,20 @@ func (r Result) Latency() time.Duration { return r.Done - r.Start }
 // queueing is the block layer's job (package blockdev). Disk is not safe
 // for concurrent use; the simulation is single-threaded by design.
 type Disk struct {
-	model Model     //scrublint:transient construction parameter, supplied to Restore
+	st State // live state; the cache's contents live in cache
+
+	model Model     //scrublint:transient construction parameter, supplied at construction
 	geo   *geometry //scrublint:transient immutable geometry, rebuilt from the per-model cache
-	cache *cache
-
-	cacheEnabled bool
-	headCyl      int
-
-	lses []int64 // sorted LBAs of injected latent sector errors
-
-	// Stats.
-	served    int64
-	mediaOps  int64
-	cacheHits int64
+	cache *cache    //scrublint:transient indexed segment cache, recorded as CacheClock/CacheSegs by SaveState
 
 	// Observability instruments (nil when uninstrumented; every use is a
-	// nil-safe single-branch no-op then). instr short-circuits the whole
-	// block in Service with one branch — the uninstrumented service path
-	// is the single hottest loop in the repository.
-	instr    bool              //scrublint:transient derived from registry attachment on restore
-	obsSvc   [3]*obs.Histogram //scrublint:transient host-side instrument (per-op service time by Op-1), re-resolved by Instrument
-	obsHit   *obs.Counter      //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsMiss  *obs.Counter      //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsTrace *obs.Ring         //scrublint:transient host-side instrument, re-resolved by Instrument
+	// nil-safe single-branch no-op then). A nil obsHit short-circuits the
+	// whole block in Service with one branch — the uninstrumented service
+	// path is the single hottest loop in the repository.
+	obsSvc   [3]*obs.Histogram // per-op service time by Op-1
+	obsHit   *obs.Counter
+	obsMiss  *obs.Counter
+	obsTrace *obs.Ring
 }
 
 // New constructs a Disk from a model. Geometry is looked up in a
@@ -104,10 +95,10 @@ func New(m Model) (*Disk, error) {
 		return nil, err
 	}
 	return &Disk{
-		model:        m,
-		geo:          geometryFor(m),
-		cache:        newCache(&m),
-		cacheEnabled: true,
+		st:    State{CacheEnabled: true},
+		model: m,
+		geo:   geometryFor(m),
+		cache: newCache(&m),
 	}, nil
 }
 
@@ -133,41 +124,41 @@ func (d *Disk) Capacity() int64 { return d.Sectors() * SectorSize }
 // SetCacheEnabled toggles the on-disk cache, as the paper does for Fig. 1.
 // Disabling also drops current contents.
 func (d *Disk) SetCacheEnabled(on bool) {
-	d.cacheEnabled = on
+	d.st.CacheEnabled = on
 	if !on {
 		d.cache.reset()
 	}
 }
 
 // CacheEnabled reports whether the on-disk cache is active.
-func (d *Disk) CacheEnabled() bool { return d.cacheEnabled }
+func (d *Disk) CacheEnabled() bool { return d.st.CacheEnabled }
 
 // InjectLSE marks a sector as a latent sector error. Media accesses
 // covering it will report it.
 func (d *Disk) InjectLSE(lba int64) {
-	i := sort.Search(len(d.lses), func(i int) bool { return d.lses[i] >= lba })
-	if i < len(d.lses) && d.lses[i] == lba {
+	i := sort.Search(len(d.st.LSEs), func(i int) bool { return d.st.LSEs[i] >= lba })
+	if i < len(d.st.LSEs) && d.st.LSEs[i] == lba {
 		return
 	}
-	d.lses = append(d.lses, 0)
-	copy(d.lses[i+1:], d.lses[i:])
-	d.lses[i] = lba
+	d.st.LSEs = append(d.st.LSEs, 0)
+	copy(d.st.LSEs[i+1:], d.st.LSEs[i:])
+	d.st.LSEs[i] = lba
 }
 
 // RepairLSE clears an injected error (e.g. after sector reallocation).
 func (d *Disk) RepairLSE(lba int64) {
-	i := sort.Search(len(d.lses), func(i int) bool { return d.lses[i] >= lba })
-	if i < len(d.lses) && d.lses[i] == lba {
-		d.lses = append(d.lses[:i], d.lses[i+1:]...)
+	i := sort.Search(len(d.st.LSEs), func(i int) bool { return d.st.LSEs[i] >= lba })
+	if i < len(d.st.LSEs) && d.st.LSEs[i] == lba {
+		d.st.LSEs = append(d.st.LSEs[:i], d.st.LSEs[i+1:]...)
 	}
 }
 
 // LSECount returns the number of outstanding injected errors.
-func (d *Disk) LSECount() int { return len(d.lses) }
+func (d *Disk) LSECount() int { return len(d.st.LSEs) }
 
 // Stats reports serviced command counts.
 func (d *Disk) Stats() (served, mediaOps, cacheHits int64) {
-	return d.served, d.mediaOps, d.cacheHits
+	return d.st.Served, d.st.MediaOps, d.st.CacheHits
 }
 
 // Instrument attaches the drive to a metrics registry: per-op service
@@ -178,7 +169,6 @@ func (d *Disk) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	d.instr = true
 	d.obsSvc[OpRead-1] = reg.Histogram("disk.service_time.read")
 	d.obsSvc[OpWrite-1] = reg.Histogram("disk.service_time.write")
 	d.obsSvc[OpVerify-1] = reg.Histogram("disk.service_time.verify")
@@ -235,16 +225,16 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 	}
 	m := &d.model
 	res := Result{Start: now}
-	d.served++
+	d.st.Served++
 
 	accepted := now + m.CommandOverhead
 
 	// Cache-path eligibility: reads always consult the cache; VERIFY only
 	// does on drives with the broken ATA behaviour.
-	cacheable := d.cacheEnabled && !req.BypassCache &&
+	cacheable := d.st.CacheEnabled && !req.BypassCache &&
 		(req.Op == OpRead || (req.Op == OpVerify && m.VerifyFromCache))
 	if cacheable && d.cache.contains(req.LBA, req.Sectors) {
-		d.cacheHits++
+		d.st.CacheHits++
 		res.CacheHit = true
 		transfer := time.Duration(0)
 		if req.Op == OpRead {
@@ -254,7 +244,7 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 			transfer = time.Duration(float64(req.Bytes()) / (2 * m.BusBytesPerSec) * float64(time.Second))
 		}
 		res.Done = accepted + transfer + m.CompletionOverhead
-		if d.instr {
+		if d.obsHit != nil {
 			d.obsHit.Inc()
 			d.obsSvc[req.Op-1].Observe(res.Done - now)
 			d.obsTrace.Emit(now, "disk", "cache_hit", req.LBA, req.Sectors)
@@ -263,26 +253,26 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 	}
 
 	// Mechanical path.
-	if cacheable && d.instr {
+	if cacheable && d.obsHit != nil {
 		d.obsMiss.Inc()
 	}
-	d.mediaOps++
+	d.st.MediaOps++
 	// One cylinder lookup per command: the rotational position and the
 	// transfer walk start from it, and the walk ends on the head's new
 	// cylinder.
 	targetCyl := d.geo.cylinderOf(req.LBA)
-	seek := d.geo.seekTime(d.headCyl, targetCyl)
+	seek := d.geo.seekTime(d.st.HeadCyl, targetCyl)
 	atTrack := accepted + seek
 	rot := d.geo.rotWait(atTrack, d.geo.angleOf(req.LBA, targetCyl))
 	transfer, lastCyl := d.geo.transferTime(req.LBA, req.Sectors, targetCyl)
 	mechDone := atTrack + rot + transfer
 	res.Done = mechDone + m.CompletionOverhead
-	d.headCyl = lastCyl
+	d.st.HeadCyl = lastCyl
 
 	// Cache effects. Readahead stops at the first latent sector error at
 	// or beyond the requested range: a drive cannot prefetch through a bad
 	// sector, so the error stays detectable by a later direct access.
-	if d.cacheEnabled {
+	if d.st.CacheEnabled {
 		switch req.Op {
 		case OpRead:
 			d.cache.fill(req.LBA, req.Sectors, m.ReadAheadBytes/SectorSize, d.cacheLimit(req.LBA))
@@ -297,7 +287,7 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 		}
 	}
 
-	if req.Op == OpWrite && !d.cacheEnabled {
+	if req.Op == OpWrite && !d.st.CacheEnabled {
 		d.reallocate(req.LBA, req.Sectors)
 	}
 	// LSE detection on medium access: the command still pays its full
@@ -306,7 +296,7 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 	if req.Op != OpWrite {
 		res.LSEs = d.lsesIn(req.LBA, req.Sectors)
 	}
-	if d.instr {
+	if d.obsHit != nil {
 		d.obsSvc[req.Op-1].Observe(res.Done - now)
 		d.obsTrace.Emit(now, "disk", "media", req.LBA, req.Sectors)
 	}
@@ -319,32 +309,32 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 // reallocate clears latent errors overwritten by a write: drives remap a
 // bad sector to a spare on write, which is how detected LSEs get repaired.
 func (d *Disk) reallocate(lba, n int64) {
-	lo := sort.Search(len(d.lses), func(i int) bool { return d.lses[i] >= lba })
-	hi := sort.Search(len(d.lses), func(i int) bool { return d.lses[i] >= lba+n })
+	lo := sort.Search(len(d.st.LSEs), func(i int) bool { return d.st.LSEs[i] >= lba })
+	hi := sort.Search(len(d.st.LSEs), func(i int) bool { return d.st.LSEs[i] >= lba+n })
 	if lo < hi {
-		d.lses = append(d.lses[:lo], d.lses[hi:]...)
+		d.st.LSEs = append(d.st.LSEs[:lo], d.st.LSEs[hi:]...)
 	}
 }
 
 // cacheLimit returns the exclusive upper bound cacheable from lba on:
 // the disk end, or the first latent sector error at or after lba.
 func (d *Disk) cacheLimit(lba int64) int64 {
-	i := sort.Search(len(d.lses), func(i int) bool { return d.lses[i] >= lba })
-	if i < len(d.lses) {
-		return d.lses[i]
+	i := sort.Search(len(d.st.LSEs), func(i int) bool { return d.st.LSEs[i] >= lba })
+	if i < len(d.st.LSEs) {
+		return d.st.LSEs[i]
 	}
 	return d.Sectors()
 }
 
 // lsesIn returns injected LSEs within [lba, lba+n).
 func (d *Disk) lsesIn(lba, n int64) []int64 {
-	lo := sort.Search(len(d.lses), func(i int) bool { return d.lses[i] >= lba })
-	hi := sort.Search(len(d.lses), func(i int) bool { return d.lses[i] >= lba+n })
+	lo := sort.Search(len(d.st.LSEs), func(i int) bool { return d.st.LSEs[i] >= lba })
+	hi := sort.Search(len(d.st.LSEs), func(i int) bool { return d.st.LSEs[i] >= lba+n })
 	if lo == hi {
 		return nil
 	}
 	out := make([]int64, hi-lo)
-	copy(out, d.lses[lo:hi])
+	copy(out, d.st.LSEs[lo:hi])
 	return out
 }
 

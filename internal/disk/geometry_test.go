@@ -95,7 +95,7 @@ func TestServiceAcrossCylinderBoundaries(t *testing.T) {
 					t.Fatalf("transfer of [%d, %d) ended on cylinder %d, want %d", lba, end, last, want)
 				}
 
-				atTrack := now + m.CommandOverhead + g.seekTime(d.headCyl, cyl)
+				atTrack := now + m.CommandOverhead + g.seekTime(d.st.HeadCyl, cyl)
 				want := atTrack + g.rotWait(atTrack, g.angleOf(lba, cyl)) + transfer + m.CompletionOverhead
 				res, err := d.Service(req, now)
 				if err != nil {
@@ -104,8 +104,8 @@ func TestServiceAcrossCylinderBoundaries(t *testing.T) {
 				if res.Done != want {
 					t.Fatalf("Service([%d, %d)) done at %v, parts add up to %v", lba, end, res.Done, want)
 				}
-				if want := g.cylinderOf(end - 1); d.headCyl != want {
-					t.Fatalf("head on cylinder %d after [%d, %d), want %d", d.headCyl, lba, end, want)
+				if want := g.cylinderOf(end - 1); d.st.HeadCyl != want {
+					t.Fatalf("head on cylinder %d after [%d, %d), want %d", d.st.HeadCyl, lba, end, want)
 				}
 				now = res.Done
 			}

@@ -6,12 +6,15 @@ type SegState struct {
 	LastUse    uint64
 }
 
-// State is the compact serializable state of a Disk. The model itself is
-// not embedded — the restorer supplies it (fleet members share a handful
-// of models, so states stay small) — and geometry is recomputed from the
-// model, so a snapshot carries only what the drive accumulated: head
-// position, outstanding LSEs, counters and cache contents (including the
-// LRU clock, which decides future evictions).
+// State is the drive's live state, and gob-encoded it is the compact
+// serializable state of a parked one. The model itself is not embedded —
+// the restorer supplies it (fleet members share a handful of models, so
+// states stay small) — and geometry is recomputed from the model, so a
+// snapshot carries only what the drive accumulated: head position,
+// outstanding LSEs, counters and cache contents (including the LRU
+// clock, which decides future evictions). The cache keeps its contents
+// in its own indexed form; a live Disk does not read CacheClock or
+// CacheSegs, which SaveState fills.
 type State struct {
 	HeadCyl      int
 	LSEs         []int64 // sorted
@@ -23,23 +26,16 @@ type State struct {
 	CacheSegs    []SegState
 }
 
-// State captures the disk's serializable state.
-func (d *Disk) State() *State {
-	st := &State{
-		HeadCyl:      d.headCyl,
-		Served:       d.served,
-		MediaOps:     d.mediaOps,
-		CacheHits:    d.cacheHits,
-		CacheEnabled: d.cacheEnabled,
-		CacheClock:   d.cache.clock,
-	}
-	if len(d.lses) > 0 {
-		st.LSEs = append([]int64(nil), d.lses...)
-	}
+// SaveState copies the disk's state into dst, reusing dst's slices.
+func (d *Disk) SaveState(dst *State) {
+	lses, segs := dst.LSEs[:0], dst.CacheSegs[:0]
+	*dst = d.st
+	dst.LSEs = append(lses, d.st.LSEs...)
+	dst.CacheClock = d.cache.clock
 	for _, s := range d.cache.segments {
-		st.CacheSegs = append(st.CacheSegs, SegState{Start: s.start, End: s.end, LastUse: s.lastUse})
+		segs = append(segs, SegState{Start: s.start, End: s.end, LastUse: s.lastUse})
 	}
-	return st
+	dst.CacheSegs = segs
 }
 
 // RestoreState overwrites the disk with a snapshot taken from a disk of
@@ -47,27 +43,14 @@ func (d *Disk) State() *State {
 // member. Geometry and cache sizing come from that model, so only
 // accumulated state is copied.
 func (d *Disk) RestoreState(st *State) {
-	d.headCyl = st.HeadCyl
-	d.lses = append(d.lses[:0], st.LSEs...)
-	d.served = st.Served
-	d.mediaOps = st.MediaOps
-	d.cacheHits = st.CacheHits
-	d.cacheEnabled = st.CacheEnabled
+	lses := d.st.LSEs[:0]
+	d.st = *st
+	d.st.LSEs = append(lses, st.LSEs...)
+	d.st.CacheSegs = nil
 	d.cache.clock = st.CacheClock
 	d.cache.segments = d.cache.segments[:0]
 	for _, s := range st.CacheSegs {
 		d.cache.segments = append(d.cache.segments, segment{start: s.Start, end: s.End, lastUse: s.LastUse})
 	}
 	d.cache.reindex()
-}
-
-// RestoreDisk rebuilds a disk of model m from a snapshot. The model must
-// match the one the snapshot was taken from.
-func RestoreDisk(m Model, st *State) (*Disk, error) {
-	d, err := New(m)
-	if err != nil {
-		return nil, err
-	}
-	d.RestoreState(st)
-	return d, nil
 }

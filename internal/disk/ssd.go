@@ -177,25 +177,20 @@ func replayGCCursor(m *SSDModel, idx int64) gcCursor {
 // and carries the same LSE injection surface, so the block layer, fault
 // injector and scrubber drive it unchanged through the Device interface.
 type SSD struct {
-	model   SSDModel //scrublint:transient construction parameter, supplied to RestoreSSD
-	sectors int64    //scrublint:transient derived from model capacity
-	stripe  int64    //scrublint:transient derived from channels × dies (pages per wave)
-	gcOn    bool     //scrublint:transient configuration flag from the model
+	st SSDState // live state; the GC cursors keep their own positions
 
-	gc  gcCursor //scrublint:transient service-path cursor, replayed from GCIdx on restore
-	gcq gcCursor // StolenIdle query cursor
+	model SSDModel //scrublint:transient construction parameter, supplied at construction
+	// sectors is the model's capacity, stripe its pages per wave
+	// (channels × dies).
+	sectors, stripe int64 //scrublint:transient derived from the model
+	gcOn            bool  //scrublint:transient configuration flag from the model
 
-	lses []int64 // injected latent errors, ascending
+	// gc is the service-path GC cursor, gcq the StolenIdle query cursor.
+	gc, gcq gcCursor //scrublint:transient positions recorded as GCIdx/GCQIdx by SaveState
 
-	served   int64
-	mediaOps int64
-	gcHits   int64         // requests delayed by a GC pause
-	gcWait   time.Duration // total time requests spent waiting out pauses
-
-	instr    bool              //scrublint:transient derived from registry attachment on restore
-	obsSvc   [3]*obs.Histogram //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsGC    *obs.Counter      //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsTrace *obs.Ring         //scrublint:transient host-side instrument, re-resolved by Instrument
+	obsSvc   [3]*obs.Histogram
+	obsGC    *obs.Counter
+	obsTrace *obs.Ring
 }
 
 // NewSSD validates the model and builds a device.
@@ -240,37 +235,37 @@ func (s *SSD) Capacity() int64 { return s.sectors * SectorSize }
 // InjectLSE implements Device: flash uncorrectable-read errors share the
 // sorted-LBA bookkeeping the HDD model uses.
 func (s *SSD) InjectLSE(lba int64) {
-	i := sort.Search(len(s.lses), func(i int) bool { return s.lses[i] >= lba })
-	if i < len(s.lses) && s.lses[i] == lba {
+	i := sort.Search(len(s.st.LSEs), func(i int) bool { return s.st.LSEs[i] >= lba })
+	if i < len(s.st.LSEs) && s.st.LSEs[i] == lba {
 		return
 	}
-	s.lses = append(s.lses, 0)
-	copy(s.lses[i+1:], s.lses[i:])
-	s.lses[i] = lba
+	s.st.LSEs = append(s.st.LSEs, 0)
+	copy(s.st.LSEs[i+1:], s.st.LSEs[i:])
+	s.st.LSEs[i] = lba
 }
 
 // RepairLSE implements Device.
 func (s *SSD) RepairLSE(lba int64) {
-	i := sort.Search(len(s.lses), func(i int) bool { return s.lses[i] >= lba })
-	if i < len(s.lses) && s.lses[i] == lba {
-		s.lses = append(s.lses[:i], s.lses[i+1:]...)
+	i := sort.Search(len(s.st.LSEs), func(i int) bool { return s.st.LSEs[i] >= lba })
+	if i < len(s.st.LSEs) && s.st.LSEs[i] == lba {
+		s.st.LSEs = append(s.st.LSEs[:i], s.st.LSEs[i+1:]...)
 	}
 }
 
 // LSECount implements Device.
-func (s *SSD) LSECount() int { return len(s.lses) }
+func (s *SSD) LSECount() int { return len(s.st.LSEs) }
 
 // Stats implements Device. Flash has no read-cache model, so cacheHits
 // is always zero.
 func (s *SSD) Stats() (served, mediaOps, cacheHits int64) {
-	return s.served, s.mediaOps, 0
+	return s.st.Served, s.st.MediaOps, 0
 }
 
 // GCStats reports the pause process as seen by the service path: pause
 // windows generated on the service clock so far, requests that collided
 // with a pause, and the total time those requests spent waiting.
 func (s *SSD) GCStats() (pauses, delayedReqs int64, delayTotal time.Duration) {
-	return s.gc.idx, s.gcHits, s.gcWait
+	return s.gc.idx, s.st.GCHits, s.st.GCWait
 }
 
 // Instrument attaches the device to a metrics registry: per-op service
@@ -280,7 +275,6 @@ func (s *SSD) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.instr = true
 	s.obsSvc[OpRead-1] = reg.Histogram("ssd.service_time.read")
 	s.obsSvc[OpWrite-1] = reg.Histogram("ssd.service_time.write")
 	s.obsSvc[OpVerify-1] = reg.Histogram("ssd.service_time.verify")
@@ -351,13 +345,13 @@ func (s *SSD) Service(req Request, now time.Duration) (Result, error) {
 	}
 	m := &s.model
 	res := Result{Start: now}
-	s.served++
-	s.mediaOps++
+	s.st.Served++
+	s.st.MediaOps++
 
 	accepted := now + m.CommandOverhead
 	if d := s.gcDelay(accepted); d > 0 {
-		s.gcHits++
-		s.gcWait += d
+		s.st.GCHits++
+		s.st.GCWait += d
 		s.obsGC.Inc()
 		accepted += d
 	}
@@ -380,7 +374,7 @@ func (s *SSD) Service(req Request, now time.Duration) (Result, error) {
 	} else {
 		res.LSEs = s.lsesIn(req.LBA, req.Sectors)
 	}
-	if s.instr {
+	if s.obsGC != nil {
 		s.observe(req, &res)
 	}
 	if len(res.LSEs) > 0 {
@@ -391,25 +385,25 @@ func (s *SSD) Service(req Request, now time.Duration) (Result, error) {
 
 // clearLSEs drops injected errors within [lba, lba+n).
 func (s *SSD) clearLSEs(lba, n int64) {
-	if len(s.lses) == 0 {
+	if len(s.st.LSEs) == 0 {
 		return
 	}
-	lo := sort.Search(len(s.lses), func(i int) bool { return s.lses[i] >= lba })
-	hi := sort.Search(len(s.lses), func(i int) bool { return s.lses[i] >= lba+n })
+	lo := sort.Search(len(s.st.LSEs), func(i int) bool { return s.st.LSEs[i] >= lba })
+	hi := sort.Search(len(s.st.LSEs), func(i int) bool { return s.st.LSEs[i] >= lba+n })
 	if lo != hi {
-		s.lses = append(s.lses[:lo], s.lses[hi:]...)
+		s.st.LSEs = append(s.st.LSEs[:lo], s.st.LSEs[hi:]...)
 	}
 }
 
 // lsesIn returns injected LSEs within [lba, lba+n).
 func (s *SSD) lsesIn(lba, n int64) []int64 {
-	lo := sort.Search(len(s.lses), func(i int) bool { return s.lses[i] >= lba })
-	hi := sort.Search(len(s.lses), func(i int) bool { return s.lses[i] >= lba+n })
+	lo := sort.Search(len(s.st.LSEs), func(i int) bool { return s.st.LSEs[i] >= lba })
+	hi := sort.Search(len(s.st.LSEs), func(i int) bool { return s.st.LSEs[i] >= lba+n })
 	if lo == hi {
 		return nil
 	}
 	out := make([]int64, hi-lo)
-	copy(out, s.lses[lo:hi])
+	copy(out, s.st.LSEs[lo:hi])
 	return out
 }
 

@@ -239,11 +239,10 @@ func TestSSDSnapshotRoundTrip(t *testing.T) {
 	}
 	s.StolenIdle(0, now/2)
 
-	st := s.State()
-	r, err := RestoreSSD(m, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st SSDState
+	s.SaveState(&st)
+	r := MustNewSSD(m)
+	r.RestoreState(&st)
 
 	// Both devices must behave identically from here on.
 	for i := 0; i < 1000; i++ {

@@ -69,7 +69,7 @@ func AblationIdleGate(o Options) Table {
 		s := sim.New()
 		d := disk.MustNew(disk.HitachiUltrastar15K450())
 		cfq := iosched.NewCFQ()
-		cfq.IdleGate = gate
+		cfq.SetIdleGate(gate)
 		q := blockdev.NewQueue(s, d, cfq)
 		w := &replay.Synthetic{BypassCache: true, Seed: o.seed()}
 		if err := w.Start(s, q); err != nil {

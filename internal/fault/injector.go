@@ -68,33 +68,31 @@ func TTDBuckets() []time.Duration {
 // the simulation it is single-threaded: one injector per disk, one disk
 // per simulator.
 type Injector struct {
-	sim *sim.Simulator //scrublint:transient wiring, supplied to RestoreInjector
-	dev disk.Device    //scrublint:transient wiring, supplied to RestoreInjector
-	src Source
+	st InjectorState // live state; the source, event and maps are recorded by SaveState
 
-	started bool
-	// next is the one burst pulled ahead of the clock, nextEv its pending
-	// arrival event. Keeping the burst in a field (rather than captured in
-	// a closure) is what lets a snapshot record it and a restore re-arm it.
-	next    Burst
-	hasNext bool
-	nextEv  *sim.Event
-	fireFn  func() //scrublint:transient prebuilt next-arrival callback, rebuilt at construction
+	sim *sim.Simulator //scrublint:transient wiring, supplied at construction
+	dev disk.Device    //scrublint:transient wiring, supplied at construction
+	src Source         //scrublint:transient arrival source, its position recorded as Draws/SrcNow by SaveState
+
+	// nextEv is the pending arrival event of the burst pulled ahead of
+	// the clock (NextAt/NextLBAs). Keeping the burst in the state (rather
+	// than captured in a closure) is what lets a snapshot record it and a
+	// restore re-arm it.
+	nextEv *sim.Event //scrublint:transient pending event, recorded as EvAt/EvSeq by SaveState
+	fireFn func()
 
 	// arrival holds planted, not-yet-detected sectors; detected holds
 	// sectors awaiting remap.
-	arrival  map[int64]time.Duration
-	detected map[int64]bool
-
-	stats Stats
+	arrival  map[int64]time.Duration //scrublint:transient recorded sorted as Arrival by SaveState
+	detected map[int64]bool          //scrublint:transient recorded sorted as Detected by SaveState
 
 	// Observability instruments (nil when uninstrumented).
-	obsInjected *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsDetected *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsRemapped *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsCleared  *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsTTD      *obs.Histogram //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsTrace    *obs.Ring      //scrublint:transient host-side instrument, re-resolved by Instrument
+	obsInjected *obs.Counter
+	obsDetected *obs.Counter
+	obsRemapped *obs.Counter
+	obsCleared  *obs.Counter
+	obsTTD      *obs.Histogram
+	obsTrace    *obs.Ring
 }
 
 // NewInjector builds an injector for one disk from a model and seed.
@@ -128,52 +126,50 @@ func (in *Injector) Instrument(reg *obs.Registry) {
 }
 
 // Stats returns a copy of the lifecycle counters.
-func (in *Injector) Stats() Stats { return in.stats }
+func (in *Injector) Stats() Stats { return in.st.Stats }
 
 // Start schedules the arrival stream. Arrivals are pulled lazily — one
 // pending event ahead of the clock — so unbounded streams cost O(1)
 // memory and never outrun RunUntil horizons.
 func (in *Injector) Start() {
-	if in.started {
+	if in.st.Started {
 		return
 	}
-	in.started = true
+	in.st.Started = true
 	in.scheduleNext()
 }
 
 func (in *Injector) scheduleNext() {
 	b, ok := in.src.Next()
-	if !ok {
-		in.hasNext = false
-		in.nextEv = nil
-		return
+	in.st.HasNext, in.st.NextAt, in.st.NextLBAs = ok, b.At, b.LBAs
+	in.nextEv = nil
+	if ok {
+		in.nextEv = in.sim.At(b.At, in.fireFn)
 	}
-	in.next, in.hasNext = b, true
-	in.nextEv = in.sim.At(b.At, in.fireFn)
 }
 
 // fireNext plants the pending burst and pulls the next one.
 func (in *Injector) fireNext() {
-	in.plant(in.next)
+	in.plant(in.st.NextLBAs)
 	in.scheduleNext()
 }
 
-// plant injects one burst, skipping sectors already bad.
-func (in *Injector) plant(b Burst) {
+// plant injects one burst's sectors, skipping those already bad.
+func (in *Injector) plant(lbas []int64) {
 	now := in.sim.Now()
 	planted := int64(0)
-	for _, lba := range b.LBAs {
+	for _, lba := range lbas {
 		if _, dup := in.arrival[lba]; dup || in.detected[lba] {
 			continue
 		}
 		in.dev.InjectLSE(lba)
 		in.arrival[lba] = now
-		in.stats.Injected++
+		in.st.Stats.Injected++
 		planted++
 	}
 	if planted > 0 {
 		in.obsInjected.Add(planted)
-		in.obsTrace.Emit(now, "fault", "inject", b.LBAs[0], planted)
+		in.obsTrace.Emit(now, "fault", "inject", lbas[0], planted)
 	}
 }
 
@@ -204,8 +200,8 @@ func (in *Injector) Detect(lbas []int64, now time.Duration) {
 		}
 		delete(in.arrival, lba)
 		in.detected[lba] = true
-		in.stats.Detected++
-		in.stats.DetectionTime += now - at
+		in.st.Stats.Detected++
+		in.st.Stats.DetectionTime += now - at
 		in.obsDetected.Inc()
 		in.obsTTD.Observe(now - at)
 		in.obsTrace.Emit(now, "fault", "detect", lba, int64((now - at)))
@@ -231,13 +227,13 @@ func (in *Injector) remapRange(lba, n int64, now time.Duration) {
 	sort.Slice(cleared, func(i, j int) bool { return cleared[i] < cleared[j] })
 	for _, s := range remapped {
 		delete(in.detected, s)
-		in.stats.Remapped++
+		in.st.Stats.Remapped++
 		in.obsRemapped.Inc()
 		in.obsTrace.Emit(now, "fault", "remap", s, 1)
 	}
 	for _, s := range cleared {
 		delete(in.arrival, s)
-		in.stats.ClearedUndetected++
+		in.st.Stats.ClearedUndetected++
 		in.obsCleared.Inc()
 	}
 }

@@ -1,11 +1,11 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
-	"repro/internal/disk"
 	"repro/internal/sim"
 )
 
@@ -15,12 +15,15 @@ type ArrivalRec struct {
 	At  time.Duration
 }
 
-// InjectorState is the compact serializable state of an Injector: RNG
-// stream position (seed is implied — the restorer supplies it), the one
-// burst pulled ahead of the clock with its pending event's (at, seq)
-// identity, and the lifecycle maps in sorted order. Restoring it onto an
-// injector of the same model with the same seed reproduces the
-// original's future exactly.
+// InjectorState is the injector's live state, and gob-encoded it is the
+// compact serializable state of a parked one: RNG stream position (seed
+// is implied — the restorer supplies it), the one burst pulled ahead of
+// the clock with its pending event's (at, seq) identity, and the
+// lifecycle maps in sorted order. Restoring it onto an injector of the
+// same model with the same seed reproduces the original's future
+// exactly. A live injector does not read the stream position, the event
+// record or the sorted lifecycle lists: the source, the event handle and
+// the maps hold those, and SaveState records them.
 type InjectorState struct {
 	Started bool
 
@@ -40,37 +43,28 @@ type InjectorState struct {
 	Stats    Stats
 }
 
-// State captures the injector's serializable state. It fails if the
-// arrival source does not support position capture (all built-in models
-// do).
-func (in *Injector) State() (*InjectorState, error) {
+// SaveState copies the injector's state into dst, reusing dst's slices.
+// It fails if the arrival source does not support position capture (all
+// built-in models do).
+func (in *Injector) SaveState(dst *InjectorState) error {
 	ps, ok := in.src.(PosSource)
 	if !ok {
-		return nil, fmt.Errorf("fault: source %T does not support position capture", in.src)
+		return fmt.Errorf("fault: source %T does not support position capture", in.src)
 	}
-	draws, srcNow := ps.Pos()
-	st := &InjectorState{
-		Started: in.started,
-		Draws:   draws,
-		SrcNow:  srcNow,
-		Stats:   in.stats,
-	}
-	if in.hasNext {
-		st.HasNext = true
-		st.NextAt = in.next.At
-		st.NextLBAs = append([]int64(nil), in.next.LBAs...)
-		st.EvAt = in.nextEv.At()
-		st.EvSeq = in.nextEv.Seq()
-	}
+	lbas, arrival, detected := dst.NextLBAs[:0], dst.Arrival[:0], dst.Detected[:0]
+	*dst = in.st
+	dst.Draws, dst.SrcNow = ps.Pos()
+	_, dst.EvAt, dst.EvSeq = sim.Pending(in.nextEv)
 	for lba, at := range in.arrival {
-		st.Arrival = append(st.Arrival, ArrivalRec{LBA: lba, At: at})
+		arrival = append(arrival, ArrivalRec{LBA: lba, At: at})
 	}
-	sort.Slice(st.Arrival, func(i, j int) bool { return st.Arrival[i].LBA < st.Arrival[j].LBA })
+	slices.SortFunc(arrival, func(a, b ArrivalRec) int { return cmp.Compare(a.LBA, b.LBA) })
 	for lba := range in.detected {
-		st.Detected = append(st.Detected, lba)
+		detected = append(detected, lba)
 	}
-	sort.Slice(st.Detected, func(i, j int) bool { return st.Detected[i] < st.Detected[j] })
-	return st, nil
+	slices.Sort(detected)
+	dst.NextLBAs, dst.Arrival, dst.Detected = append(lbas, in.st.NextLBAs...), arrival, detected
+	return nil
 }
 
 // RestoreState overwrites the injector with a snapshot taken from an
@@ -86,8 +80,10 @@ func (in *Injector) RestoreState(st *InjectorState, seed int64) error {
 		return fmt.Errorf("fault: source %T does not support position restore", in.src)
 	}
 	ps.SetPos(seed, st.Draws, st.SrcNow)
-	in.started = st.Started
-	in.stats = st.Stats
+	lbas := in.st.NextLBAs[:0]
+	in.st = *st
+	in.st.NextLBAs = append(lbas, st.NextLBAs...)
+	in.st.Arrival, in.st.Detected = nil, nil
 	clear(in.arrival)
 	for _, a := range st.Arrival {
 		in.arrival[a.LBA] = a.At
@@ -96,28 +92,9 @@ func (in *Injector) RestoreState(st *InjectorState, seed int64) error {
 	for _, lba := range st.Detected {
 		in.detected[lba] = true
 	}
-	// The pulled-ahead burst's LBA buffer is the injector's own (State
-	// copies it out), so it is reused.
-	lbas := in.next.LBAs[:0]
-	in.next, in.hasNext, in.nextEv = Burst{}, false, nil
-	if st.HasNext {
-		in.next = Burst{At: st.NextAt, LBAs: append(lbas, st.NextLBAs...)}
-		in.hasNext = true
-		ev, err := in.sim.RestoreAt(st.EvAt, st.EvSeq, in.fireFn)
-		if err != nil {
-			return fmt.Errorf("fault: restore arrival event: %w", err)
-		}
-		in.nextEv = ev
+	var err error
+	if in.nextEv, err = in.sim.Rearm(st.HasNext, st.EvAt, st.EvSeq, in.fireFn); err != nil {
+		return fmt.Errorf("fault: restore arrival event: %w", err)
 	}
 	return nil
-}
-
-// RestoreInjector rebuilds an injector from a snapshot. The model and
-// seed must match the original's.
-func RestoreInjector(s *sim.Simulator, d *disk.Disk, m Model, seed int64, st *InjectorState) (*Injector, error) {
-	in := NewInjector(s, d, m, seed)
-	if err := in.RestoreState(st, seed); err != nil {
-		return nil, err
-	}
-	return in, nil
 }

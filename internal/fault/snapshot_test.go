@@ -21,6 +21,23 @@ func snapRig(t *testing.T, m fault.Model, seed int64) (*sim.Simulator, *disk.Dis
 	return s, d, fault.NewInjector(s, d, m, seed)
 }
 
+// injState returns a copy of in's state.
+func injState(t *testing.T, in *fault.Injector) *fault.InjectorState {
+	t.Helper()
+	var st fault.InjectorState
+	if err := in.SaveState(&st); err != nil {
+		t.Fatal(err)
+	}
+	return &st
+}
+
+// diskState returns a copy of d's state.
+func diskState(d *disk.Disk) *disk.State {
+	var st disk.State
+	d.SaveState(&st)
+	return &st
+}
+
 // TestInjectorSnapshotRoundTrip cuts a running injector mid-stream,
 // rebuilds it from (model, seed, snapshot) on a fresh sim+disk, and
 // checks the restored copy's future — arrivals, stats, RNG position —
@@ -47,16 +64,13 @@ func TestInjectorSnapshotRoundTrip(t *testing.T) {
 			}
 			// Detect one planted sector so the snapshot's Detected list
 			// and detection counters are non-trivial.
-			if lses := d1.State().LSEs; len(lses) > 0 {
+			if lses := diskState(d1).LSEs; len(lses) > 0 {
 				in1.Detect(lses[:1], s1.Now())
 			} else {
 				t.Fatalf("no arrivals by %v; raise the model rate", cut)
 			}
 
-			st, err := in1.State()
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := injState(t, in1)
 			if !st.Started || !st.HasNext {
 				t.Fatalf("mid-stream snapshot lost its position: %+v", st)
 			}
@@ -67,12 +81,10 @@ func TestInjectorSnapshotRoundTrip(t *testing.T) {
 
 			s2 := sim.New()
 			s2.RestoreClock(now, seq, fired)
-			d2, err := disk.RestoreDisk(disk.DemoSmall(), d1.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			in2, err := fault.RestoreInjector(s2, d2, m, seed, st)
-			if err != nil {
+			d2 := disk.MustNew(disk.DemoSmall())
+			d2.RestoreState(diskState(d1))
+			in2 := fault.NewInjector(s2, d2, m, seed)
+			if err := in2.RestoreState(st, seed); err != nil {
 				t.Fatal(err)
 			}
 
@@ -86,18 +98,11 @@ func TestInjectorSnapshotRoundTrip(t *testing.T) {
 			if in1.Stats() != in2.Stats() {
 				t.Fatalf("stats diverged:\n live     %+v\n restored %+v", in1.Stats(), in2.Stats())
 			}
-			st1, err := in1.State()
-			if err != nil {
-				t.Fatal(err)
-			}
-			st2, err := in2.State()
-			if err != nil {
-				t.Fatal(err)
-			}
+			st1, st2 := injState(t, in1), injState(t, in2)
 			if a, b := fmt.Sprintf("%+v", st1), fmt.Sprintf("%+v", st2); a != b {
 				t.Fatalf("injector state diverged:\n live     %s\n restored %s", a, b)
 			}
-			if a, b := fmt.Sprintf("%+v", d1.State()), fmt.Sprintf("%+v", d2.State()); a != b {
+			if a, b := fmt.Sprintf("%+v", diskState(d1)), fmt.Sprintf("%+v", diskState(d2)); a != b {
 				t.Fatalf("disk state diverged:\n live     %s\n restored %s", a, b)
 			}
 			if in1.Stats().Injected == 0 || in1.Stats().Detected == 0 {
@@ -113,17 +118,13 @@ func TestInjectorSnapshotRoundTrip(t *testing.T) {
 func TestInjectorSnapshotBeforeStart(t *testing.T) {
 	m := fault.Uniform{RatePerHour: 3600}
 	s1, _, in1 := snapRig(t, m, 7)
-	st, err := in1.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := injState(t, in1)
 	if st.Started || st.HasNext || st.Draws != 0 {
 		t.Fatalf("idle snapshot not idle: %+v", st)
 	}
 
-	s2, d2, _ := snapRig(t, m, 7)
-	in2, err := fault.RestoreInjector(s2, d2, m, 7, st)
-	if err != nil {
+	s2, _, in2 := snapRig(t, m, 7)
+	if err := in2.RestoreState(st, 7); err != nil {
 		t.Fatal(err)
 	}
 	in1.Start()
@@ -145,8 +146,8 @@ func TestInjectorSnapshotBeforeStart(t *testing.T) {
 func TestInjectorSnapshotRejectsUnpositionableSource(t *testing.T) {
 	m := stream{bursts: []fault.Burst{{At: time.Second, LBAs: []int64{5}}}}
 	_, _, in := snapRig(t, m, 1)
-	if _, err := in.State(); err == nil || !strings.Contains(err.Error(), "position") {
-		t.Fatalf("State on scripted source: err = %v, want position-capture refusal", err)
+	if err := in.SaveState(new(fault.InjectorState)); err == nil || !strings.Contains(err.Error(), "position") {
+		t.Fatalf("SaveState on scripted source: err = %v, want position-capture refusal", err)
 	}
 	if err := in.RestoreState(&fault.InjectorState{}, 1); err == nil || !strings.Contains(err.Error(), "position") {
 		t.Fatalf("RestoreState on scripted source: err = %v, want position-restore refusal", err)
@@ -157,8 +158,7 @@ func TestInjectorSnapshotRejectsUnpositionableSource(t *testing.T) {
 // sequence number is out of range for the restored clock must fail the
 // whole restore — a silent drop would lose the arrival stream.
 func TestRestoreInjectorRejectsBadEventSeq(t *testing.T) {
-	s := sim.New()
-	d := disk.MustNew(disk.DemoSmall())
+	_, _, in := snapRig(t, fault.Uniform{RatePerHour: 60}, 1)
 	st := &fault.InjectorState{
 		Started: true,
 		HasNext: true,
@@ -166,8 +166,7 @@ func TestRestoreInjectorRejectsBadEventSeq(t *testing.T) {
 		EvAt:    time.Second,
 		EvSeq:   99, // fresh sim's clock seq is 0: out of range
 	}
-	in, err := fault.RestoreInjector(s, d, fault.Uniform{RatePerHour: 60}, 1, st)
-	if err == nil || !strings.Contains(err.Error(), "restore arrival event") {
-		t.Fatalf("RestoreInjector with stale event seq: in=%v err=%v, want restore refusal", in, err)
+	if err := in.RestoreState(st, 1); err == nil || !strings.Contains(err.Error(), "restore arrival event") {
+		t.Fatalf("RestoreState with stale event seq: err = %v, want restore refusal", err)
 	}
 }

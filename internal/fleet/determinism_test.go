@@ -261,7 +261,7 @@ func TestEngineMatchesMonolithicFleet(t *testing.T) {
 // TestRestoreInPlaceMatchesFresh is the reuse check behind the live
 // stacks: member B restored in place onto a stack that has just run
 // member A — another fault seed, faults planted and detected — must
-// equal B restored by a fresh RestoreSystem: the same state, then the
+// equal B restored onto a freshly built stack: the same state, then the
 // same reports, metrics and states over the next slices. A is left in
 // each state a shard's stack can be in: just started, its kick timer
 // pending; mid-request with (for the repairing class) repair writes
@@ -278,8 +278,8 @@ func TestRestoreInPlaceMatchesFresh(t *testing.T) {
 				t.Fatal("ran out of events before a parkable state")
 			}
 		}
-		st, err := sys.Snapshot()
-		if err != nil {
+		st := new(core.SystemState)
+		if err := sys.Snapshot(st); err != nil {
 			t.Fatal(err)
 		}
 		return st
@@ -360,9 +360,8 @@ func TestRestoreInPlaceMatchesFresh(t *testing.T) {
 				if err := aReg.SetValues(valsB); err != nil {
 					t.Fatal(err)
 				}
-				cfg, fReg := cfgOf(7)
-				f, err := core.RestoreSystem(cfg, stB)
-				if err != nil {
+				f, fReg := stack(t, 7)
+				if err := f.Restore(stB, 7); err != nil {
 					t.Fatal(err)
 				}
 				if err := fReg.SetValues(valsB); err != nil {
@@ -396,13 +395,8 @@ func TestRestoreInPlaceMatchesFresh(t *testing.T) {
 				}
 			})
 			t.Run(cls.Name+"/"+how+"/pristine", func(t *testing.T) {
-				pristine, err := func() (*core.SystemState, error) {
-					sys, _ := stack(t, 1)
-					return sys.Snapshot()
-				}()
-				if err != nil {
-					t.Fatal(err)
-				}
+				sys, _ := stack(t, 1)
+				pristine := park(t, sys)
 				a, aReg := stack(t, 99)
 				zero := aReg.AppendValues(nil)
 				leave(t, a, cls)
@@ -413,15 +407,7 @@ func TestRestoreInPlaceMatchesFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 				f, fReg := stack(t, 7)
-				stA, err := a.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				stF, err := f.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if x, y := asJSON(t, stA), asJSON(t, stF); x != y {
+				if x, y := asJSON(t, park(t, a)), asJSON(t, park(t, f)); x != y {
 					t.Fatalf("pristine restore differs from a fresh build:\nin place: %s\nfresh:    %s", x, y)
 				}
 				a.Start()

@@ -157,7 +157,8 @@ func (e *Engine) newStack(class int, seed int64) (*stack, error) {
 	}
 	st.sys = sys
 	if sys.Parkable() == nil {
-		if st.pristine, err = sys.Snapshot(); err != nil {
+		st.pristine = new(core.SystemState)
+		if err := sys.Snapshot(st.pristine); err != nil {
 			return nil, err
 		}
 	}
@@ -271,11 +272,12 @@ func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, fin
 			break
 		}
 	}
-	state, err := sys.Snapshot()
-	if err != nil {
+	if m.state == nil {
+		m.state = new(core.SystemState)
+	}
+	if err := sys.Snapshot(m.state); err != nil {
 		return memberErr(i, err)
 	}
-	m.state = state
 	m.vals = st.reg.AppendValues(m.vals[:0])
 	return nil
 }

@@ -22,28 +22,16 @@ import (
 //     request arrives, which is how back-to-back Idle-class scrub
 //     requests proceed during long idle periods.
 type CFQ struct {
-	// IdleGate is the quiet time required before Idle-class dispatch.
-	IdleGate time.Duration
-	// SliceIdle is the anticipation wait for a sequential process.
-	SliceIdle time.Duration
-	// Slice is the time-slice length for RT/BE queues.
-	Slice time.Duration
+	st CFQState // live state; the per-tag queues keep their own order
 
-	queues []*cfqQueue //scrublint:transient State refuses a non-empty elevator; the queue shells are rebuilt from Order/Classes
-	queued [3]int      //scrublint:transient queued requests per class (by Class-1); State refuses a non-empty elevator
-
-	activeTag      int
-	haveActive     bool
-	sliceEnd       time.Duration
-	idleWaitUntil  time.Duration // slice-idle deadline for the active queue
-	lastRTBEActive time.Duration // last RT/BE dispatch or completion
-	inIdleService  bool
+	queues []*cfqQueue //scrublint:transient recorded as Order/Classes by SaveState, which refuses a non-empty elevator
+	queued [3]int      //scrublint:transient queued requests per class (by Class-1); SaveState refuses a non-empty elevator
 
 	// Observability instruments (nil when uninstrumented).
-	obsDispatch  [3]*obs.Counter //scrublint:transient host-side instrument (dispatches by Class-1), re-resolved by Instrument
-	obsStarve    *obs.Counter    //scrublint:transient host-side instrument (starvation-gate holds), re-resolved by Instrument
-	obsSliceHold *obs.Counter    //scrublint:transient host-side instrument (anticipation holds), re-resolved by Instrument
-	obsTrace     *obs.Ring       //scrublint:transient host-side instrument, re-resolved by Instrument
+	obsDispatch  [3]*obs.Counter // dispatches by Class-1
+	obsStarve    *obs.Counter    // starvation-gate holds
+	obsSliceHold *obs.Counter    // anticipation holds
+	obsTrace     *obs.Ring
 }
 
 type cfqQueue struct {
@@ -68,12 +56,15 @@ var _ blockdev.Scheduler = (*CFQ)(nil)
 // NewCFQ returns a CFQ elevator with the Linux 2.6.35 defaults the paper
 // measured: 10 ms idle gate, 8 ms slice idle, 100 ms slice.
 func NewCFQ() *CFQ {
-	return &CFQ{
+	return &CFQ{st: CFQState{
 		IdleGate:  10 * time.Millisecond,
 		SliceIdle: 8 * time.Millisecond,
 		Slice:     100 * time.Millisecond,
-	}
+	}}
 }
+
+// SetIdleGate sets the quiet time required before Idle-class dispatch.
+func (c *CFQ) SetIdleGate(d time.Duration) { c.st.IdleGate = d }
 
 // Instrument attaches the elevator to a metrics registry: per-class
 // dispatch counters (iosched.cfq.dispatch.{rt,be,idle}), the idle-class
@@ -128,7 +119,7 @@ func (c *CFQ) Add(r *blockdev.Request, now time.Duration) {
 	if class != blockdev.ClassIdle {
 		// New RT/BE work ends any ongoing idle-class service (after the
 		// in-flight request, which the block layer owns).
-		c.inIdleService = false
+		c.st.InIdleService = false
 	}
 	q := c.queueFor(r.Tag, class)
 	// Lower bound: the first queued request at or above r.LBA.
@@ -165,8 +156,8 @@ func (c *CFQ) Next(now time.Duration) (*blockdev.Request, time.Duration) {
 	for class := blockdev.ClassRT; class <= blockdev.ClassBE; class++ {
 		if r, wake, served := c.nextInClass(class, now); served {
 			if r != nil {
-				c.lastRTBEActive = now
-				c.inIdleService = false
+				c.st.LastRTBEActive = now
+				c.st.InIdleService = false
 				c.obsDispatch[class-1].Inc()
 				c.obsTrace.Emit(now, "iosched", "dispatch", int64(class), r.LBA)
 			}
@@ -174,13 +165,13 @@ func (c *CFQ) Next(now time.Duration) (*blockdev.Request, time.Duration) {
 		}
 	}
 	// Idle class: gate on RT/BE quiet time unless already in idle service.
-	if !c.inIdleService {
-		gateOpen := now-c.lastRTBEActive >= c.IdleGate
+	if !c.st.InIdleService {
+		gateOpen := now-c.st.LastRTBEActive >= c.st.IdleGate
 		if !gateOpen {
 			c.obsStarve.Inc()
-			return nil, c.lastRTBEActive + c.IdleGate
+			return nil, c.st.LastRTBEActive + c.st.IdleGate
 		}
-		c.inIdleService = true
+		c.st.InIdleService = true
 	}
 	// FIFO across idle-class queues in round-robin tag order.
 	for _, q := range c.queues {
@@ -203,26 +194,26 @@ func (c *CFQ) nextInClass(class blockdev.Class, now time.Duration) (*blockdev.Re
 	// issue more; during that window, same-class peers must wait. (Lower
 	// classes must wait too, which the caller enforces because we report
 	// served=true.)
-	active := c.index(c.activeTag)
-	if c.haveActive && active >= 0 {
+	active := c.index(c.st.ActiveTag)
+	if c.st.HaveActive && active >= 0 {
 		if aq := c.queues[active]; aq.class == class {
-			if len(aq.sorted) > 0 && now < c.sliceEnd {
+			if len(aq.sorted) > 0 && now < c.st.SliceEnd {
 				return c.pop(aq), 0, true
 			}
-			if len(aq.sorted) == 0 && now < c.idleWaitUntil && now < c.sliceEnd {
+			if len(aq.sorted) == 0 && now < c.st.IdleWaitUntil && now < c.st.SliceEnd {
 				if pending {
 					// Anticipation: hold the disk for the active process.
 					c.obsSliceHold.Inc()
-					wake := c.idleWaitUntil
-					if c.sliceEnd < wake {
-						wake = c.sliceEnd
+					wake := c.st.IdleWaitUntil
+					if c.st.SliceEnd < wake {
+						wake = c.st.SliceEnd
 					}
 					return nil, wake, true
 				}
 				return nil, 0, false // nothing anywhere in this class
 			}
 			// Slice over.
-			c.haveActive = false
+			c.st.HaveActive = false
 		}
 	}
 	if !pending {
@@ -233,9 +224,9 @@ func (c *CFQ) nextInClass(class blockdev.Class, now time.Duration) (*blockdev.Re
 	for i := range c.queues {
 		q := c.queues[(active+1+i)%len(c.queues)]
 		if q.class == class && len(q.sorted) > 0 {
-			c.activeTag = q.tag
-			c.haveActive = true
-			c.sliceEnd = now + c.Slice
+			c.st.ActiveTag = q.tag
+			c.st.HaveActive = true
+			c.st.SliceEnd = now + c.st.Slice
 			return c.pop(q), 0, true
 		}
 	}
@@ -253,10 +244,10 @@ func (c *CFQ) pop(q *cfqQueue) *blockdev.Request {
 // OnComplete implements blockdev.Scheduler.
 func (c *CFQ) OnComplete(r *blockdev.Request, now time.Duration) {
 	if r.Class != blockdev.ClassIdle {
-		c.lastRTBEActive = now
+		c.st.LastRTBEActive = now
 		// Arm slice idling for the completing process.
-		if c.haveActive && r.Tag == c.activeTag {
-			c.idleWaitUntil = now + c.SliceIdle
+		if c.st.HaveActive && r.Tag == c.st.ActiveTag {
+			c.st.IdleWaitUntil = now + c.st.SliceIdle
 		}
 	}
 }

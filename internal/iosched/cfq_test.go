@@ -52,7 +52,7 @@ func checkCFQCounts(t *testing.T, c *CFQ, step int) {
 // Add, Next and OnComplete over four tags whose classes change while
 // they have requests queued (ionice), the zero class included, and
 // checks the per-class counts against a recount after every step.
-// The drained elevator must then survive a State/RestoreState round
+// The drained elevator must then survive a SaveState/RestoreState round
 // trip with the same queue structure and the same dispatch order.
 func TestCFQClassCountsInvariant(t *testing.T) {
 	classes := []blockdev.Class{0, blockdev.ClassRT, blockdev.ClassBE, blockdev.ClassIdle}
@@ -93,20 +93,19 @@ func TestCFQClassCountsInvariant(t *testing.T) {
 		checkCFQCounts(t, c, step)
 	}
 
-	st, err := c.State()
-	if err != nil {
+	var st, st2 CFQState
+	if err := c.SaveState(&st); err != nil {
 		t.Fatal(err)
 	}
 	back := NewCFQ()
-	if err := back.RestoreState(st); err != nil {
+	if err := back.RestoreState(&st); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := back.State()
-	if err != nil {
+	if err := back.SaveState(&st2); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(st, st2) {
-		t.Fatalf("State/RestoreState round trip differs:\n%+v\n%+v", st, st2)
+		t.Fatalf("SaveState/RestoreState round trip differs:\n%+v\n%+v", st, st2)
 	}
 	if len(st.Order) != 4 {
 		t.Fatalf("Order = %v, want all four tags", st.Order)

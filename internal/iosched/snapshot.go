@@ -7,15 +7,21 @@ import (
 	"repro/internal/blockdev"
 )
 
-// CFQState is the serializable state of an empty CFQ elevator: the slice
-// and idle-gate machinery plus the learned per-process queue structure
-// (tags in round-robin order with their current classes). Queued
-// requests are deliberately not representable — the fleet engine rolls a
-// member forward until the elevator drains before snapshotting.
+// CFQState is the elevator's live state, and gob-encoded it is the
+// serializable state of an empty elevator: the tunables, the slice and
+// idle-gate machinery, and the learned per-process queue structure (tags
+// in round-robin order with their current classes). Queued requests are
+// deliberately not representable — the fleet engine rolls a member
+// forward until the elevator drains before snapshotting. The per-tag
+// queues keep their own order; a live CFQ does not read Order or
+// Classes, which SaveState fills.
 type CFQState struct {
-	IdleGate  time.Duration
+	// IdleGate is the quiet time required before Idle-class dispatch.
+	IdleGate time.Duration
+	// SliceIdle is the anticipation wait for a sequential process.
 	SliceIdle time.Duration
-	Slice     time.Duration
+	// Slice is the time-slice length for RT/BE queues.
+	Slice time.Duration
 
 	Order   []int            // round-robin tag order
 	Classes []blockdev.Class // class per Order entry
@@ -23,34 +29,26 @@ type CFQState struct {
 	ActiveTag      int
 	HaveActive     bool
 	SliceEnd       time.Duration
-	IdleWaitUntil  time.Duration
-	LastRTBEActive time.Duration
+	IdleWaitUntil  time.Duration // slice-idle deadline for the active queue
+	LastRTBEActive time.Duration // last RT/BE dispatch or completion
 	InIdleService  bool
 }
 
-// State captures the elevator's serializable state. It fails while
-// requests are queued: queued requests hold callbacks and pool
-// identities no snapshot can carry.
-func (c *CFQ) State() (*CFQState, error) {
+// SaveState copies the elevator's state into dst, reusing dst's slices.
+// It fails while requests are queued: queued requests hold callbacks and
+// pool identities no snapshot can carry.
+func (c *CFQ) SaveState(dst *CFQState) error {
 	if n := c.Len(); n > 0 {
-		return nil, fmt.Errorf("iosched: cannot snapshot a CFQ with %d queued requests", n)
+		return fmt.Errorf("iosched: cannot snapshot a CFQ with %d queued requests", n)
 	}
-	st := &CFQState{
-		IdleGate:       c.IdleGate,
-		SliceIdle:      c.SliceIdle,
-		Slice:          c.Slice,
-		ActiveTag:      c.activeTag,
-		HaveActive:     c.haveActive,
-		SliceEnd:       c.sliceEnd,
-		IdleWaitUntil:  c.idleWaitUntil,
-		LastRTBEActive: c.lastRTBEActive,
-		InIdleService:  c.inIdleService,
-	}
+	order, classes := dst.Order[:0], dst.Classes[:0]
+	*dst = c.st
 	for _, q := range c.queues {
-		st.Order = append(st.Order, q.tag)
-		st.Classes = append(st.Classes, q.class)
+		order = append(order, q.tag)
+		classes = append(classes, q.class)
 	}
-	return st, nil
+	dst.Order, dst.Classes = order, classes
+	return nil
 }
 
 // RestoreState overwrites the elevator with a snapshot, rebuilding the
@@ -61,9 +59,8 @@ func (c *CFQ) RestoreState(st *CFQState) error {
 	if len(st.Order) != len(st.Classes) {
 		return fmt.Errorf("iosched: malformed CFQ snapshot: %d tags, %d classes", len(st.Order), len(st.Classes))
 	}
-	c.IdleGate = st.IdleGate
-	c.SliceIdle = st.SliceIdle
-	c.Slice = st.Slice
+	c.st = *st
+	c.st.Order, c.st.Classes = nil, nil
 	c.queued = [3]int{}
 	shells := c.queues
 	c.queues = c.queues[:0]
@@ -82,11 +79,5 @@ func (c *CFQ) RestoreState(st *CFQState) error {
 		q.tag, q.class = tag, st.Classes[i]
 		c.queues = append(c.queues, q)
 	}
-	c.activeTag = st.ActiveTag
-	c.haveActive = st.HaveActive
-	c.sliceEnd = st.SliceEnd
-	c.idleWaitUntil = st.IdleWaitUntil
-	c.lastRTBEActive = st.LastRTBEActive
-	c.inIdleService = st.InIdleService
 	return nil
 }

@@ -64,36 +64,35 @@ type Config struct {
 
 // Group is a RAID-5 redundancy group.
 type Group struct {
-	sim        *sim.Simulator //scrublint:transient wiring, supplied to RestoreGroup
-	cfg        Config         //scrublint:transient configuration, supplied to RestoreGroup
-	width      int            //scrublint:transient stripe width k, derived from cfg (== Disks when clustered)
+	sim        *sim.Simulator
+	cfg        Config
+	width      int // stripe width k (== Disks when clustered)
 	members    []*blockdev.Queue
-	scheds     []*iosched.CFQ //scrublint:transient per-member elevators, rebuilt by RestoreGroup wiring
-	failed     int            // index of the failed member, -1 if none
+	scheds     []*iosched.CFQ
+	failed     int // index of the failed member, -1 if none
 	spare      *blockdev.Queue
 	spareSched *iosched.CFQ
 
-	rowsTotal int64 //scrublint:transient derived from member geometry at construction
+	rowsTotal int64 // derived from member geometry at construction
 
 	// Rebuild state.
 	rebuildRow    int64
 	rebuilding    bool
 	rebuildHold   bool
-	rebuildDone   func(now time.Duration) //scrublint:transient completion callback, re-registered by the caller after restore
-	rebuildWait   time.Duration           // Waiting threshold; 0 = back-to-back
+	rebuildDone   func(now time.Duration)
+	rebuildWait   time.Duration // Waiting threshold; 0 = back-to-back
 	rebuildTimer  *sim.Event
-	rebuildActive int  //scrublint:transient outstanding rebuild sub-requests; State refuses a non-quiescent group
-	idleWatched   bool //scrublint:transient idleness subscriptions, re-installed on demand
+	rebuildActive int  // outstanding rebuild sub-requests
+	idleWatched   bool // idleness subscriptions installed
 
-	// Scrub state (see StartScrub). The scrub walk is never
-	// checkpointable: State refuses while a scrub is active.
-	scrubRow    int64                   //scrublint:transient State refuses an active scrub walk
-	scrubbing   bool                    //scrublint:transient State refuses an active scrub walk
-	scrubActive int                     //scrublint:transient State refuses an active scrub walk
-	scrubDone   func(now time.Duration) //scrublint:transient completion callback, re-registered by the caller after restore
+	// Scrub state (see StartScrub).
+	scrubRow    int64
+	scrubbing   bool
+	scrubActive int // outstanding scrub sub-requests
+	scrubDone   func(now time.Duration)
 
 	// injectors holds one fault injector per member (see InjectFaults).
-	injectors []*fault.Injector //scrublint:transient re-wired per member by the restore caller
+	injectors []*fault.Injector
 
 	stats Stats
 }

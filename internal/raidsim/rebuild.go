@@ -98,6 +98,19 @@ func (g *Group) armRebuildTimer() {
 	g.rebuildTimer = g.sim.After(g.rebuildWait, g.rebuildTimerFn)
 }
 
+// rebuildTimerFn is the rebuild timer body: the idle wait is over, so
+// the walk resumes unless a row is still in flight.
+func (g *Group) rebuildTimerFn() {
+	g.rebuildTimer = nil
+	if !g.rebuilding {
+		return
+	}
+	g.rebuildHold = false
+	if g.rebuildActive == 0 {
+		g.rebuildStep()
+	}
+}
+
 // rebuildStep reconstructs one row: read the row's unit from every
 // survivor, then write the reconstructed unit to the spare.
 func (g *Group) rebuildStep() {

@@ -33,17 +33,17 @@ type Policy interface {
 // Waiting fires after the device has stayed idle for Threshold, then keeps
 // firing until a foreground request arrives. The paper's winning policy.
 type Waiting struct {
-	Threshold time.Duration //scrublint:transient policy configuration, supplied to the restore constructor
+	Threshold time.Duration //scrublint:transient policy configuration, supplied at construction
 
-	sim     *sim.Simulator  //scrublint:transient wiring, supplied to the restore constructor
-	sc      *scrub.Scrubber //scrublint:transient wiring, supplied to the restore constructor
-	pending *sim.Event
-	fireFn  func() //scrublint:transient prebuilt timer callback, rebuilt at construction
+	sim     *sim.Simulator  //scrublint:transient wiring, supplied by Attach
+	sc      *scrub.Scrubber //scrublint:transient wiring, supplied by Attach
+	pending *sim.Event      //scrublint:transient pending event, recorded by SaveState
+	fireFn  func()
 
 	// Observability instruments (nil when uninstrumented).
-	obsArmed    *obs.Counter //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsHits     *obs.Counter //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsDisarmed *obs.Counter //scrublint:transient host-side instrument, re-resolved by Instrument
+	obsArmed    *obs.Counter
+	obsHits     *obs.Counter
+	obsDisarmed *obs.Counter
 }
 
 var _ Policy = (*Waiting)(nil)

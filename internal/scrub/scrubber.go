@@ -89,9 +89,6 @@ type Config struct {
 // when the algorithm has no region structure (1 MB).
 const DefaultEscalationSectors = 2048
 
-// extent is a pending rescrub range.
-type extent struct{ lba, sectors int64 }
-
 // Stats aggregates scrubber progress.
 type Stats struct {
 	Requests       int64
@@ -120,62 +117,48 @@ func (s Stats) ThroughputMBps(now time.Duration) float64 {
 }
 
 // Scrubber is one scrubbing thread bound to a device queue. It is driven
-// either free-running (Start) or by a scheduling policy (Fire/Hold).
+// either free-running (Start) or by a scheduling policy (Fire/Hold). Its
+// live state is its State, st; every other field is wiring, a callback,
+// an instrument or one of the two parts a snapshot records in its own
+// form (the delay timer and the escalated-region set).
 type Scrubber struct {
-	sim *sim.Simulator  //scrublint:transient wiring, supplied to the restore constructor
-	q   *blockdev.Queue //scrublint:transient wiring, supplied to the restore constructor
-	cfg Config          //scrublint:transient configuration, supplied to the restore constructor
+	st State
 
-	firing    bool
-	inflight  bool
-	fireStart time.Duration
-	fireCount int
-	pending   *sim.Event
+	sim *sim.Simulator  //scrublint:transient wiring, supplied at construction
+	q   *blockdev.Queue //scrublint:transient wiring, supplied at construction
+	cfg Config          //scrublint:transient configuration, supplied at construction
 
-	// inflightRescrub marks the in-flight verify as an escalated re-scrub
-	// (its completion runs onRescrub, not onVerify): the one bit a
-	// snapshot needs to re-attach the right callback on restore.
-	inflightRescrub bool
-	// repairsLeft counts outstanding AutoRepair writes; the scrub stream
-	// resumes when it reaches zero. A field rather than a per-batch
-	// closure variable so a member can be parked mid-repair.
-	repairsLeft int
-
-	// Escalation state: pending re-scrub extents (served before the
-	// algorithm stream) and the regions already escalated this pass.
-	rescrub   []extent
-	escalated map[int64]bool
+	pending   *sim.Event     //scrublint:transient delayed-reissue timer, recorded as HasPending/PendingAt/PendingSeq
+	escalated map[int64]bool //scrublint:transient regions escalated this pass, recorded sorted as Escalated
 
 	// onVerify/onRescrub/onRepair are the completion callbacks of pooled
 	// requests, and delayFn the delayed-reissue timer body; all are built
 	// once so the issue/completion loop allocates no closures.
-	onVerify  func(*blockdev.Request) //scrublint:transient prebuilt completion callback, rebuilt at construction
+	onVerify  func(*blockdev.Request)
 	onRescrub func(*blockdev.Request)
-	onRepair  func(*blockdev.Request) //scrublint:transient prebuilt completion callback, rebuilt at construction
-	delayFn   func()                  //scrublint:transient prebuilt timer callback, rebuilt at construction
+	onRepair  func(*blockdev.Request)
+	delayFn   func()
 
-	stats Stats
 	// OnLSE is called for each latent sector error a verify detects.
-	OnLSE func(lba int64) //scrublint:transient caller-owned hook, re-attached after restore
+	OnLSE func(lba int64)
 	// OnRepair is called when an AutoRepair write for lba completes (the
 	// sector is remapped).
-	OnRepair func(lba int64) //scrublint:transient caller-owned hook, re-attached after restore
+	OnRepair func(lba int64)
 	// OnPass is called at the end of each full pass.
-	OnPass func(pass int64) //scrublint:transient caller-owned hook, re-attached after restore
+	OnPass func(pass int64)
 
-	// Observability instruments (nil when uninstrumented); instr
+	// Observability instruments (nil when uninstrumented); a nil obsReq
 	// short-circuits the per-completion hooks with one branch.
-	instr       bool           //scrublint:transient derived from registry attachment on restore
-	obsReq      *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsSectors  *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsPasses   *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsFound    *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsRepaired *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsFires    *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsHolds    *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsEscal    *obs.Counter   //scrublint:transient host-side instrument, re-resolved by Instrument
-	obsSvc      *obs.Histogram //scrublint:transient host-side instrument (per-request service time), re-resolved by Instrument
-	obsTrace    *obs.Ring      //scrublint:transient host-side instrument, re-resolved by Instrument
+	obsReq      *obs.Counter
+	obsSectors  *obs.Counter
+	obsPasses   *obs.Counter
+	obsFound    *obs.Counter
+	obsRepaired *obs.Counter
+	obsFires    *obs.Counter
+	obsHolds    *obs.Counter
+	obsEscal    *obs.Counter
+	obsSvc      *obs.Histogram // per-request service time
+	obsTrace    *obs.Ring
 }
 
 // New builds a Scrubber over a queue.
@@ -198,7 +181,7 @@ func New(s *sim.Simulator, q *blockdev.Queue, cfg Config) (*Scrubber, error) {
 	sc := &Scrubber{sim: s, q: q, cfg: cfg}
 	sc.onVerify = sc.completed
 	sc.onRescrub = func(r *blockdev.Request) {
-		sc.stats.RescrubSectors += r.Sectors
+		sc.st.Stats.RescrubSectors += r.Sectors
 		sc.completed(r)
 	}
 	sc.onRepair = sc.repairDone
@@ -210,7 +193,7 @@ func New(s *sim.Simulator, q *blockdev.Queue, cfg Config) (*Scrubber, error) {
 }
 
 // Stats returns a copy of the scrubber's counters.
-func (sc *Scrubber) Stats() Stats { return sc.stats }
+func (sc *Scrubber) Stats() Stats { return sc.st.Stats }
 
 // Instrument attaches the scrubber to a metrics registry: progress
 // counters (scrub.requests, scrub.sectors, scrub.passes, scrub.lses_found,
@@ -222,7 +205,6 @@ func (sc *Scrubber) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	sc.instr = true
 	sc.obsReq = reg.Counter("scrub.requests")
 	sc.obsSectors = reg.Counter("scrub.sectors")
 	sc.obsPasses = reg.Counter("scrub.passes")
@@ -239,7 +221,7 @@ func (sc *Scrubber) Instrument(reg *obs.Registry) {
 func (sc *Scrubber) Algorithm() Algorithm { return sc.cfg.Algorithm }
 
 // Firing reports whether the scrubber is currently issuing requests.
-func (sc *Scrubber) Firing() bool { return sc.firing }
+func (sc *Scrubber) Firing() bool { return sc.st.Firing }
 
 // Start begins free-running scrubbing (Sections III-IV): requests issue
 // back-to-back, spaced by the configured Delay, relying on the I/O
@@ -249,18 +231,18 @@ func (sc *Scrubber) Start() { sc.Fire() }
 // Fire begins (or resumes) issuing scrub requests. Policies call this at
 // the start of an exploitable idle interval.
 func (sc *Scrubber) Fire() {
-	if sc.firing {
+	if sc.st.Firing {
 		return
 	}
-	sc.firing = true
-	sc.fireStart = sc.sim.Now()
-	sc.fireCount = 0
+	sc.st.Firing = true
+	sc.st.FireStart = sc.sim.Now()
+	sc.st.FireCount = 0
 	sc.obsFires.Inc()
 	sc.obsTrace.Emit(sc.sim.Now(), "scrub", "fire", 0, 0)
-	if sc.stats.Requests == 0 {
-		sc.stats.FirstFired = sc.sim.Now()
+	if sc.st.Stats.Requests == 0 {
+		sc.st.Stats.FirstFired = sc.sim.Now()
 	}
-	if !sc.inflight && sc.pending == nil {
+	if !sc.st.Inflight && sc.pending == nil {
 		sc.issue()
 	}
 }
@@ -268,11 +250,11 @@ func (sc *Scrubber) Fire() {
 // Hold stops issuing after the in-flight request (if any) completes.
 // Policies call this when a foreground request arrives.
 func (sc *Scrubber) Hold() {
-	if sc.firing {
+	if sc.st.Firing {
 		sc.obsHolds.Inc()
 		sc.obsTrace.Emit(sc.sim.Now(), "scrub", "hold", 0, 0)
 	}
-	sc.firing = false
+	sc.st.Firing = false
 	if sc.pending != nil {
 		sc.sim.Cancel(sc.pending)
 		sc.pending = nil
@@ -285,10 +267,10 @@ func (sc *Scrubber) Hold() {
 //
 //scrub:hotpath
 func (sc *Scrubber) issue() {
-	if !sc.firing || sc.inflight {
+	if !sc.st.Firing || sc.st.Inflight {
 		return
 	}
-	size := sc.cfg.Size(sc.fireCount, sc.sim.Now()-sc.fireStart)
+	size := sc.cfg.Size(sc.st.FireCount, sc.sim.Now()-sc.st.FireStart)
 	if size <= 0 {
 		size = 1
 	}
@@ -298,17 +280,17 @@ func (sc *Scrubber) issue() {
 	}
 	lba, n, ok := sc.cfg.Algorithm.Next(size)
 	if !ok {
-		sc.stats.Passes++
+		sc.st.Stats.Passes++
 		sc.obsPasses.Inc()
 		if sc.OnPass != nil {
-			sc.OnPass(sc.stats.Passes)
+			sc.OnPass(sc.st.Stats.Passes)
 		}
 		sc.cfg.Algorithm.Reset()
 		clear(sc.escalated) // regions may escalate again next pass
 		lba, n, ok = sc.cfg.Algorithm.Next(size)
 		if !ok {
 			// Degenerate algorithm; stop rather than spin.
-			sc.firing = false
+			sc.st.Firing = false
 			return
 		}
 	}
@@ -320,19 +302,19 @@ func (sc *Scrubber) issue() {
 //
 //scrub:hotpath
 func (sc *Scrubber) nextRescrub(max int64) (int64, int64, bool) {
-	for len(sc.rescrub) > 0 {
-		e := &sc.rescrub[0]
-		if e.sectors <= 0 {
-			sc.rescrub = sc.rescrub[1:]
+	for len(sc.st.Rescrub) > 0 {
+		e := &sc.st.Rescrub[0]
+		if e.Sectors <= 0 {
+			sc.st.Rescrub = sc.st.Rescrub[1:]
 			continue
 		}
-		n := e.sectors
+		n := e.Sectors
 		if n > max {
 			n = max
 		}
-		lba := e.lba
-		e.lba += n
-		e.sectors -= n
+		lba := e.LBA
+		e.LBA += n
+		e.Sectors -= n
 		return lba, n, true
 	}
 	return 0, 0, false
@@ -342,7 +324,7 @@ func (sc *Scrubber) nextRescrub(max int64) (int64, int64, bool) {
 //
 //scrub:hotpath
 func (sc *Scrubber) submitVerify(lba, n int64, rescrub bool) {
-	sc.fireCount++
+	sc.st.FireCount++
 	req := sc.q.GetRequest()
 	req.Op = disk.OpVerify
 	req.LBA = lba
@@ -355,8 +337,8 @@ func (sc *Scrubber) submitVerify(lba, n int64, rescrub bool) {
 	if rescrub {
 		req.OnComplete = sc.onRescrub
 	}
-	sc.inflight = true
-	sc.inflightRescrub = rescrub
+	sc.st.Inflight = true
+	sc.st.InflightRescrub = rescrub
 	sc.q.Submit(req)
 }
 
@@ -364,13 +346,13 @@ func (sc *Scrubber) submitVerify(lba, n int64, rescrub bool) {
 //
 //scrub:hotpath
 func (sc *Scrubber) completed(r *blockdev.Request) {
-	sc.inflight = false
-	sc.stats.Requests++
-	sc.stats.SectorsDone += r.Sectors
-	sc.stats.ActiveTime += r.Done - r.Dispatch
-	sc.stats.LastCompleted = r.Done
-	sc.stats.LSEsFound += int64(len(r.LSEs))
-	if sc.instr {
+	sc.st.Inflight = false
+	sc.st.Stats.Requests++
+	sc.st.Stats.SectorsDone += r.Sectors
+	sc.st.Stats.ActiveTime += r.Done - r.Dispatch
+	sc.st.Stats.LastCompleted = r.Done
+	sc.st.Stats.LSEsFound += int64(len(r.LSEs))
+	if sc.obsReq != nil {
 		sc.obsReq.Inc()
 		sc.obsSectors.Add(r.Sectors)
 		sc.obsFound.Add(int64(len(r.LSEs)))
@@ -389,7 +371,7 @@ func (sc *Scrubber) completed(r *blockdev.Request) {
 		sc.repair(r.LSEs)
 		return
 	}
-	if !sc.firing {
+	if !sc.st.Firing {
 		return
 	}
 	delay := sc.cfg.Delay
@@ -416,8 +398,8 @@ func (sc *Scrubber) escalate(lses []int64) {
 			sc.escalated = make(map[int64]bool)
 		}
 		sc.escalated[start] = true
-		sc.rescrub = append(sc.rescrub, extent{lba: start, sectors: n})
-		sc.stats.Escalations++
+		sc.st.Rescrub = append(sc.st.Rescrub, Extent{LBA: start, Sectors: n})
+		sc.st.Stats.Escalations++
 		sc.obsEscal.Inc()
 		sc.obsTrace.Emit(sc.sim.Now(), "scrub", "escalate", start, n)
 	}
@@ -450,7 +432,7 @@ func (sc *Scrubber) regionAround(lba int64) (int64, int64) {
 // — so no per-batch closure exists and a mid-repair member can be
 // snapshotted.
 func (sc *Scrubber) repair(lses []int64) {
-	sc.repairsLeft += len(lses)
+	sc.st.RepairsLeft += len(lses)
 	for _, lba := range lses {
 		req := sc.q.GetRequest()
 		req.Op = disk.OpWrite
@@ -470,13 +452,13 @@ func (sc *Scrubber) repair(lses []int64) {
 // path (the block layer runs OnComplete for absorbed requests too), so
 // each planted repair decrements exactly once.
 func (sc *Scrubber) repairDone(r *blockdev.Request) {
-	sc.stats.LSEsRepaired++
+	sc.st.Stats.LSEsRepaired++
 	sc.obsRepaired.Inc()
 	if sc.OnRepair != nil {
 		sc.OnRepair(r.LBA)
 	}
-	sc.repairsLeft--
-	if sc.repairsLeft == 0 && sc.firing {
+	sc.st.RepairsLeft--
+	if sc.st.RepairsLeft == 0 && sc.st.Firing {
 		sc.issue()
 	}
 }

@@ -2,10 +2,11 @@ package scrub
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/sim"
 )
 
 // CompletionKind names which prebuilt completion callback a pooled scrub
@@ -25,71 +26,74 @@ const (
 	KindRepair
 )
 
-// Extent is one pending re-scrub range in a snapshot.
+// Extent is one pending re-scrub range.
 type Extent struct {
 	LBA, Sectors int64
 }
 
-// State is the compact serializable state of a Scrubber. Configuration
-// (algorithm sizing, mode, class, delay, size function) is not embedded;
-// the restorer rebuilds the scrubber from the same Config and applies
-// this state on top.
+// State is the scrubber's live state, and gob-encoded it is the compact
+// serializable state of a parked one. Configuration (algorithm sizing,
+// mode, class, delay, size function) is not embedded; the restorer
+// rebuilds the scrubber from the same Config and applies this state on
+// top. A live scrubber does not read Cursor, the pending-timer record or
+// Escalated: the algorithm, the timer handle and the escalated-region map
+// hold those, and SaveState records them.
 type State struct {
-	Firing          bool
-	Inflight        bool
+	Firing   bool
+	Inflight bool
+	// InflightRescrub marks the in-flight verify as an escalated re-scrub
+	// (its completion runs onRescrub, not onVerify): the one bit a
+	// snapshot needs to re-attach the right callback on restore.
 	InflightRescrub bool
 	FireStart       time.Duration
 	FireCount       int
-	RepairsLeft     int
+	// RepairsLeft counts outstanding AutoRepair writes; the scrub stream
+	// resumes when it reaches zero.
+	RepairsLeft int
 
 	// Pending delayed-reissue timer, when armed.
 	HasPending bool
 	PendingAt  time.Duration
 	PendingSeq uint64
 
+	// Rescrub holds the pending re-scrub extents, served before the
+	// algorithm stream.
 	Rescrub   []Extent
 	Escalated []int64 // sorted region starts already escalated this pass
 	Cursor    AlgCursor
 	Stats     Stats
 }
 
-// State captures the scrubber's serializable state. It fails when the
-// algorithm cannot save its cursor or when user hooks (OnLSE, OnRepair,
-// OnPass) are installed — hooks are arbitrary closures a snapshot cannot
-// carry.
-func (sc *Scrubber) State() (*State, error) {
+// SaveState copies the scrubber's state into dst, reusing dst's slices.
+// It fails when the algorithm cannot save its cursor or when user hooks
+// (OnLSE, OnRepair, OnPass) are installed — hooks are arbitrary closures
+// a snapshot cannot carry. The record is normalised: InflightRescrub is
+// set only with a verify in flight, and exhausted re-scrub extents are
+// dropped.
+func (sc *Scrubber) SaveState(dst *State) error {
 	saver, ok := sc.cfg.Algorithm.(CursorSaver)
 	if !ok {
-		return nil, fmt.Errorf("scrub: algorithm %q does not support cursor save", sc.cfg.Algorithm.Name())
+		return fmt.Errorf("scrub: algorithm %q does not support cursor save", sc.cfg.Algorithm.Name())
 	}
 	if sc.OnLSE != nil || sc.OnRepair != nil || sc.OnPass != nil {
-		return nil, fmt.Errorf("scrub: cannot snapshot a scrubber with user hooks installed")
+		return fmt.Errorf("scrub: cannot snapshot a scrubber with user hooks installed")
 	}
-	st := &State{
-		Firing:          sc.firing,
-		Inflight:        sc.inflight,
-		InflightRescrub: sc.inflight && sc.inflightRescrub,
-		FireStart:       sc.fireStart,
-		FireCount:       sc.fireCount,
-		RepairsLeft:     sc.repairsLeft,
-		Cursor:          saver.SaveCursor(),
-		Stats:           sc.stats,
-	}
-	if sc.pending != nil {
-		st.HasPending = true
-		st.PendingAt = sc.pending.At()
-		st.PendingSeq = sc.pending.Seq()
-	}
-	for _, e := range sc.rescrub {
-		if e.sectors > 0 {
-			st.Rescrub = append(st.Rescrub, Extent{LBA: e.lba, Sectors: e.sectors})
+	rescrub, escalated := dst.Rescrub[:0], dst.Escalated[:0]
+	*dst = sc.st
+	dst.InflightRescrub = sc.st.Inflight && sc.st.InflightRescrub
+	dst.HasPending, dst.PendingAt, dst.PendingSeq = sim.Pending(sc.pending)
+	dst.Cursor = saver.SaveCursor()
+	for _, e := range sc.st.Rescrub {
+		if e.Sectors > 0 {
+			rescrub = append(rescrub, e)
 		}
 	}
 	for start := range sc.escalated {
-		st.Escalated = append(st.Escalated, start)
+		escalated = append(escalated, start)
 	}
-	sort.Slice(st.Escalated, func(i, j int) bool { return st.Escalated[i] < st.Escalated[j] })
-	return st, nil
+	slices.Sort(escalated)
+	dst.Rescrub, dst.Escalated = rescrub, escalated
+	return nil
 }
 
 // RestoreState overwrites the scrubber with a snapshot taken from a
@@ -102,17 +106,10 @@ func (sc *Scrubber) RestoreState(st *State) error {
 		return fmt.Errorf("scrub: algorithm %q does not support cursor restore", sc.cfg.Algorithm.Name())
 	}
 	saver.LoadCursor(st.Cursor)
-	sc.firing = st.Firing
-	sc.inflight = st.Inflight
-	sc.inflightRescrub = st.InflightRescrub
-	sc.fireStart = st.FireStart
-	sc.fireCount = st.FireCount
-	sc.repairsLeft = st.RepairsLeft
-	sc.stats = st.Stats
-	sc.rescrub = sc.rescrub[:0]
-	for _, e := range st.Rescrub {
-		sc.rescrub = append(sc.rescrub, extent{lba: e.LBA, sectors: e.Sectors})
-	}
+	rescrub := sc.st.Rescrub[:0]
+	sc.st = *st
+	sc.st.Rescrub = append(rescrub, st.Rescrub...)
+	sc.st.Escalated = nil
 	clear(sc.escalated)
 	for _, start := range st.Escalated {
 		if sc.escalated == nil {
@@ -120,13 +117,9 @@ func (sc *Scrubber) RestoreState(st *State) error {
 		}
 		sc.escalated[start] = true
 	}
-	sc.pending = nil
-	if st.HasPending {
-		ev, err := sc.sim.RestoreAt(st.PendingAt, st.PendingSeq, sc.delayFn)
-		if err != nil {
-			return fmt.Errorf("scrub: restore delay timer: %w", err)
-		}
-		sc.pending = ev
+	var err error
+	if sc.pending, err = sc.sim.Rearm(st.HasPending, st.PendingAt, st.PendingSeq, sc.delayFn); err != nil {
+		return fmt.Errorf("scrub: restore delay timer: %w", err)
 	}
 	return nil
 }
@@ -136,11 +129,11 @@ func (sc *Scrubber) RestoreState(st *State) error {
 // snapshot needs. KindNone means the scrubber has nothing outstanding.
 func (sc *Scrubber) InflightKind() CompletionKind {
 	switch {
-	case sc.inflight && sc.inflightRescrub:
+	case sc.st.Inflight && sc.st.InflightRescrub:
 		return KindRescrub
-	case sc.inflight:
+	case sc.st.Inflight:
 		return KindVerify
-	case sc.repairsLeft > 0:
+	case sc.st.RepairsLeft > 0:
 		return KindRepair
 	default:
 		return KindNone

@@ -121,34 +121,3 @@ func TestEventQueueZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Schedule/fire allocates %.1f allocs/run, want 0", allocs)
 	}
 }
-
-// TestEventPoolDisabled covers the A/B escape hatch: with pooling off the
-// simulator allocates per event but fires the identical sequence.
-func TestEventPoolDisabled(t *testing.T) {
-	run := func(pool bool) []time.Duration {
-		s := New()
-		s.SetEventPooling(pool)
-		var fired []time.Duration
-		var tick EventFunc
-		tick = func(_ any, now time.Duration) {
-			fired = append(fired, now)
-			if len(fired) < 64 {
-				s.ScheduleAfter(time.Duration(len(fired)%5)*time.Millisecond, tick, nil)
-			}
-		}
-		s.Schedule(time.Millisecond, tick, nil)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return fired
-	}
-	a, b := run(true), run(false)
-	if len(a) != len(b) {
-		t.Fatalf("pooled fired %d events, unpooled %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("event %d fired at %v pooled vs %v unpooled", i, a[i], b[i])
-		}
-	}
-}

@@ -186,7 +186,7 @@ func (k laneKernel) restoreSchedule(at time.Duration, seq uint64, fn EventFunc, 
 	return k.s.RestoreSchedule(at, seq, fn, a)
 }
 func (k laneKernel) restoreAt(at time.Duration, seq uint64, fn func()) (any, error) {
-	return k.s.RestoreAt(at, seq, fn)
+	return k.s.Rearm(true, at, seq, fn)
 }
 func (k laneKernel) clock() (time.Duration, uint64, uint64) { return k.s.Clock() }
 func (k laneKernel) nextAt() (time.Duration, uint64, bool)  { return k.s.NextAt() }

@@ -76,8 +76,7 @@ type Simulator struct {
 	stopped bool //scrublint:transient run-loop latch, reset by the next Run
 	fired   uint64
 
-	free   []*Event //scrublint:transient event free list; pooled memory is identity, not state
-	noPool bool     //scrublint:transient A/B-test toggle, not simulation state
+	free []*Event //scrublint:transient event free list; pooled memory is identity, not state
 }
 
 // New returns a Simulator with its clock at zero.
@@ -92,11 +91,6 @@ func (s *Simulator) Len() int { return len(s.q.heap) + len(s.q.lane) - s.q.head 
 // Fired returns the number of events fired since construction: the
 // denominator of the events/sec throughput metric cmd/scrubbench reports.
 func (s *Simulator) Fired() uint64 { return s.fired }
-
-// SetEventPooling toggles Event reuse on the Schedule path (on by
-// default). It exists for A/B tests proving pooling changes no observable
-// behavior; production callers never need it.
-func (s *Simulator) SetEventPooling(on bool) { s.noPool = !on }
 
 // At schedules fn to run at absolute virtual time t and returns a
 // cancelable handle. Scheduling in the past (t < Now) clamps to Now,
@@ -170,7 +164,7 @@ func (s *Simulator) Stop() { s.stopped = true }
 //
 //scrub:hotpath
 func (s *Simulator) get() *Event {
-	if n := len(s.free); n > 0 && !s.noPool {
+	if n := len(s.free); n > 0 {
 		ev := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
@@ -186,9 +180,7 @@ func (s *Simulator) get() *Event {
 //scrub:hotpath
 func (s *Simulator) recycle(ev *Event) {
 	*ev = Event{index: -1}
-	if !s.noPool {
-		s.free = append(s.free, ev)
-	}
+	s.free = append(s.free, ev)
 }
 
 // step fires the earliest pending event. It reports false when the queue is

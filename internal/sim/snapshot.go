@@ -1,12 +1,13 @@
 // Snapshot support: the minimal kernel surface the fleet engine needs to
 // park a member (serialize its state and free the memory) and hydrate it
 // later with an identical trajectory. The kernel itself cannot serialize
-// its event queue — events hold callbacks — so components snapshot their
-// own pending events as (at, seq) pairs and re-enqueue them on restore
-// with the Restore* methods below, which preserve the original sequence
-// numbers. Because the queue is ordered by (at, seq) and seq values are
-// preserved exactly, the restored queue pops events in exactly the order
-// the original would have: determinism survives the round trip.
+// its event queue — events hold callbacks — so each component's State
+// carries its own pending events as (at, seq) records: Pending takes the
+// record of a handle event, Rearm and RestoreSchedule re-enqueue it on
+// restore with its original sequence number. Because the queue is
+// ordered by (at, seq) and seq values are preserved exactly, the
+// restored queue pops events in exactly the order the original would
+// have: determinism survives the round trip.
 package sim
 
 import (
@@ -26,9 +27,9 @@ func (s *Simulator) Clock() (now time.Duration, seq, fired uint64) {
 
 // RestoreClock sets the clock state captured by Clock and discards
 // every pending event: restore is a rebuild, not a merge, and must run
-// before any Restore* scheduling call. Pooled events return to the free
-// list; a discarded handle event can no longer fire, and cancelling it
-// later is a no-op. So a simulator that has run one member can be
+// before any Rearm or RestoreSchedule call. Pooled events return to the
+// free list; a discarded handle event can no longer fire, and cancelling
+// it later is a no-op. So a simulator that has run one member can be
 // restored in place to another.
 func (s *Simulator) RestoreClock(now time.Duration, seq, fired uint64) {
 	q := &s.q
@@ -52,26 +53,36 @@ func (s *Simulator) RestoreClock(now time.Duration, seq, fired uint64) {
 // snapshotting.
 func (s *Simulator) Seq() uint64 { return s.seq }
 
-// Seq returns the event's sequence number, its tiebreaker within the
-// (at, seq) total order. Snapshots store it alongside At so restore can
-// reproduce the exact firing order.
-func (e *Event) Seq() uint64 { return e.seq }
+// Pending returns the snapshot record of a handle event: whether it is
+// armed and its (at, seq) slot in the total order. A nil handle is
+// unarmed. Components keep a pending handle nil once it fires or is
+// cancelled, so a non-nil handle is always queued.
+func Pending(ev *Event) (armed bool, at time.Duration, seq uint64) {
+	if ev == nil {
+		return false, 0, 0
+	}
+	return true, ev.at, ev.seq
+}
 
-// RestoreAt re-enqueues a handle event captured as (at, seq) by a
-// snapshot. Unlike At it does not assign a fresh sequence number: the
-// event keeps its recorded position in the total order. The caller must
-// have restored the clock first so that seq <= Seq(); a violation would
-// let a future event collide with the restored one's tiebreaker.
-func (s *Simulator) RestoreAt(at time.Duration, seq uint64, fn func()) (*Event, error) {
+// Rearm is the restore side of Pending: an armed record re-enqueues fn
+// at its recorded (at, seq) slot and returns the new handle; an unarmed
+// one returns nil. Unlike At it does not assign a fresh sequence number:
+// the event keeps its recorded position in the total order. The caller
+// must have restored the clock first so that seq <= Seq(); a violation
+// would let a future event collide with the restored one's tiebreaker.
+func (s *Simulator) Rearm(armed bool, at time.Duration, seq uint64, fn func()) (*Event, error) {
+	if !armed {
+		return nil, nil
+	}
 	if seq == 0 || seq > s.seq {
-		return nil, fmt.Errorf("sim: RestoreAt seq %d out of range (clock seq %d)", seq, s.seq)
+		return nil, fmt.Errorf("sim: Rearm seq %d out of range (clock seq %d)", seq, s.seq)
 	}
 	ev := &Event{at: at, seq: seq, fn: fn}
 	s.q.push(ev)
 	return ev, nil
 }
 
-// RestoreSchedule is RestoreAt for pooled handle-less events: the
+// RestoreSchedule is Rearm for pooled handle-less events: the
 // restored event fires fn(arg, at) at its recorded (at, seq) slot and is
 // recycled afterwards, exactly like an original Schedule event.
 func (s *Simulator) RestoreSchedule(at time.Duration, seq uint64, fn EventFunc, arg any) error {

@@ -187,6 +187,8 @@ func (o *OnlineIdle) Quantile(q float64) time.Duration {
 
 // OnlineIdleState is the serializable snapshot of an OnlineIdle; all
 // fields are integers, so encode/decode round-trips are exact.
+//
+//scrublint:snapshot OnlineIdle bounds=BoundsNanos sums=SumsNanos sum=SumNanos max=MaxNanos
 type OnlineIdleState struct {
 	BoundsNanos []int64
 	Counts      []int64
