@@ -121,14 +121,16 @@ func (c *cache) fill(lba, n, readahead, diskSectors int64) {
 		c.move(len(c.idx) - 1)
 		return
 	}
-	// Evict LRU.
-	victim := 0
-	for i := 1; i < len(c.segments); i++ {
-		if c.segments[i].lastUse < c.segments[victim].lastUse {
-			victim = i
+	// Evict LRU: the lowest lastUse, the lowest slot on ties. The cache
+	// holds a few dozen segments, so a scan of idx finds the victim's
+	// position without a search.
+	victim, oldest := 0, c.segments[0].lastUse
+	for i, s := range c.segments {
+		if s.lastUse < oldest {
+			victim, oldest = i, s.lastUse
 		}
 	}
-	k := c.search(c.segments[victim].start)
+	k := 0
 	for c.idx[k] != int32(victim) {
 		k++
 	}

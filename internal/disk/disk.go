@@ -257,14 +257,15 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 		d.obsMiss.Inc()
 	}
 	d.st.MediaOps++
-	// One cylinder lookup per command: the rotational position and the
-	// transfer walk start from it, and the walk ends on the head's new
-	// cylinder.
-	targetCyl := d.geo.cylinderOf(req.LBA)
+	// One zone lookup per command: the cylinder, the rotational position
+	// and the transfer walk start from it, and the walk ends on the head's
+	// new cylinder.
+	zone := d.geo.zoneOf(req.LBA)
+	targetCyl, left := d.geo.cylinderOf(req.LBA, zone)
 	seek := d.geo.seekTime(d.st.HeadCyl, targetCyl)
 	atTrack := accepted + seek
-	rot := d.geo.rotWait(atTrack, d.geo.angleOf(req.LBA, targetCyl))
-	transfer, lastCyl := d.geo.transferTime(req.LBA, req.Sectors, targetCyl)
+	rot := d.geo.rotWait(atTrack, d.geo.angleOf(req.LBA, zone))
+	transfer, lastCyl := d.geo.transferTime(req.Sectors, left, zone, targetCyl)
 	mechDone := atTrack + rot + transfer
 	res.Done = mechDone + m.CompletionOverhead
 	d.st.HeadCyl = lastCyl
@@ -292,8 +293,9 @@ func (d *Disk) Service(req Request, now time.Duration) (Result, error) {
 	}
 	// LSE detection on medium access: the command still pays its full
 	// mechanical service time (the error surfaces at the read head), then
-	// fails with a typed medium error.
-	if req.Op != OpWrite {
+	// fails with a typed medium error. A drive without LSEs skips the
+	// search.
+	if req.Op != OpWrite && len(d.st.LSEs) > 0 {
 		res.LSEs = d.lsesIn(req.LBA, req.Sectors)
 	}
 	if d.obsHit != nil {
@@ -345,5 +347,8 @@ func (d *Disk) MediaRate(lba int64) float64 { return d.geo.mediaRate(lba) }
 // SeekTime exposes the seek curve between two LBAs in [0, Sectors()), for
 // calibration tests and the documentation of optimizer inputs.
 func (d *Disk) SeekTime(fromLBA, toLBA int64) time.Duration {
-	return d.geo.seekTime(d.geo.cylinderOf(fromLBA), d.geo.cylinderOf(toLBA))
+	g := d.geo
+	from, _ := g.cylinderOf(fromLBA, g.zoneOf(fromLBA))
+	to, _ := g.cylinderOf(toLBA, g.zoneOf(toLBA))
+	return g.seekTime(from, to)
 }

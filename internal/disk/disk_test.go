@@ -43,6 +43,8 @@ func TestModelValidateRejects(t *testing.T) {
 		func(m *Model) { m.RPM = 0 },
 		func(m *Model) { m.Cylinders = 1 },
 		func(m *Model) { m.Heads = 0 },
+		func(m *Model) { m.CapacityBytes, m.Cylinders = 1<<40, 2 },
+		func(m *Model) { m.Heads = 1 << 30 },
 		func(m *Model) { m.ZoneRatio = 0.5 },
 		func(m *Model) { m.FullSeek = m.SettleTime - 1 },
 		func(m *Model) { m.TrackSkew = 1.5 },
@@ -411,29 +413,34 @@ func TestPropertyDeterministicService(t *testing.T) {
 	}
 }
 
+// TestGeometryRoundTrip maps random LBAs to (cylinder, head, sector)
+// through the zone geometry and back through the per-cylinder reference
+// tables.
 func TestGeometryRoundTrip(t *testing.T) {
-	d := MustNew(FujitsuMAP3367NP())
-	g := d.geo
+	m := FujitsuMAP3367NP()
+	d := MustNew(m)
+	g, ref := d.geo, newCylGeometry(&m)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		lba := rng.Int63n(d.Sectors())
-		cyl := g.cylinderOf(lba)
-		head, sector := g.locate(lba, cyl)
+		z := g.zoneOf(lba)
+		cyl, _ := g.cylinderOf(lba, z)
+		head, sector := ref.locate(lba, cyl)
 		if cyl < 0 || cyl >= d.Model().Cylinders {
 			t.Fatalf("lba %d: cyl %d out of range", lba, cyl)
 		}
 		if head < 0 || head >= d.Model().Heads {
 			t.Fatalf("lba %d: head %d out of range", lba, head)
 		}
-		spt := int64(g.sptByCyl[cyl])
+		spt := int64(g.zones[z].spt)
 		if sector < 0 || sector >= spt {
 			t.Fatalf("lba %d: sector %d outside track of %d", lba, sector, spt)
 		}
-		back := g.cumSector[cyl] + int64(head)*spt + sector
+		back := ref.cumSector[cyl] + int64(head)*spt + sector
 		if back != lba {
 			t.Fatalf("round trip %d -> %d", lba, back)
 		}
-		a := g.angleOf(lba, cyl)
+		a := g.angleOf(lba, z)
 		if a < 0 || a >= 1 {
 			t.Fatalf("angle %v outside [0,1)", a)
 		}

@@ -2,48 +2,116 @@ package disk
 
 import (
 	"math/rand"
-	"sort"
+	"sync"
 	"testing"
 	"time"
 )
 
-// refCylinderOf is the reference lookup: a binary search for the last
-// cylinder whose first LBA is <= lba.
-func refCylinderOf(g *geometry, lba int64) int {
-	return sort.Search(len(g.cumSector), func(i int) bool { return g.cumSector[i] > lba }) - 1
+// geometryModels returns the catalog, DemoSmall and a 3 TB drive with
+// equal sectors on every track, whose single run of cylinders the
+// geometry splits into zones of at most 2^32 sectors.
+func geometryModels() []Model {
+	wide := HitachiUltrastar15K450()
+	wide.Name = "Wide 3TB (one sectors-per-track run)"
+	wide.CapacityBytes, wide.Cylinders, wide.Heads, wide.ZoneRatio = 3e12, 1000, 4, 1
+	return append(Catalog(), DemoSmall(), wide)
 }
 
-// refTransferTime is the reference transfer walk: one cylinder lookup
-// per cylinder boundary crossed.
-func refTransferTime(g *geometry, lba, n int64) time.Duration {
-	var total time.Duration
-	for n > 0 {
-		cyl := refCylinderOf(g, lba)
-		take := min(n, g.cumSector[cyl+1]-lba)
-		total += time.Duration(float64(take) / float64(g.sptByCyl[cyl]) * float64(g.rotation))
-		lba += take
-		n -= take
-	}
-	return total
-}
-
-func geometryModels() []Model { return append(Catalog(), DemoSmall()) }
-
-// TestCylinderOfMatchesBinarySearch checks the bucket index against the
-// reference binary search on every model: the first and last LBA of
-// every cylinder, plus seeded random LBAs.
-func TestCylinderOfMatchesBinarySearch(t *testing.T) {
+// refGeometries holds one reference geometry per model of
+// geometryModels, in the same order, built on first use.
+var refGeometries = sync.OnceValue(func() []*cylGeometry {
+	var refs []*cylGeometry
 	for _, m := range geometryModels() {
+		refs = append(refs, newCylGeometry(&m))
+	}
+	return refs
+})
+
+// checkGeometry compares the zone geometry with the per-cylinder
+// reference at one LBA and one transfer of n sectors starting there,
+// clipped to the disk: cylinder, angle, transfer time and the last
+// cylinder the transfer touched must all be equal.
+func checkGeometry(t *testing.T, g *geometry, ref *cylGeometry, lba, n int64) {
+	t.Helper()
+	z := g.zoneOf(lba)
+	cyl, left := g.cylinderOf(lba, z)
+	want := ref.cylinderOf(lba)
+	if wantLeft := ref.cumSector[want+1] - lba; cyl != want || left != wantLeft {
+		t.Fatalf("%s: cylinderOf(%d) = %d with %d sectors left, tables say %d with %d",
+			g.model.Name, lba, cyl, left, want, wantLeft)
+	}
+	if got, want := g.angleOf(lba, z), ref.angleOf(lba, cyl); got != want {
+		t.Fatalf("%s: angleOf(%d) = %v, tables say %v", g.model.Name, lba, got, want)
+	}
+	n = min(n, g.sectors()-lba)
+	got, last := g.transferTime(n, left, z, cyl)
+	wantT, wantLast := ref.transferTime(lba, n, cyl)
+	if got != wantT || last != wantLast {
+		t.Fatalf("%s: transferTime(%d, %d) = %v ending on cylinder %d, tables say %v ending on %d",
+			g.model.Name, lba, n, got, last, wantT, wantLast)
+	}
+}
+
+// TestGeometryMatchesCylinderTables holds the zone-run geometry to the
+// per-cylinder tables it replaced, on every model of geometryModels:
+// both ends of every cylinder, seeded random LBAs, and transfers from 1
+// to 100k sectors, which cross cylinder and zone boundaries.
+func TestGeometryMatchesCylinderTables(t *testing.T) {
+	for i, m := range geometryModels() {
 		t.Run(m.Name, func(t *testing.T) {
-			g := geometryFor(m)
+			g, ref := geometryFor(m), refGeometries()[i]
+			if g.sectors() != ref.sectors() {
+				t.Fatalf("%d sectors, tables say %d", g.sectors(), ref.sectors())
+			}
+			rng := rand.New(rand.NewSource(13))
+			length := func() int64 { return 1 + rng.Int63n([]int64{8, 1024, 100000}[rng.Intn(3)]) }
+			for c := 0; c < m.Cylinders; c++ {
+				checkGeometry(t, g, ref, ref.cumSector[c], length())
+				checkGeometry(t, g, ref, ref.cumSector[c+1]-1, length())
+			}
+			// From up to 64 sectors before each zone boundary into the zone.
+			for _, zn := range g.zones[1 : len(g.zones)-1] {
+				checkGeometry(t, g, ref, zn.lba-1-rng.Int63n(64), 2+rng.Int63n(int64(zn.spt)*g.heads+64))
+			}
+			for i := 0; i < 100000; i++ {
+				checkGeometry(t, g, ref, rng.Int63n(g.sectors()), length())
+			}
+		})
+	}
+}
+
+// FuzzGeometryMatchesTables holds the zone-run geometry to the
+// per-cylinder tables at fuzzed LBAs and transfer lengths on every model
+// of geometryModels.
+func FuzzGeometryMatchesTables(f *testing.F) {
+	f.Add(uint8(0), uint64(0), uint32(1))
+	f.Add(uint8(0), uint64(1082177), uint32(2))
+	f.Add(uint8(3), uint64(624978679), uint32(100000))
+	f.Add(uint8(5), uint64(3906221), uint32(1))
+	f.Fuzz(func(t *testing.T, model uint8, lba uint64, n uint32) {
+		models := geometryModels()
+		i := int(model) % len(models)
+		g, ref := geometryFor(models[i]), refGeometries()[i]
+		checkGeometry(t, g, ref, int64(lba%uint64(g.sectors())), 1+int64(n%200000))
+	})
+}
+
+// TestCylinderOfMatchesBinarySearch checks the zone lookup against the
+// reference binary search over the cylinder tables on every model: the
+// first and last LBA of every cylinder, plus seeded random LBAs.
+func TestCylinderOfMatchesBinarySearch(t *testing.T) {
+	for i, m := range geometryModels() {
+		t.Run(m.Name, func(t *testing.T) {
+			g, ref := geometryFor(m), refGeometries()[i]
 			check := func(lba int64) {
-				if got, want := g.cylinderOf(lba), refCylinderOf(g, lba); got != want {
+				got, _ := g.cylinderOf(lba, g.zoneOf(lba))
+				if want := ref.cylinderOf(lba); got != want {
 					t.Fatalf("cylinderOf(%d) = %d, binary search says %d", lba, got, want)
 				}
 			}
 			for c := 0; c < m.Cylinders; c++ {
-				check(g.cumSector[c])
-				check(g.cumSector[c+1] - 1)
+				check(ref.cumSector[c])
+				check(ref.cumSector[c+1] - 1)
 			}
 			rng := rand.New(rand.NewSource(11))
 			for i := 0; i < 100000; i++ {
@@ -53,17 +121,25 @@ func TestCylinderOfMatchesBinarySearch(t *testing.T) {
 	}
 }
 
-// TestCylinderIndexStepBound pins the bucket sizing the lookup's cost
-// rests on: no bucket spans more than four of the smallest cylinders.
-func TestCylinderIndexStepBound(t *testing.T) {
+// TestZoneIndexStepBound pins the bucket sizing the lookup's cost rests
+// on: no bucket spans more than four of the smallest zones, so a lookup
+// steps over at most four zone boundaries.
+func TestZoneIndexStepBound(t *testing.T) {
 	for _, m := range geometryModels() {
 		g := geometryFor(m)
-		minCyl := g.sectors()
-		for c := 0; c < m.Cylinders; c++ {
-			minCyl = min(minCyl, g.cumSector[c+1]-g.cumSector[c])
+		minZone := g.sectors()
+		for z := range g.zones[1:] {
+			minZone = min(minZone, g.zones[z+1].lba-g.zones[z].lba)
 		}
-		if bucket := int64(1) << g.cylShift; bucket > 4*minCyl || 2*bucket <= 4*minCyl {
-			t.Errorf("%s: bucket of %d sectors for a smallest cylinder of %d", m.Name, bucket, minCyl)
+		bucket := int64(1) << g.zoneShift
+		if bucket > 4*minZone || 2*bucket <= 4*minZone {
+			t.Errorf("%s: bucket of %d sectors for a smallest zone of %d", m.Name, bucket, minZone)
+		}
+		for b := range g.zoneIdx {
+			lo, hi := int64(b)<<g.zoneShift, min(int64(b+1)<<g.zoneShift, g.sectors())-1
+			if steps := g.zoneOf(hi) - int(g.zoneIdx[b]); steps > 4 || g.zoneOf(lo) != int(g.zoneIdx[b]) {
+				t.Fatalf("%s: bucket %d steps over %d zone boundaries", m.Name, b, steps)
+			}
 		}
 	}
 }
@@ -71,32 +147,34 @@ func TestCylinderIndexStepBound(t *testing.T) {
 // TestServiceAcrossCylinderBoundaries services requests that straddle
 // one to three cylinder boundaries and checks the head ends on the
 // cylinder of the last sector, the transfer time matches the reference
-// per-boundary walk, and the whole service time adds up from the parts.
+// per-cylinder walk, and the whole service time adds up from the parts.
 func TestServiceAcrossCylinderBoundaries(t *testing.T) {
 	for _, m := range []Model{HitachiUltrastar15K450(), DemoSmall()} {
 		t.Run(m.Name, func(t *testing.T) {
 			d := MustNew(m)
-			g := d.geo
+			g, ref := d.geo, newCylGeometry(&m)
+			cum := ref.cumSector
 			rng := rand.New(rand.NewSource(5))
 			var now time.Duration
 			for i := 0; i < 2000; i++ {
 				c := 1 + rng.Intn(m.Cylinders-4)
-				lba := g.cumSector[c] - 1 - rng.Int63n(g.cumSector[c]-g.cumSector[c-1])
+				lba := cum[c] - 1 - rng.Int63n(cum[c]-cum[c-1])
 				cross := 1 + rng.Intn(3) // boundaries to cross
-				end := g.cumSector[c+cross-1] + 1 + rng.Int63n(g.cumSector[c+cross]-g.cumSector[c+cross-1]-1)
+				end := cum[c+cross-1] + 1 + rng.Int63n(cum[c+cross]-cum[c+cross-1]-1)
 				req := Request{Op: OpVerify, LBA: lba, Sectors: end - lba}
 
-				cyl := g.cylinderOf(lba)
-				transfer, last := g.transferTime(lba, req.Sectors, cyl)
-				if want := refTransferTime(g, lba, req.Sectors); transfer != want {
+				z := g.zoneOf(lba)
+				cyl, left := g.cylinderOf(lba, z)
+				transfer, last := g.transferTime(req.Sectors, left, z, cyl)
+				if want, _ := ref.transferTime(lba, req.Sectors, ref.cylinderOf(lba)); transfer != want {
 					t.Fatalf("transferTime(%d, %d) = %v, reference walk %v", lba, req.Sectors, transfer, want)
 				}
-				if want := refCylinderOf(g, end-1); last != want {
+				if want := ref.cylinderOf(end - 1); last != want {
 					t.Fatalf("transfer of [%d, %d) ended on cylinder %d, want %d", lba, end, last, want)
 				}
 
 				atTrack := now + m.CommandOverhead + g.seekTime(d.st.HeadCyl, cyl)
-				want := atTrack + g.rotWait(atTrack, g.angleOf(lba, cyl)) + transfer + m.CompletionOverhead
+				want := atTrack + g.rotWait(atTrack, g.angleOf(lba, z)) + transfer + m.CompletionOverhead
 				res, err := d.Service(req, now)
 				if err != nil {
 					t.Fatal(err)
@@ -104,7 +182,7 @@ func TestServiceAcrossCylinderBoundaries(t *testing.T) {
 				if res.Done != want {
 					t.Fatalf("Service([%d, %d)) done at %v, parts add up to %v", lba, end, res.Done, want)
 				}
-				if want := g.cylinderOf(end - 1); d.st.HeadCyl != want {
+				if want := ref.cylinderOf(end - 1); d.st.HeadCyl != want {
 					t.Fatalf("head on cylinder %d after [%d, %d), want %d", d.st.HeadCyl, lba, end, want)
 				}
 				now = res.Done

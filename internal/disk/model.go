@@ -111,6 +111,12 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("disk: model %q: need >= 2 cylinders", m.Name)
 	case m.Heads < 1:
 		return fmt.Errorf("disk: model %q: need >= 1 head", m.Name)
+	case m.Sectors()/int64(m.Cylinders)+int64(m.Heads) >= 1<<30:
+		// The outermost cylinder holds under twice the average plus one
+		// sector per head, so this keeps every cylinder below 2^31
+		// sectors, which the geometry's 32-bit zone arithmetic needs.
+		return fmt.Errorf("disk: model %q: cylinders too large (%d sectors each on average, %d heads)",
+			m.Name, m.Sectors()/int64(m.Cylinders), m.Heads)
 	case m.ZoneRatio < 1:
 		return fmt.Errorf("disk: model %q: zone ratio %f < 1", m.Name, m.ZoneRatio)
 	case m.FullSeek < m.SettleTime:

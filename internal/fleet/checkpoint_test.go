@@ -3,13 +3,18 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"io"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestCheckpointResume kills a sweep at randomized slice boundaries,
@@ -151,10 +156,19 @@ func TestCheckpointFileAtomicity(t *testing.T) {
 	}
 }
 
+// fixtureChildEnv marks the child process TestCheckpointFixture starts
+// to encode the fixture's fleet.
+const fixtureChildEnv = "FLEET_CHECKPOINT_FIXTURE_CHILD"
+
 // TestCheckpointFixture pins the on-disk format to a checkpoint written
 // before the frame codec moved into internal/durable (commit f6d77a3):
 // the same fleet encodes to the same bytes, the file resumes to the
 // report of an uninterrupted run, and every strict prefix is rejected.
+//
+// gob numbers types in the order a process first sends them, and the
+// numbers are in the stream, so the encoding depends on what the process
+// encoded before. The encode and the byte comparison therefore run in a
+// fresh process: the test binary re-run with only this test selected.
 func TestCheckpointFixture(t *testing.T) {
 	const fixture = "testdata/fleet.ckpt"
 	want, err := os.ReadFile(fixture)
@@ -162,19 +176,28 @@ func TestCheckpointFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Shards: 2, Slice: 10 * time.Second, Seed: testSeed, Instrument: true, KeepMembers: true}
-	e, err := New(cfg, testClasses())
-	if err != nil {
-		t.Fatal(err)
+	if os.Getenv(fixtureChildEnv) != "" {
+		e, err := New(cfg, testClasses())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Advance(context.Background(), 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("checkpoint encodes to %d bytes that differ from the %d-byte fixture", buf.Len(), len(want))
+		}
+		return
 	}
-	if err := e.Advance(context.Background(), 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("checkpoint encodes to %d bytes that differ from the %d-byte fixture", buf.Len(), len(want))
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointFixture$", "-test.v")
+	cmd.Env = append(os.Environ(), fixtureChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("--- PASS: TestCheckpointFixture ")) {
+		t.Fatalf("encoding the fixture's fleet in a fresh process: %v\n%s", err, out)
 	}
 
 	ref, err := New(cfg, testClasses())
@@ -205,6 +228,17 @@ func TestCheckpointFixture(t *testing.T) {
 			t.Fatalf("prefix of %d bytes accepted", n)
 		}
 	}
+}
+
+// TestCheckpointFixtureAfterOtherGobTypes runs TestCheckpointFixture in
+// a process that has already gob-encoded another type, a bare
+// core.SystemState. While the fixture was encoded in the test's own
+// process, this order made the bytes differ from the fixture.
+func TestCheckpointFixtureAfterOtherGobTypes(t *testing.T) {
+	if err := gob.NewEncoder(io.Discard).Encode(&core.SystemState{}); err != nil {
+		t.Fatal(err)
+	}
+	TestCheckpointFixture(t)
 }
 
 // TestResumeForgedLength feeds a header claiming an almost 4 GiB body

@@ -35,9 +35,13 @@ type CFQ struct {
 }
 
 type cfqQueue struct {
-	tag    int
-	class  blockdev.Class
-	sorted []*blockdev.Request // ascending LBA
+	tag   int
+	class blockdev.Class
+	// sorted holds the queued requests in descending LBA order, newest
+	// last among equal LBAs, so the next dispatch (lowest LBA, newest
+	// first on ties) is the tail: pop shortens the slice instead of
+	// shifting it, and Add shifts only the requests below the new one.
+	sorted []*blockdev.Request
 }
 
 // cfqClass returns the class CFQ serves a request in. A class it does
@@ -122,18 +126,19 @@ func (c *CFQ) Add(r *blockdev.Request, now time.Duration) {
 		c.st.InIdleService = false
 	}
 	q := c.queueFor(r.Tag, class)
-	// Lower bound: the first queued request at or above r.LBA.
+	// The first queued request below r.LBA: r goes in front of it, and it
+	// is the request r can back-merge into.
 	i, hi := 0, len(q.sorted)
 	for i < hi {
 		mid := int(uint(i+hi) >> 1)
-		if q.sorted[mid].LBA < r.LBA {
+		if q.sorted[mid].LBA >= r.LBA {
 			i = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if i > 0 {
-		p := q.sorted[i-1]
+	if i < len(q.sorted) {
+		p := q.sorted[i]
 		if p.Op == r.Op && p.LBA+p.Sectors == r.LBA && p.Sectors+r.Sectors <= MaxMergeSectors {
 			p.AbsorbMerge(r)
 			return
@@ -233,10 +238,12 @@ func (c *CFQ) nextInClass(class blockdev.Class, now time.Duration) (*blockdev.Re
 	return nil, 0, false
 }
 
+// pop removes and returns q's next request, its lowest LBA.
 func (c *CFQ) pop(q *cfqQueue) *blockdev.Request {
-	r := q.sorted[0]
-	copy(q.sorted, q.sorted[1:])
-	q.sorted = q.sorted[:len(q.sorted)-1]
+	n := len(q.sorted) - 1
+	r := q.sorted[n]
+	q.sorted[n] = nil
+	q.sorted = q.sorted[:n]
 	c.queued[q.class-1]--
 	return r
 }
