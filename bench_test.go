@@ -374,10 +374,10 @@ func parseDurSec(s string) float64 {
 	return d.Seconds()
 }
 
-// BenchmarkModelFitSpeed reproduces the paper's Section V-B1 modelling
-// claim: AR(p) by Levinson-Durbin is the only candidate cheap enough to
-// fit at I/O rates. Metrics: fit cost of AR, ARMA (Hannan-Rissanen) and
-// ACD(1,1) (MLE) on the same 100k-duration series, in ms.
+// BenchmarkModelFitSpeed times the paper's Section V-B1 estimator: an
+// AIC-selected AR(p) fit by Levinson-Durbin on a 100k-duration series,
+// in ms. EXPERIMENTS.md records the ARMA and ACD fits it was once
+// compared against.
 func BenchmarkModelFitSpeed(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 100000
@@ -385,25 +385,13 @@ func BenchmarkModelFitSpeed(b *testing.B) {
 	for i := 1; i < n; i++ {
 		xs[i] = 0.5*xs[i-1] + math.Abs(rng.NormFloat64())
 	}
-	var arMS, armaMS, acdMS float64
+	var arMS float64
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		if _, err := arima.FitAIC(xs, 8); err != nil {
 			b.Fatal(err)
 		}
 		arMS = float64(time.Since(t0)) / 1e6
-		t0 = time.Now()
-		if _, err := arima.FitARMA(xs, 2, 2); err != nil {
-			b.Fatal(err)
-		}
-		armaMS = float64(time.Since(t0)) / 1e6
-		t0 = time.Now()
-		if _, err := arima.FitACD(xs); err != nil {
-			b.Fatal(err)
-		}
-		acdMS = float64(time.Since(t0)) / 1e6
 	}
 	b.ReportMetric(arMS, "AR_ms")
-	b.ReportMetric(armaMS, "ARMA_ms")
-	b.ReportMetric(acdMS, "ACD_ms")
 }

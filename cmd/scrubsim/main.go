@@ -102,7 +102,7 @@ func runTo(w io.Writer, args []string) error {
 		records, diskSectors = tr.Records, tr.DiskSectors
 	}
 
-	policy, err := parsePolicy(*policyName)
+	policy, err := core.ParsePolicy(*policyName)
 	if err != nil {
 		return err
 	}
@@ -198,25 +198,6 @@ func runTo(w io.Writer, args []string) error {
 	return dumpObs(w, reg, *metrics, *traceEvents)
 }
 
-// parseSched maps a -sched name to a fresh scheduler instance for the
-// baseline stack; core validates the same names for the scrubbed system.
-func parseSched(name string) (blockdev.Scheduler, error) {
-	switch name {
-	case "", "cfq":
-		return iosched.NewCFQ(), nil
-	case "deadline":
-		return iosched.NewDeadline(), nil
-	case "noop":
-		return iosched.NewNOOP(), nil
-	case "bsa":
-		return iosched.NewBSA(), nil
-	case "bsa-repair":
-		return iosched.NewBSARepair(), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
-	}
-}
-
 // dumpObs writes the metrics snapshot and/or event-trace tail after the
 // human-readable report. The "--- metrics (<fmt>) ---" marker lets
 // consumers split the machine-readable part from the report.
@@ -240,23 +221,6 @@ func dumpObs(w io.Writer, reg *obs.Registry, format string, traceEvents int) err
 	return nil
 }
 
-func parsePolicy(name string) (core.PolicyKind, error) {
-	switch name {
-	case "cfq-idle":
-		return core.PolicyCFQIdle, nil
-	case "fixed-delay":
-		return core.PolicyFixedDelay, nil
-	case "waiting":
-		return core.PolicyWaiting, nil
-	case "ar":
-		return core.PolicyAR, nil
-	case "ar+waiting":
-		return core.PolicyARWaiting, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 // replayOnce runs records through a fresh scrubber-free stack on the
 // same device model and scheduler as the scrubbed run.
 func replayOnce(dm disk.DeviceModel, sched string, records []trace.Record, diskSectors int64) (*replay.Result, error) {
@@ -265,7 +229,7 @@ func replayOnce(dm disk.DeviceModel, sched string, records []trace.Record, diskS
 	if err != nil {
 		return nil, err
 	}
-	sc, err := parseSched(sched)
+	sc, err := iosched.New(sched)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/disk"
+	"repro/internal/iosched"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -213,11 +214,11 @@ func TestParseDisk(t *testing.T) {
 
 func TestParseSchedAll(t *testing.T) {
 	for _, name := range []string{"", "cfq", "deadline", "noop", "bsa", "bsa-repair"} {
-		if s, err := parseSched(name); err != nil || s == nil {
+		if s, err := iosched.New(name); err != nil || s == nil {
 			t.Fatalf("%q: %v", name, err)
 		}
 	}
-	if _, err := parseSched("anticipatory"); err == nil {
+	if _, err := iosched.New("anticipatory"); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
 }
@@ -254,7 +255,7 @@ func TestScrubsimBadArgs(t *testing.T) {
 
 func TestParsePolicyAll(t *testing.T) {
 	for _, name := range []string{"cfq-idle", "fixed-delay", "waiting", "ar", "ar+waiting"} {
-		if _, err := parsePolicy(name); err != nil {
+		if _, err := core.ParsePolicy(name); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

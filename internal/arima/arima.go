@@ -60,31 +60,6 @@ func (m *Model) String() string {
 	return fmt.Sprintf("AR(%d){mu=%.4g sigma2=%.4g aic=%.4g}", m.Order(), m.Mean, m.NoiseVar, m.AIC)
 }
 
-// Fit fits an AR(p) model of the exact order p via Yule-Walker /
-// Levinson-Durbin.
-func Fit(xs []float64, p int) (*Model, error) {
-	if p < 0 {
-		return nil, fmt.Errorf("arima: negative order %d", p)
-	}
-	if len(xs) < p+2 {
-		return nil, ErrTooShort
-	}
-	cov := stats.Autocovariance(xs, p)
-	coeffs, noise, err := levinsonDurbin(cov, p)
-	if err != nil {
-		return nil, err
-	}
-	n := float64(len(xs))
-	m := &Model{
-		Coeffs:   coeffs,
-		Mean:     stats.Mean(xs),
-		NoiseVar: noise,
-		N:        len(xs),
-	}
-	m.AIC = aic(noise, n, p)
-	return m, nil
-}
-
 // FitAIC fits AR(p) models for p in [1, maxOrder] and returns the one with
 // the lowest AIC, as the paper's policy does ("We estimate the order p
 // using Akaike's Information Criterion").
@@ -98,27 +73,27 @@ func FitAIC(xs []float64, maxOrder int) (*Model, error) {
 	if maxOrder > len(xs)-2 {
 		maxOrder = len(xs) - 2
 	}
-	// Levinson-Durbin computes all orders up to maxOrder in one recursion;
-	// exploit that instead of refitting per order.
 	cov := stats.Autocovariance(xs, maxOrder)
-	allCoeffs, allNoise, err := levinsonDurbinAll(cov, maxOrder)
-	if err != nil {
-		return nil, err
+	if cov[0] <= 0 {
+		return nil, errors.New("arima: zero-variance series")
 	}
-	n := float64(len(xs))
-	bestP := 1
-	bestAIC := math.Inf(1)
-	for p := 1; p <= maxOrder; p++ {
-		a := aic(allNoise[p], n, p)
-		if a < bestAIC {
-			bestAIC = a
-			bestP = p
+	buf := make([]float64, 3*maxOrder)
+	best := buf[:maxOrder:maxOrder]
+	order, noise, bestAIC := levinsonDurbin(cov, float64(len(xs)), best, buf[maxOrder:2*maxOrder], buf[2*maxOrder:])
+	if order == 0 {
+		// No order reached a finite AIC (NaN or overflowing input):
+		// report AR(1), the recursion's first step.
+		r := cov[1] / cov[0]
+		noise = cov[0] * (1 - r*r)
+		if noise < 0 {
+			noise = 0
 		}
+		order, best[0] = 1, r
 	}
 	return &Model{
-		Coeffs:   allCoeffs[bestP],
+		Coeffs:   best[:order:order],
 		Mean:     stats.Mean(xs),
-		NoiseVar: allNoise[bestP],
+		NoiseVar: noise,
 		AIC:      bestAIC,
 		N:        len(xs),
 	}, nil
@@ -131,56 +106,40 @@ func aic(noiseVar, n float64, p int) float64 {
 	return n*math.Log(noiseVar) + 2*float64(p+1)
 }
 
-// levinsonDurbin solves the Yule-Walker equations for a single order.
-func levinsonDurbin(cov []float64, p int) ([]float64, float64, error) {
-	coeffs, noise, err := levinsonDurbinAll(cov, p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return coeffs[p], noise[p], nil
-}
-
-// levinsonDurbinAll runs the Levinson-Durbin recursion returning the
-// coefficient vector and innovation variance for every order 0..p.
-func levinsonDurbinAll(cov []float64, p int) ([][]float64, []float64, error) {
-	if len(cov) < p+1 {
-		return nil, nil, fmt.Errorf("arima: need %d autocovariances, have %d", p+1, len(cov))
-	}
-	if cov[0] <= 0 {
-		return nil, nil, errors.New("arima: zero-variance series")
-	}
-	coeffs := make([][]float64, p+1)
-	noise := make([]float64, p+1)
-	coeffs[0] = nil
-	noise[0] = cov[0]
-	prev := make([]float64, 0, p)
-	for k := 1; k <= p; k++ {
+// levinsonDurbin solves the Yule-Walker equations for every order
+// 1..len(cov)-1 in one Levinson-Durbin recursion over the
+// autocovariances cov (cov[0] > 0) of a sample of effective size n, and
+// keeps the order with the lowest AIC: its coefficients go to
+// best[:order]. prev and cur are scratch; best, prev and cur each hold
+// len(cov)-1 values, and nothing is allocated. order is 0, and best
+// untouched, when no order's AIC is below +Inf.
+func levinsonDurbin(cov []float64, n float64, best, prev, cur []float64) (order int, noise, bestAIC float64) {
+	v := cov[0]
+	bestAIC = math.Inf(1)
+	// Once v reaches zero the series is perfectly predictable: every
+	// higher order keeps v at zero and scores a worse AIC, so stop.
+	for k := 1; k < len(cov) && v != 0; k++ {
 		acc := cov[k]
 		for j := 1; j < k; j++ {
 			acc -= prev[j-1] * cov[k-j]
 		}
-		if noise[k-1] == 0 {
-			// Perfectly predictable already; higher orders add nothing.
-			coeffs[k] = append([]float64(nil), prev...)
-			coeffs[k] = append(coeffs[k], 0)
-			noise[k] = 0
-			prev = coeffs[k]
-			continue
-		}
-		reflection := acc / noise[k-1]
-		cur := make([]float64, k)
+		refl := acc / v
 		for j := 1; j < k; j++ {
-			cur[j-1] = prev[j-1] - reflection*prev[k-1-j]
+			cur[j-1] = prev[j-1] - refl*prev[k-1-j]
 		}
-		cur[k-1] = reflection
-		noise[k] = noise[k-1] * (1 - reflection*reflection)
-		if noise[k] < 0 {
-			noise[k] = 0
+		cur[k-1] = refl
+		v *= 1 - refl*refl
+		if v < 0 {
+			v = 0
 		}
-		coeffs[k] = cur
-		prev = cur
+		if a := aic(v, n, k); a < bestAIC {
+			order, noise, bestAIC = k, v, a
+			copy(best[:k], cur[:k])
+		}
+		// This order's coefficients become the next order's prefix.
+		prev, cur = cur, prev
 	}
-	return coeffs, noise, nil
+	return order, noise, bestAIC
 }
 
 // Predictor is an online one-step-ahead AR predictor with periodic

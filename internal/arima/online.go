@@ -1,9 +1,6 @@
 package arima
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file is the incremental counterpart of Predictor: where Predictor
 // keeps a window of raw observations and refits with FitAIC (O(window)
@@ -171,48 +168,13 @@ func (o *OnlineAR) Refit() bool {
 		return o.fitted // zero-variance stream: nothing to fit
 	}
 
-	// Levinson-Durbin, keeping the AIC-best order's coefficients.
-	nEff := o.wk[0]
-	noise := o.cov[0]
-	bestAIC := math.Inf(1)
-	bestOrder := 0
-	prev := o.prev[:0]
-	for k := 1; k <= maxP; k++ {
-		acc := o.cov[k]
-		for j := 1; j < k; j++ {
-			acc -= prev[j-1] * o.cov[k-j]
-		}
-		cur := o.cur[:k]
-		if noise == 0 {
-			copy(cur, prev)
-			cur[k-1] = 0
-		} else {
-			refl := acc / noise
-			for j := 1; j < k; j++ {
-				cur[j-1] = prev[j-1] - refl*prev[k-1-j]
-			}
-			cur[k-1] = refl
-			noise *= 1 - refl*refl
-			if noise < 0 {
-				noise = 0
-			}
-		}
-		if a := aic(noise, nEff, k); a < bestAIC {
-			bestAIC = a
-			bestOrder = k
-			copy(o.coeffsBuf[:k], cur)
-			o.mean = mean
-			o.noise = noise
-		}
-		// This order's coefficients become the next order's prefix.
-		o.prev, o.cur = o.cur, o.prev
-		prev = o.prev[:k]
-	}
-	if bestOrder == 0 {
+	order, noise, _ := levinsonDurbin(o.cov[:maxP+1], o.wk[0], o.coeffsBuf, o.prev, o.cur)
+	if order == 0 {
 		return o.fitted
 	}
-	o.order = bestOrder
-	o.coeffs = o.coeffsBuf[:bestOrder]
+	o.order = order
+	o.coeffs = o.coeffsBuf[:order]
+	o.mean, o.noise = mean, noise
 	o.fitted = true
 	return true
 }

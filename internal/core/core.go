@@ -64,6 +64,16 @@ func (p PolicyKind) String() string {
 	}
 }
 
+// ParsePolicy returns the policy whose String is name.
+func ParsePolicy(name string) (PolicyKind, error) {
+	for p := PolicyCFQIdle; p <= PolicyARWaiting; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q", name)
+}
+
 // AlgorithmKind selects the scrub order.
 type AlgorithmKind int
 
@@ -212,23 +222,11 @@ func build(cfg Config) (*System, error) {
 	}
 
 	s := sim.New()
-	var sched blockdev.Scheduler
-	var cfq *iosched.CFQ
-	switch cfg.Sched {
-	case "", "cfq":
-		cfq = iosched.NewCFQ()
-		sched = cfq
-	case "deadline":
-		sched = iosched.NewDeadline()
-	case "noop":
-		sched = iosched.NewNOOP()
-	case "bsa":
-		sched = iosched.NewBSA()
-	case "bsa-repair":
-		sched = iosched.NewBSARepair()
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %q", cfg.Sched)
+	sched, err := iosched.New(cfg.Sched)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	cfq, _ := sched.(*iosched.CFQ)
 	if cfg.Policy == PolicyCFQIdle && cfq == nil {
 		return nil, fmt.Errorf("core: policy cfq-idle requires the cfq scheduler, not %q", cfg.Sched)
 	}

@@ -136,7 +136,7 @@ func TestAutoTuneErrors(t *testing.T) {
 	}
 }
 
-// TestPolicyKindString pins the policy names reports and flags print.
+// TestPolicyKindString pins the policy names reports print and flags parse.
 func TestPolicyKindString(t *testing.T) {
 	names := map[string]PolicyKind{
 		"cfq-idle":    PolicyCFQIdle,
@@ -149,6 +149,12 @@ func TestPolicyKindString(t *testing.T) {
 		if kind.String() != want {
 			t.Fatalf("%v.String() = %q, want %q", int(kind), kind.String(), want)
 		}
+		if got, err := ParsePolicy(want); err != nil || got != kind {
+			t.Fatalf("ParsePolicy(%q) = %v, %v", want, got, err)
+		}
+	}
+	if _, err := ParsePolicy("PolicyKind(42)"); err == nil {
+		t.Fatal("ParsePolicy accepted an unknown name")
 	}
 }
 

@@ -196,23 +196,6 @@ func TableRebuildInterference(o Options) Table {
 // both bad-sector-aware variants.
 var schedulerNames = []string{"noop", "deadline", "cfq", "bsa", "bsa-repair"}
 
-func newSched(name string) blockdev.Scheduler {
-	switch name {
-	case "noop":
-		return iosched.NewNOOP()
-	case "deadline":
-		return iosched.NewDeadline()
-	case "cfq":
-		return iosched.NewCFQ()
-	case "bsa":
-		return iosched.NewBSA()
-	case "bsa-repair":
-		return iosched.NewBSARepair()
-	default:
-		panic("unknown scheduler " + name)
-	}
-}
-
 // TableSchedulers replays one trace through every scheduler over a drive
 // with a planted bad-sector population and a bounded retry policy: the
 // ODSA-style schedulers learn the bad regions from medium errors and
@@ -247,7 +230,10 @@ func TableSchedulers(o Options) Table {
 		for i := 0; i < 300; i++ {
 			d.InjectLSE(rng.Int63n(d.Sectors()))
 		}
-		sched := newSched(schedulerNames[k])
+		sched, err := iosched.New(schedulerNames[k])
+		if err != nil {
+			panic(err)
+		}
 		q := blockdev.NewQueue(s, d, sched)
 		q.SetRetryPolicy(blockdev.RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond})
 		res, err := (&replay.Replayer{}).RunSource(s, q, tr.Source(), tr.DiskSectors)

@@ -6,6 +6,7 @@
 package iosched
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/blockdev"
@@ -15,6 +16,25 @@ import (
 // MaxMergeSectors bounds elevator merging, mirroring the kernel's
 // max_sectors limit (512 KB).
 const MaxMergeSectors = (512 << 10) / 512
+
+// New returns a fresh scheduler by name: "cfq" (also the empty name),
+// "deadline", "noop", or the bad-sector-aware "bsa" and "bsa-repair".
+func New(name string) (blockdev.Scheduler, error) {
+	switch name {
+	case "", "cfq":
+		return NewCFQ(), nil
+	case "deadline":
+		return NewDeadline(), nil
+	case "noop":
+		return NewNOOP(), nil
+	case "bsa":
+		return NewBSA(), nil
+	case "bsa-repair":
+		return NewBSARepair(), nil
+	default:
+		return nil, fmt.Errorf("unknown scheduler %q", name)
+	}
+}
 
 // NOOP is a FIFO elevator with back-merging only: the behaviour of the
 // kernel's noop scheduler.

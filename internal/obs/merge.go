@@ -22,62 +22,6 @@ func (r *Registry) GobDecode([]byte) error {
 	return errors.New("obs: a Registry is not serializable; use MergeSnapshot")
 }
 
-// Merge folds another counter's count into c. Merging is commutative and
-// associative, so per-shard registries reduce to one fleet view in any
-// order.
-func (c *Counter) Merge(o *Counter) {
-	if c == nil || o == nil {
-		return
-	}
-	c.v += o.v
-}
-
-// Merge folds another gauge into g: last values add (a fleet-wide gauge
-// like queue depth is the sum over members) and maxima take the max.
-func (g *Gauge) Merge(o *Gauge) {
-	if g == nil || o == nil || !o.seen {
-		return
-	}
-	g.v += o.v
-	if !g.seen || o.max > g.max {
-		g.max = o.max
-	}
-	g.seen = true
-}
-
-// Merge folds another histogram's observations into h bucket by bucket.
-// Both histograms must share bucket bounds — fleets guarantee this by
-// construction (every member uses the same fixed bucket set), and a
-// mismatch is reported rather than silently mis-binned.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: histogram bucket mismatch: %d vs %d bounds", len(h.bounds), len(o.bounds))
-	}
-	for i, b := range h.bounds {
-		if o.bounds[i] != b {
-			return fmt.Errorf("obs: histogram bucket mismatch at %d: %v vs %v", i, b, o.bounds[i])
-		}
-	}
-	if o.total == 0 {
-		return nil
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.total == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.total += o.total
-	h.sum += o.sum
-	return nil
-}
-
 // MergeSnapshot folds a serialized snapshot into the registry, creating
 // instruments on first sight. It is how a scrubd checkpoint's metrics
 // are restored and how MergeSnapshots reduces snapshots to one view;

@@ -21,79 +21,101 @@ func regWith(counter int64, gauge, gaugeMax int64, obsv ...time.Duration) *Regis
 	return r
 }
 
+// mergeInto folds src's snapshot into dst: the merge fleets and scrubd
+// checkpoints run.
+func mergeInto(dst, src *Registry) error { return dst.MergeSnapshot(src.Snapshot()) }
+
 func TestCounterMerge(t *testing.T) {
-	a, b := New().Counter("c"), New().Counter("c")
-	a.Add(3)
-	b.Add(4)
-	a.Merge(b)
-	if a.Value() != 7 {
-		t.Errorf("merged counter = %d, want 7", a.Value())
+	a, b := New(), New()
+	a.Counter("c").Add(3)
+	b.Counter("c").Add(4)
+	if err := mergeInto(a, b); err != nil {
+		t.Fatal(err)
 	}
-	a.Merge(nil)
-	if a.Value() != 7 {
-		t.Errorf("nil merge changed counter to %d", a.Value())
+	if v := a.Counter("c").Value(); v != 7 {
+		t.Errorf("merged counter = %d, want 7", v)
+	}
+	if err := mergeInto(a, New()); err != nil {
+		t.Fatal(err)
+	}
+	if v := a.Counter("c").Value(); v != 7 {
+		t.Errorf("empty merge changed counter to %d", v)
 	}
 }
 
 func TestGaugeMerge(t *testing.T) {
-	a, b := New().Gauge("g"), New().Gauge("g")
-	a.Set(10)
-	a.Set(2)
-	b.Set(5)
-	b.Set(3)
-	a.Merge(b)
-	if a.Value() != 5 {
-		t.Errorf("merged gauge value = %d, want 5 (2+3)", a.Value())
+	a, b := New(), New()
+	a.Gauge("g").Set(10)
+	a.Gauge("g").Set(2)
+	b.Gauge("g").Set(5)
+	b.Gauge("g").Set(3)
+	if err := mergeInto(a, b); err != nil {
+		t.Fatal(err)
 	}
-	if a.Max() != 10 {
-		t.Errorf("merged gauge max = %d, want 10", a.Max())
+	g := a.Gauge("g")
+	if g.Value() != 5 {
+		t.Errorf("merged gauge value = %d, want 5 (2+3)", g.Value())
 	}
-	// An unseen gauge contributes nothing.
-	a.Merge(New().Gauge("g"))
-	if a.Value() != 5 || a.Max() != 10 {
-		t.Errorf("unseen merge changed gauge to (%d, %d)", a.Value(), a.Max())
+	if g.Max() != 10 {
+		t.Errorf("merged gauge max = %d, want 10", g.Max())
 	}
-	// Merging into an unseen gauge adopts the source.
-	c := New().Gauge("g")
-	c.Merge(b)
-	if c.Value() != 3 || c.Max() != 5 {
-		t.Errorf("merge into fresh gauge = (%d, %d), want (3, 5)", c.Value(), c.Max())
+	// A gauge that was never set contributes nothing.
+	unseen := New()
+	unseen.Gauge("g")
+	if err := mergeInto(a, unseen); err != nil {
+		t.Fatal(err)
+	}
+	if g.Value() != 5 || g.Max() != 10 {
+		t.Errorf("unseen merge changed gauge to (%d, %d)", g.Value(), g.Max())
+	}
+	// Merging into a fresh registry adopts the source.
+	c := New()
+	if err := mergeInto(c, b); err != nil {
+		t.Fatal(err)
+	}
+	if g := c.Gauge("g"); g.Value() != 3 || g.Max() != 5 {
+		t.Errorf("merge into fresh gauge = (%d, %d), want (3, 5)", g.Value(), g.Max())
 	}
 }
 
 func TestHistogramMerge(t *testing.T) {
-	a := New().Histogram("h")
-	b := New().Histogram("h")
-	a.Observe(time.Millisecond)
-	a.Observe(10 * time.Millisecond)
-	b.Observe(100 * time.Millisecond)
-	if err := a.Merge(b); err != nil {
+	a, b := New(), New()
+	a.Histogram("h").Observe(time.Millisecond)
+	a.Histogram("h").Observe(10 * time.Millisecond)
+	b.Histogram("h").Observe(100 * time.Millisecond)
+	if err := mergeInto(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Count() != 3 {
-		t.Errorf("merged count = %d, want 3", a.Count())
+	h := a.Histogram("h")
+	if h.Count() != 3 {
+		t.Errorf("merged count = %d, want 3", h.Count())
 	}
-	if a.Sum() != 111*time.Millisecond {
-		t.Errorf("merged sum = %v, want 111ms", a.Sum())
+	if h.Sum() != 111*time.Millisecond {
+		t.Errorf("merged sum = %v, want 111ms", h.Sum())
 	}
 	// Merging an empty histogram is a no-op, including min/max.
-	before := a.Snapshot("h")
-	if err := a.Merge(New().Histogram("h")); err != nil {
+	before := h.Snapshot("h")
+	empty := New()
+	empty.Histogram("h")
+	if err := mergeInto(a, empty); err != nil {
 		t.Fatal(err)
 	}
-	if after := a.Snapshot("h"); snapJSON(t, after) != snapJSON(t, before) {
+	if after := h.Snapshot("h"); snapJSON(t, after) != snapJSON(t, before) {
 		t.Errorf("empty merge changed histogram:\nbefore: %s\nafter:  %s", snapJSON(t, before), snapJSON(t, after))
 	}
 }
 
 func TestHistogramMergeBoundsMismatch(t *testing.T) {
-	a := New().HistogramBuckets("h", []time.Duration{time.Millisecond, time.Second})
-	b := New().HistogramBuckets("h", []time.Duration{time.Millisecond})
-	if err := a.Merge(b); err == nil {
+	a := New()
+	a.HistogramBuckets("h", []time.Duration{time.Millisecond, time.Second})
+	b := New()
+	b.HistogramBuckets("h", []time.Duration{time.Millisecond})
+	if err := mergeInto(a, b); err == nil {
 		t.Error("bound-count mismatch accepted")
 	}
-	c := New().HistogramBuckets("h", []time.Duration{time.Microsecond, time.Second})
-	if err := a.Merge(c); err == nil {
+	c := New()
+	c.HistogramBuckets("h", []time.Duration{time.Microsecond, time.Second})
+	if err := mergeInto(a, c); err == nil {
 		t.Error("bound-value mismatch accepted")
 	}
 }
