@@ -581,35 +581,34 @@ func benchPolicy(pol core.PolicyKind, quick bool) (benchcmp.Result, error) {
 	if quick {
 		simDur, iters = 90*time.Second, 12
 	}
-	build := func() (*core.System, *replay.Synthetic, error) {
-		sys, err := core.New(nil,
-			core.WithPolicy(pol),
-			core.WithWaitThreshold(50*time.Millisecond),
-			core.WithARThreshold(100*time.Millisecond),
-		)
-		if err != nil {
-			return nil, nil, err
-		}
-		w := &replay.Synthetic{Seed: 11}
-		if err := w.Start(sys.Sim, sys.Queue); err != nil {
-			return nil, nil, err
-		}
-		sys.Start()
-		return sys, w, nil
+	// A fresh stack per iteration: cold pools included.
+	return measure(name, iters, func() (uint64, error) { return runPolicy(pol, simDur) })
+}
+
+// runPolicy is benchPolicy's timed body: it builds a System under the
+// policy, drives it with the closed-loop synthetic workload for simDur
+// and returns the number of events fired.
+func runPolicy(pol core.PolicyKind, simDur time.Duration) (uint64, error) {
+	sys, err := core.New(nil,
+		core.WithPolicy(pol),
+		core.WithWaitThreshold(50*time.Millisecond),
+		core.WithARThreshold(100*time.Millisecond),
+	)
+	if err != nil {
+		return 0, err
 	}
-	return measure(name, iters, func() (uint64, error) {
-		sys, w, err := build() // fresh stack per iteration: cold pools included
-		if err != nil {
-			return 0, err
-		}
-		if err := sys.RunFor(context.Background(), simDur); err != nil {
-			return 0, err
-		}
-		if w.Stats().Requests == 0 {
-			return 0, fmt.Errorf("workload issued no requests")
-		}
-		return sys.Sim.Fired(), nil
-	})
+	w := &replay.Synthetic{Seed: 11}
+	if err := w.Start(sys.Sim, sys.Queue); err != nil {
+		return 0, err
+	}
+	sys.Start()
+	if err := sys.RunFor(context.Background(), simDur); err != nil {
+		return 0, err
+	}
+	if w.Stats().Requests == 0 {
+		return 0, fmt.Errorf("workload issued no requests")
+	}
+	return sys.Sim.Fired(), nil
 }
 
 // benchTuner runs a serial AutoTune over a catalog profile, building the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/benchcmp"
+	"repro/internal/core"
 )
 
 // TestRunSuiteQuick executes the real quick suite once and checks the run
@@ -241,5 +242,28 @@ func TestPeakRSS(t *testing.T) {
 	}
 	if _, err := os.Stat("/proc/self/status"); err != nil {
 		t.Log("no /proc on this platform; MemStats fallback exercised")
+	}
+}
+
+// TestPolicyWaitingAllocs guards the policy/waiting body's allocations:
+// building a System and running the Waiting policy for the quick
+// suite's 90 s. The policy arms a timer at every idle period and
+// disarms it at every foreground arrival, and the queue re-arms its
+// poll timer; with timers owned by their components none of that
+// allocates, so what is left is the stack's construction.
+func TestPolicyWaitingAllocs(t *testing.T) {
+	const maxAllocs = 103
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, e := runPolicy(core.PolicyWaiting, 90*time.Second); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocs per policy/waiting body", allocs)
+	if allocs > maxAllocs {
+		t.Fatalf("policy/waiting body allocates %.0f, want <= %d", allocs, maxAllocs)
 	}
 }

@@ -202,7 +202,8 @@ func callSink(pass *Pass, call *ast.CallExpr) string {
 			(pkg == "bytes" && typ == "Buffer") || (pkg == "strings" && typ == "Builder")):
 		return "stream write"
 	case strings.HasSuffix(pkg, "internal/sim") && typ == "Simulator" &&
-		(strings.HasPrefix(method, "Schedule") || method == "At" || method == "After"):
+		(strings.HasPrefix(method, "Schedule") || method == "At" || method == "After"),
+		strings.HasSuffix(pkg, "internal/sim") && typ == "Timer" && method == "Arm":
 		return "event schedule"
 	case strings.HasSuffix(pkg, "internal/obs") && method == "Push":
 		return "ordered observation push"

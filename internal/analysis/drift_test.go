@@ -68,9 +68,10 @@ func dropLinesContaining(data []byte, needle string) []byte {
 // snapshotdrift: a field dropped from disk.State no longer compiles, so
 // the drift left to catch is a live field added beside Disk.st. Two
 // mutations of the disk package must each be flagged — a plain int64
-// counter with no reason and a pending-event handle — while the
-// unmutated package stays clean, proving each finding comes from the
-// drift, not the fixture.
+// counter with no reason and a pointer to the simulator's pending-event
+// timer, which, unlike a sim.Timer held by value, no snapshot re-arms —
+// while the unmutated package stays clean, proving each finding comes
+// from the drift, not the fixture.
 func TestDeletingSnapshotFieldFailsLint(t *testing.T) {
 	src := filepath.Join("..", "disk")
 	clean := copyPackage(t, src, nil)
@@ -83,7 +84,7 @@ func TestDeletingSnapshotFieldFailsLint(t *testing.T) {
 			return strings.Replace(s, anchor, "\tparked int64\n"+anchor, 1)
 		},
 		"retryEv": func(s string) string {
-			s = strings.Replace(s, anchor, "\tretryEv *sim.Event\n"+anchor, 1)
+			s = strings.Replace(s, anchor, "\tretryEv *sim.Timer\n"+anchor, 1)
 			return strings.Replace(s, `"repro/internal/obs"`, "\"repro/internal/obs\"\n\t\"repro/internal/sim\"", 1)
 		},
 	} {

@@ -28,9 +28,9 @@ import (
 // trips is out of reach and remains the job of the pool-poisoning
 // runtime checks (blockdev.Request.reset, TestPooledRequestPoisoned).
 //
-// The simulator's own pooled events need no analyzer: the handle-less
-// Schedule API never exposes the *sim.Event, so there is nothing to
-// escape. Package blockdev itself — the pool implementation, whose free
+// The simulator's own pooled events need no analyzer: Schedule, At and
+// After return nothing and the event type is unexported, so there is
+// nothing to escape. Package blockdev itself — the pool implementation, whose free
 // list legitimately stores requests — is exempt.
 var PoolSafeAnalyzer = &Analyzer{
 	Name: "poolsafe",

@@ -16,8 +16,9 @@ import (
 // restored simulation would diverge from the uninterrupted one, which is
 // the bug the 1-vs-N-shard determinism batteries exist to catch, found
 // at compile time instead. So every field of a struct that has an st
-// field must either be st, be a func (a prebuilt callback or hook) or an
-// internal/obs instrument (alone or in a slice or array), or carry
+// field must either be st, be a func (a prebuilt callback or hook), a
+// sim.Timer (a pending event the component records and restores itself)
+// or an internal/obs instrument (alone or in a slice or array), or carry
 //
 //	//scrublint:transient <reason>
 //
@@ -29,9 +30,12 @@ import (
 // onto one in the directive, exempt or transient.
 var SnapshotDriftAnalyzer = &Analyzer{
 	Name: "snapshotdrift",
-	Doc:  "fields beside a component's state st, and fields of //scrublint:snapshot-paired live types without a capture, must be funcs, obs instruments or declared transient with a reason",
+	Doc:  "fields beside a component's state st, and fields of //scrublint:snapshot-paired live types without a capture, must be funcs, sim.Timers, obs instruments or declared transient with a reason",
 	Run:  runSnapshotDrift,
 }
+
+// simPath is the import path of the simulation kernel.
+const simPath = "repro/internal/sim"
 
 // stateField names the field that holds a component's live State.
 const stateField = "st"
@@ -100,8 +104,14 @@ func checkLiveStruct(pass *Pass, typeName string, st *ast.StructType, comp *comp
 }
 
 // exemptField reports whether a field of type t needs no capture: funcs
-// are rebuilt or re-attached, and obs instruments are host-side.
+// are rebuilt or re-attached, a sim.Timer is rebuilt at wiring and
+// re-armed from the (at, seq) record its component's snapshot carries,
+// and obs instruments are host-side.
 func exemptField(t types.Type) bool {
+	if n, ok := t.(*types.Named); ok && n.Obj().Name() == "Timer" &&
+		n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == simPath {
+		return true
+	}
 	for t != nil {
 		switch u := t.(type) {
 		case *types.Slice:

@@ -1,10 +1,13 @@
 // Package snapshotdrift exercises the snapshot-completeness analyzer:
-// the st rule (fields beside a component's state, with the func and obs
-// exemptions), directive pairing for builder-pattern frames, renames and
+// the st rule (fields beside a component's state, with the func, Timer
+// and obs exemptions), directive pairing for builder-pattern frames, renames and
 // tuple clocks, and the transient directive with and without a reason.
 package snapshotdrift
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
 
 // State is Disk's live state.
 type State struct {
@@ -21,6 +24,8 @@ type Disk struct {
 	//scrublint:transient rebuilt cold on restore
 	cache  []byte
 	onDone func(int64)
+	retry  sim.Timer
+	kick   *sim.Timer // want `field Disk.kick sits beside its state st`
 	hooks  []func()
 	hits   *obs.Counter
 	svc    [3]*obs.Histogram

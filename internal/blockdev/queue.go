@@ -60,20 +60,17 @@ type Queue struct {
 	headBarrier *Request   //scrublint:transient SaveState refuses a queue with a barrier pending
 	staged      []*Request //scrublint:transient SaveState refuses a queue with a barrier pending
 
-	pollEv *sim.Event //scrublint:transient pending event, recorded by SaveState
+	// inflightEv is the in-flight request's pending completion or retry
+	// re-service, as st.EvKind says; poll is the scheduler's re-poll.
+	// SaveState records both.
+	inflightEv sim.Timer
+	poll       sim.Timer
 
 	idleSubs     []func(now time.Duration)
 	submitSubs   []func(r *Request)
 	completeSubs []func(r *Request)
 
 	retry RetryPolicy //scrublint:transient configuration, supplied by SetRetryPolicy
-
-	// completeFn/serviceFn/pollFn are the queue's event callbacks, built
-	// once at construction so scheduling a completion, retry or re-poll
-	// allocates no closure.
-	completeFn sim.EventFunc
-	serviceFn  sim.EventFunc
-	pollFn     func()
 
 	// freeReqs is the request free list behind GetRequest. Like the
 	// simulator's event pool it is plain single-threaded memory, keyed to
@@ -96,12 +93,8 @@ type Queue struct {
 // NewQueue builds a Queue over a simulator, disk and elevator.
 func NewQueue(s *sim.Simulator, d disk.Device, sched Scheduler) *Queue {
 	q := &Queue{sim: s, dev: d, sched: sched}
-	q.completeFn = func(arg any, now time.Duration) { q.complete(arg.(*Request), now) }
-	q.serviceFn = func(arg any, now time.Duration) { q.service(arg.(*Request), now) }
-	q.pollFn = func() {
-		q.pollEv = nil
-		q.dispatch()
-	}
+	q.inflightEv.Init(s, q.fireInflight)
+	q.poll.Init(s, q.dispatch)
 	return q
 }
 
@@ -286,12 +279,10 @@ func (q *Queue) dispatch() {
 	}
 	// Nothing dispatchable. Arrange a re-poll if the scheduler asked for
 	// one (e.g. CFQ's idle gate or slice-idle timer).
-	if q.pollEv != nil {
-		q.sim.Cancel(q.pollEv)
-		q.pollEv = nil
-	}
 	if wake > now {
-		q.pollEv = q.sim.At(wake, q.pollFn)
+		q.poll.Arm(wake)
+	} else {
+		q.poll.Disarm()
 	}
 	q.markIdleIfSo(now)
 }
@@ -367,8 +358,8 @@ func (q *Queue) service(r *Request, at time.Duration) {
 			r.Retries++
 			q.st.Stats.Retries++
 			q.obsRetries.Inc()
-			q.sim.Schedule(next, q.serviceFn, r)
-			q.st.EvKind, q.st.EvAt, q.st.EvSeq = evRetry, next, q.sim.Seq()
+			q.st.EvKind = evRetry
+			q.inflightEv.Arm(next)
 			return
 		}
 		r.Err = me
@@ -380,8 +371,20 @@ func (q *Queue) service(r *Request, at time.Duration) {
 			q.obsExhaust.Inc()
 		}
 	}
-	q.sim.Schedule(res.Done, q.completeFn, r)
-	q.st.EvKind, q.st.EvAt, q.st.EvSeq = evComplete, res.Done, q.sim.Seq()
+	q.st.EvKind = evComplete
+	q.inflightEv.Arm(res.Done)
+}
+
+// fireInflight is the in-flight timer's body: the completion or the
+// retry re-service of the request on the device.
+//
+//scrub:hotpath
+func (q *Queue) fireInflight() {
+	if q.st.EvKind == evRetry {
+		q.service(q.inflight, q.sim.Now())
+	} else {
+		q.complete(q.inflight, q.sim.Now())
+	}
 }
 
 // complete finishes a request and continues the dispatch loop.

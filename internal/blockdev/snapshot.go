@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/sim"
 )
 
 // In-flight event kinds (QState.EvKind).
@@ -50,9 +49,10 @@ type ReqState struct {
 // unmerged in-flight request. The fleet engine rolls a member forward
 // event by event until the queue reaches such a point — always nearby,
 // since anything occupying the queue completes within device-latency
-// timescales. A live queue does not read the poll-timer record or
-// Inflight: the timer handle and the in-flight request hold those, and
-// SaveState records them.
+// timescales. A live queue reads none of the timer records (HasPoll,
+// PollAt, PollSeq, EvAt, EvSeq) nor Inflight: its two timers and the
+// in-flight request hold those, and SaveState records them. EvKind is
+// live: it tells the in-flight timer what to run.
 type QState struct {
 	Seq       uint64
 	Stats     QueueStats
@@ -65,7 +65,7 @@ type QState struct {
 	PollSeq uint64
 
 	Inflight *ReqState
-	// EvKind, EvAt and EvSeq identify the event service() last scheduled
+	// EvKind, EvAt and EvSeq identify the event service() last armed
 	// for the in-flight request — a completion (evComplete) or a retry
 	// re-service (evRetry) — so a restore can re-enqueue it at its
 	// (at, seq) slot. EvKind is evNone with nothing in flight.
@@ -90,7 +90,7 @@ func (q *Queue) SaveState(dst *QState, classify func(*Request) (uint8, error)) e
 	r, rs := q.inflight, dst.Inflight
 	if r == nil {
 		*dst = q.st
-		dst.HasPoll, dst.PollAt, dst.PollSeq = sim.Pending(q.pollEv)
+		dst.HasPoll, dst.PollAt, dst.PollSeq = q.poll.Record()
 		dst.Inflight, dst.EvKind, dst.EvAt, dst.EvSeq = nil, evNone, 0, 0
 		return nil
 	}
@@ -136,7 +136,8 @@ func (q *Queue) SaveState(dst *QState, classify func(*Request) (uint8, error)) e
 		Seq:         r.seq,
 	}
 	*dst = q.st
-	dst.HasPoll, dst.PollAt, dst.PollSeq = sim.Pending(q.pollEv)
+	dst.HasPoll, dst.PollAt, dst.PollSeq = q.poll.Record()
+	_, dst.EvAt, dst.EvSeq = q.inflightEv.Record()
 	dst.Inflight = rs
 	return nil
 }
@@ -158,8 +159,7 @@ func (q *Queue) RestoreState(st *QState, resolve func(uint8) func(*Request)) err
 	q.staged = q.staged[:0]
 	q.st = *st
 	q.st.Inflight = nil
-	var err error
-	if q.pollEv, err = q.sim.Rearm(st.HasPoll, st.PollAt, st.PollSeq, q.pollFn); err != nil {
+	if err := q.poll.Restore(st.HasPoll, st.PollAt, st.PollSeq); err != nil {
 		return fmt.Errorf("blockdev: restore poll event: %w", err)
 	}
 	rs := st.Inflight
@@ -200,16 +200,10 @@ func (q *Queue) RestoreState(st *QState, resolve func(uint8) func(*Request)) err
 		// released by its own completion.
 		q.headBarrier = r
 	}
-	var fn sim.EventFunc
-	switch st.EvKind {
-	case evComplete:
-		fn = q.completeFn
-	case evRetry:
-		fn = q.serviceFn
-	default:
+	if st.EvKind != evComplete && st.EvKind != evRetry {
 		return fmt.Errorf("blockdev: in-flight request with event kind %d", st.EvKind)
 	}
-	if err := q.sim.RestoreSchedule(st.EvAt, st.EvSeq, fn, r); err != nil {
+	if err := q.inflightEv.Restore(true, st.EvAt, st.EvSeq); err != nil {
 		return fmt.Errorf("blockdev: restore in-flight event: %w", err)
 	}
 	return nil

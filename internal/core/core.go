@@ -157,10 +157,9 @@ type System struct {
 	policy schedpolicy.Policy
 	reg    *obs.Registry
 
-	// kickEv is the pending Kick timer, kickFn its prebuilt callback —
-	// tracked as fields so a snapshot can record and re-arm the timer.
-	kickEv *sim.Event //scrublint:transient pending event, recorded as HasKick/KickAt/KickSeq by Snapshot
-	kickFn func()
+	// kickTimer is the pending kick, recorded as HasKick/KickAt/KickSeq
+	// by Snapshot.
+	kickTimer sim.Timer
 }
 
 // New assembles a System over the given drive model (nil means the
@@ -274,7 +273,7 @@ func build(cfg Config) (*System, error) {
 
 	sys := &System{Sim: s, Device: d, Queue: q, Scrubber: sc, cfg: cfg, cfq: cfq, sched: sched}
 	sys.Disk, _ = d.(*disk.Disk)
-	sys.kickFn = sys.kickFire
+	sys.kickTimer.Init(s, sys.kickFire)
 	if cfg.Faults != nil {
 		seed := cfg.FaultSeed
 		if seed == 0 {
@@ -349,7 +348,7 @@ func (sys *System) Instrument(reg *obs.Registry) {
 
 // Start begins scrubbing — and, when the system carries a fault model,
 // the LSE arrival stream. Policy-driven systems wait for their first
-// idleness trigger (see Kick for fully idle systems); CFQ-idle and
+// idleness trigger (see kick for fully idle systems); CFQ-idle and
 // fixed-delay systems start issuing immediately.
 func (sys *System) Start() {
 	if sys.Faults != nil {
@@ -357,21 +356,21 @@ func (sys *System) Start() {
 	}
 	switch sys.cfg.Policy {
 	case PolicyWaiting, PolicyAR, PolicyARWaiting:
-		sys.Kick()
+		sys.kick()
 	default:
 		sys.Scrubber.Start()
 	}
 }
 
-// Kick nudges a completely idle system so idleness-driven policies can
+// kick nudges a completely idle system so idleness-driven policies can
 // begin even before any foreground request has been observed: if the
-// device is still idle after the wait threshold, scrubbing starts.
-func (sys *System) Kick() {
-	sys.kickEv = sys.Sim.After(sys.cfg.WaitThreshold, sys.kickFn)
+// device is still idle after the wait threshold, scrubbing starts. A
+// second kick re-arms the first.
+func (sys *System) kick() {
+	sys.kickTimer.Arm(sys.Sim.Now() + sys.cfg.WaitThreshold)
 }
 
 func (sys *System) kickFire() {
-	sys.kickEv = nil
 	if sys.Queue.Idle() && !sys.Scrubber.Firing() {
 		sys.Scrubber.Fire()
 	}

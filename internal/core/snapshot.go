@@ -10,7 +10,6 @@ import (
 	"repro/internal/iosched"
 	"repro/internal/schedpolicy"
 	"repro/internal/scrub"
-	"repro/internal/sim"
 )
 
 // SystemState is the compact serializable state of a parked System: the
@@ -33,7 +32,7 @@ type SystemState struct {
 	Scrub *scrub.State
 	Fault *fault.InjectorState // nil when built without WithFaults
 
-	// Pending Kick timer, when armed.
+	// Pending kick timer, when armed.
 	HasKick bool
 	KickAt  time.Duration
 	KickSeq uint64
@@ -124,7 +123,7 @@ func (sys *System) Snapshot(st *SystemState) error {
 			return err
 		}
 	}
-	st.HasKick, st.KickAt, st.KickSeq = sim.Pending(sys.kickEv)
+	st.HasKick, st.KickAt, st.KickSeq = sys.kickTimer.Record()
 	if w, ok := sys.policy.(*schedpolicy.Waiting); ok {
 		st.Policy = reuse(st.Policy)
 		w.SaveState(st.Policy)
@@ -196,8 +195,7 @@ func (sys *System) Restore(st *SystemState, faultSeed int64) error {
 	} else if sys.Faults != nil {
 		return fmt.Errorf("core: config has a fault model but snapshot carries no fault state")
 	}
-	var err error
-	if sys.kickEv, err = sys.Sim.Rearm(st.HasKick, st.KickAt, st.KickSeq, sys.kickFn); err != nil {
+	if err := sys.kickTimer.Restore(st.HasKick, st.KickAt, st.KickSeq); err != nil {
 		return fmt.Errorf("core: restore kick timer: %w", err)
 	}
 	w, isWaiting := sys.policy.(*schedpolicy.Waiting)

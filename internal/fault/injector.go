@@ -74,12 +74,11 @@ type Injector struct {
 	dev disk.Device    //scrublint:transient wiring, supplied at construction
 	src Source         //scrublint:transient arrival source, its position recorded as Draws/SrcNow by SaveState
 
-	// nextEv is the pending arrival event of the burst pulled ahead of
-	// the clock (NextAt/NextLBAs). Keeping the burst in the state (rather
-	// than captured in a closure) is what lets a snapshot record it and a
-	// restore re-arm it.
-	nextEv *sim.Event //scrublint:transient pending event, recorded as EvAt/EvSeq by SaveState
-	fireFn func()
+	// next is the pending arrival of the burst pulled ahead of the clock
+	// (NextAt/NextLBAs). Keeping the burst in the state (rather than
+	// captured in a closure) is what lets a snapshot record the timer as
+	// EvAt/EvSeq and a restore re-arm it.
+	next sim.Timer
 
 	// arrival holds planted, not-yet-detected sectors; detected holds
 	// sectors awaiting remap.
@@ -104,7 +103,7 @@ func NewInjector(s *sim.Simulator, d disk.Device, m Model, seed int64) *Injector
 		arrival:  make(map[int64]time.Duration),
 		detected: make(map[int64]bool),
 	}
-	in.fireFn = in.fireNext
+	in.next.Init(s, in.fireNext)
 	return in
 }
 
@@ -142,9 +141,8 @@ func (in *Injector) Start() {
 func (in *Injector) scheduleNext() {
 	b, ok := in.src.Next()
 	in.st.HasNext, in.st.NextAt, in.st.NextLBAs = ok, b.At, b.LBAs
-	in.nextEv = nil
 	if ok {
-		in.nextEv = in.sim.At(b.At, in.fireFn)
+		in.next.Arm(b.At)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // ArrivalRec is one planted, not-yet-detected sector in a snapshot.
@@ -22,7 +20,7 @@ type ArrivalRec struct {
 // lifecycle maps in sorted order. Restoring it onto an injector of the
 // same model with the same seed reproduces the original's future
 // exactly. A live injector does not read the stream position, the event
-// record or the sorted lifecycle lists: the source, the event handle and
+// record or the sorted lifecycle lists: the source, the arrival timer and
 // the maps hold those, and SaveState records them.
 type InjectorState struct {
 	Started bool
@@ -54,7 +52,7 @@ func (in *Injector) SaveState(dst *InjectorState) error {
 	lbas, arrival, detected := dst.NextLBAs[:0], dst.Arrival[:0], dst.Detected[:0]
 	*dst = in.st
 	dst.Draws, dst.SrcNow = ps.Pos()
-	_, dst.EvAt, dst.EvSeq = sim.Pending(in.nextEv)
+	_, dst.EvAt, dst.EvSeq = in.next.Record()
 	for lba, at := range in.arrival {
 		arrival = append(arrival, ArrivalRec{LBA: lba, At: at})
 	}
@@ -92,8 +90,7 @@ func (in *Injector) RestoreState(st *InjectorState, seed int64) error {
 	for _, lba := range st.Detected {
 		in.detected[lba] = true
 	}
-	var err error
-	if in.nextEv, err = in.sim.Rearm(st.HasNext, st.EvAt, st.EvSeq, in.fireFn); err != nil {
+	if err := in.next.Restore(st.HasNext, st.EvAt, st.EvSeq); err != nil {
 		return fmt.Errorf("fault: restore arrival event: %w", err)
 	}
 	return nil

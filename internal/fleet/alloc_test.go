@@ -83,7 +83,7 @@ func TestHydrateParkSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	slice() // first sight: builds the stacks and sizes every buffer
-	const maxAllocs = 4
+	const maxAllocs = 0
 	perMember := testing.AllocsPerRun(4, slice) / float64(len(e.slots))
 	t.Logf("%.1f allocs per instrumented member per slice", perMember)
 	if perMember > maxAllocs {

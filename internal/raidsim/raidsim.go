@@ -81,7 +81,7 @@ type Group struct {
 	rebuildHold   bool
 	rebuildDone   func(now time.Duration)
 	rebuildWait   time.Duration // Waiting threshold; 0 = back-to-back
-	rebuildTimer  *sim.Event
+	rebuildTimer  sim.Timer
 	rebuildActive int  // outstanding rebuild sub-requests
 	idleWatched   bool // idleness subscriptions installed
 
@@ -158,6 +158,7 @@ func New(cfg Config) (*Group, error) {
 	}
 	s := sim.New()
 	g := &Group{sim: s, cfg: cfg, width: width, failed: -1}
+	g.rebuildTimer.Init(s, g.rebuildTimerFn)
 	for i := 0; i < cfg.Disks; i++ {
 		d, err := disk.New(cfg.Model)
 		if err != nil {

@@ -66,10 +66,7 @@ func (g *Group) watchIdleness() {
 				return
 			}
 			g.rebuildHold = true
-			if g.rebuildTimer != nil {
-				g.sim.Cancel(g.rebuildTimer)
-				g.rebuildTimer = nil
-			}
+			g.rebuildTimer.Disarm()
 		})
 		q.SubscribeIdle(func(time.Duration) {
 			if !g.rebuilding || !g.rebuildHold {
@@ -92,16 +89,12 @@ func (g *Group) groupIdle() bool {
 }
 
 func (g *Group) armRebuildTimer() {
-	if g.rebuildTimer != nil {
-		g.sim.Cancel(g.rebuildTimer)
-	}
-	g.rebuildTimer = g.sim.After(g.rebuildWait, g.rebuildTimerFn)
+	g.rebuildTimer.Arm(g.sim.Now() + g.rebuildWait)
 }
 
 // rebuildTimerFn is the rebuild timer body: the idle wait is over, so
 // the walk resumes unless a row is still in flight.
 func (g *Group) rebuildTimerFn() {
-	g.rebuildTimer = nil
 	if !g.rebuilding {
 		return
 	}
@@ -195,10 +188,7 @@ func (g *Group) finishRebuild() {
 	g.spare = nil
 	g.spareSched = nil
 	g.failed = -1
-	if g.rebuildTimer != nil {
-		g.sim.Cancel(g.rebuildTimer)
-		g.rebuildTimer = nil
-	}
+	g.rebuildTimer.Disarm()
 	if g.rebuildDone != nil {
 		g.rebuildDone(g.sim.Now())
 	}

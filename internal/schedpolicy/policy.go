@@ -35,10 +35,9 @@ type Policy interface {
 type Waiting struct {
 	Threshold time.Duration //scrublint:transient policy configuration, supplied at construction
 
-	sim     *sim.Simulator  //scrublint:transient wiring, supplied by Attach
-	sc      *scrub.Scrubber //scrublint:transient wiring, supplied by Attach
-	pending *sim.Event      //scrublint:transient pending event, recorded by SaveState
-	fireFn  func()
+	sim   *sim.Simulator  //scrublint:transient wiring, supplied by Attach
+	sc    *scrub.Scrubber //scrublint:transient wiring, supplied by Attach
+	timer sim.Timer
 
 	// Observability instruments (nil when uninstrumented).
 	obsArmed    *obs.Counter
@@ -70,7 +69,7 @@ func (w *Waiting) Attach(s *sim.Simulator, q *blockdev.Queue, sc *scrub.Scrubber
 	// The threshold timer carries no per-arming state, so one prebuilt
 	// callback serves every arming — which also lets a snapshot re-arm a
 	// pending timer by (at, seq) alone.
-	w.fireFn = w.fire
+	w.timer.Init(s, w.fire)
 	q.SubscribeIdle(func(now time.Duration) {
 		// The device went idle: if the scrubber is mid-burst this is just
 		// the gap between its own back-to-back requests; otherwise start
@@ -93,19 +92,17 @@ func (w *Waiting) Attach(s *sim.Simulator, q *blockdev.Queue, sc *scrub.Scrubber
 func (w *Waiting) arm() {
 	w.disarm()
 	w.obsArmed.Inc()
-	w.pending = w.sim.After(w.Threshold, w.fireFn)
+	w.timer.Arm(w.sim.Now() + w.Threshold)
 }
 
 func (w *Waiting) fire() {
-	w.pending = nil
 	w.obsHits.Inc()
 	w.sc.Fire()
 }
 
 func (w *Waiting) disarm() {
-	if w.pending != nil {
-		w.sim.Cancel(w.pending)
-		w.pending = nil
+	if w.timer.Armed() {
+		w.timer.Disarm()
 		w.obsDisarmed.Inc()
 	}
 }
@@ -227,9 +224,12 @@ type ARWaiting struct {
 	sim     *sim.Simulator
 	sc      *scrub.Scrubber
 	pred    *arima.Predictor
-	pending *sim.Event
+	timer   sim.Timer
 	lastArr time.Duration
 	haveArr bool
+	// prediction is the AR forecast made when the pending timer was
+	// armed; the timer's callback compares it with ARThreshold.
+	prediction float64
 
 	// Observability instruments (nil when uninstrumented).
 	obsHits  *obs.Counter
@@ -260,14 +260,12 @@ func (aw *ARWaiting) Instrument(reg *obs.Registry) {
 func (aw *ARWaiting) Attach(s *sim.Simulator, q *blockdev.Queue, sc *scrub.Scrubber) {
 	aw.sim, aw.sc = s, sc
 	aw.pred = arima.NewPredictor(aw.MaxOrder, aw.Window, aw.RefitEvery)
+	aw.timer.Init(s, aw.fire)
 	q.SubscribeSubmit(func(r *blockdev.Request) {
 		if r.Origin != blockdev.Foreground {
 			return
 		}
-		if aw.pending != nil {
-			aw.sim.Cancel(aw.pending)
-			aw.pending = nil
-		}
+		aw.timer.Disarm()
 		sc.Hold()
 		now := s.Now()
 		if aw.haveArr && now > aw.lastArr {
@@ -280,21 +278,21 @@ func (aw *ARWaiting) Attach(s *sim.Simulator, q *blockdev.Queue, sc *scrub.Scrub
 		if sc.Firing() {
 			return
 		}
-		if aw.pending != nil {
-			aw.sim.Cancel(aw.pending)
-		}
-		prediction := aw.pred.PredictNext()
-		aw.pending = aw.sim.After(aw.WaitThreshold, func() {
-			aw.pending = nil
-			aw.obsHits.Inc()
-			if prediction > aw.ARThreshold.Seconds() {
-				aw.obsFires.Inc()
-				sc.Fire()
-			} else {
-				aw.obsHolds.Inc()
-			}
-		})
+		aw.prediction = aw.pred.PredictNext()
+		aw.timer.Arm(s.Now() + aw.WaitThreshold)
 	})
+}
+
+// fire is the wait timer's body: the idle wait is over, so scrub if the
+// prediction made at its arming clears ARThreshold.
+func (aw *ARWaiting) fire() {
+	aw.obsHits.Inc()
+	if aw.prediction > aw.ARThreshold.Seconds() {
+		aw.obsFires.Inc()
+		aw.sc.Fire()
+	} else {
+		aw.obsHolds.Inc()
+	}
 }
 
 // SetThreshold updates the waiting threshold at runtime (online

@@ -3,8 +3,6 @@ package schedpolicy
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // WaitingState is the serializable state of a Waiting policy: at most an
@@ -22,18 +20,14 @@ type WaitingState struct {
 
 // SaveState records the policy's threshold timer into dst.
 func (w *Waiting) SaveState(dst *WaitingState) {
-	dst.HasPending, dst.PendingAt, dst.PendingSeq = sim.Pending(w.pending)
+	dst.HasPending, dst.PendingAt, dst.PendingSeq = w.timer.Record()
 }
 
 // RestoreState overwrites an attached policy with a snapshot; the policy
 // may be fresh or may have run another member. The simulator clock must
 // already be restored.
 func (w *Waiting) RestoreState(st *WaitingState) error {
-	if st.HasPending && w.fireFn == nil {
-		return fmt.Errorf("schedpolicy: RestoreState before Attach")
-	}
-	var err error
-	if w.pending, err = w.sim.Rearm(st.HasPending, st.PendingAt, st.PendingSeq, w.fireFn); err != nil {
+	if err := w.timer.Restore(st.HasPending, st.PendingAt, st.PendingSeq); err != nil {
 		return fmt.Errorf("schedpolicy: restore waiting timer: %w", err)
 	}
 	return nil

@@ -128,16 +128,15 @@ type Scrubber struct {
 	q   *blockdev.Queue //scrublint:transient wiring, supplied at construction
 	cfg Config          //scrublint:transient configuration, supplied at construction
 
-	pending   *sim.Event     //scrublint:transient delayed-reissue timer, recorded as HasPending/PendingAt/PendingSeq
+	delay     sim.Timer      // delayed reissue, recorded as HasPending/PendingAt/PendingSeq
 	escalated map[int64]bool //scrublint:transient regions escalated this pass, recorded sorted as Escalated
 
 	// onVerify/onRescrub/onRepair are the completion callbacks of pooled
-	// requests, and delayFn the delayed-reissue timer body; all are built
-	// once so the issue/completion loop allocates no closures.
+	// requests, built once so the issue/completion loop allocates no
+	// closures.
 	onVerify  func(*blockdev.Request)
 	onRescrub func(*blockdev.Request)
 	onRepair  func(*blockdev.Request)
-	delayFn   func()
 
 	// OnLSE is called for each latent sector error a verify detects.
 	OnLSE func(lba int64)
@@ -185,10 +184,7 @@ func New(s *sim.Simulator, q *blockdev.Queue, cfg Config) (*Scrubber, error) {
 		sc.completed(r)
 	}
 	sc.onRepair = sc.repairDone
-	sc.delayFn = func() {
-		sc.pending = nil
-		sc.issue()
-	}
+	sc.delay.Init(s, sc.issue)
 	return sc, nil
 }
 
@@ -242,7 +238,7 @@ func (sc *Scrubber) Fire() {
 	if sc.st.Stats.Requests == 0 {
 		sc.st.Stats.FirstFired = sc.sim.Now()
 	}
-	if !sc.st.Inflight && sc.pending == nil {
+	if !sc.st.Inflight && !sc.delay.Armed() {
 		sc.issue()
 	}
 }
@@ -255,10 +251,7 @@ func (sc *Scrubber) Hold() {
 		sc.obsTrace.Emit(sc.sim.Now(), "scrub", "hold", 0, 0)
 	}
 	sc.st.Firing = false
-	if sc.pending != nil {
-		sc.sim.Cancel(sc.pending)
-		sc.pending = nil
-	}
+	sc.delay.Disarm()
 }
 
 // issue submits the next scrub request. Escalated re-scrub extents are
@@ -382,7 +375,7 @@ func (sc *Scrubber) completed(r *blockdev.Request) {
 		sc.issue()
 		return
 	}
-	sc.pending = sc.sim.After(delay, sc.delayFn)
+	sc.delay.Arm(sc.sim.Now() + delay)
 }
 
 // escalate queues a region re-scrub around each fresh detection. A

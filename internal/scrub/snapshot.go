@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/sim"
 )
 
 // CompletionKind names which prebuilt completion callback a pooled scrub
@@ -36,7 +35,7 @@ type Extent struct {
 // mode, class, delay, size function) is not embedded; the restorer
 // rebuilds the scrubber from the same Config and applies this state on
 // top. A live scrubber does not read Cursor, the pending-timer record or
-// Escalated: the algorithm, the timer handle and the escalated-region map
+// Escalated: the algorithm, the delay timer and the escalated-region map
 // hold those, and SaveState records them.
 type State struct {
 	Firing   bool
@@ -81,7 +80,7 @@ func (sc *Scrubber) SaveState(dst *State) error {
 	rescrub, escalated := dst.Rescrub[:0], dst.Escalated[:0]
 	*dst = sc.st
 	dst.InflightRescrub = sc.st.Inflight && sc.st.InflightRescrub
-	dst.HasPending, dst.PendingAt, dst.PendingSeq = sim.Pending(sc.pending)
+	dst.HasPending, dst.PendingAt, dst.PendingSeq = sc.delay.Record()
 	dst.Cursor = saver.SaveCursor()
 	for _, e := range sc.st.Rescrub {
 		if e.Sectors > 0 {
@@ -117,8 +116,7 @@ func (sc *Scrubber) RestoreState(st *State) error {
 		}
 		sc.escalated[start] = true
 	}
-	var err error
-	if sc.pending, err = sc.sim.Rearm(st.HasPending, st.PendingAt, st.PendingSeq, sc.delayFn); err != nil {
+	if err := sc.delay.Restore(st.HasPending, st.PendingAt, st.PendingSeq); err != nil {
 		return fmt.Errorf("scrub: restore delay timer: %w", err)
 	}
 	return nil

@@ -2,9 +2,7 @@ package sim
 
 // Benchmark and allocation guards for the event queue, the innermost loop
 // of every simulation. The pooled Schedule path must stay allocation-free
-// in steady state; the handle-returning After path pays exactly one Event
-// allocation. ISSUE 4's benchmark-regression gate tracks both through
-// cmd/scrubbench.
+// in steady state, and so must arming, disarming and firing a Timer.
 
 import (
 	"testing"
@@ -40,20 +38,23 @@ func BenchmarkEventQueue(b *testing.B) {
 		b.ResetTimer()
 		churn(s, 512, b.N)
 	})
-	b.Run("handle", func(b *testing.B) {
+	b.Run("timer", func(b *testing.B) {
 		s := New()
 		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < b.N {
-				s.After(time.Microsecond*time.Duration(1+n%7), tick)
-			}
+		timers := make([]Timer, 512)
+		for i := range timers {
+			tm := &timers[i]
+			tm.Init(s, func() {
+				n++
+				if n < b.N {
+					tm.Arm(s.Now() + time.Microsecond*time.Duration(1+n%7))
+				}
+			})
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i := 0; i < 512; i++ {
-			s.After(time.Microsecond, tick)
+		for i := range timers {
+			timers[i].Arm(time.Microsecond)
 		}
 		if err := s.Run(); err != nil {
 			b.Fatal(err)
@@ -119,5 +120,31 @@ func TestEventQueueZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Schedule/fire allocates %.1f allocs/run, want 0", allocs)
+	}
+}
+
+// TestTimerZeroAlloc pins a Timer's arm, disarm, re-arm and fire cycle
+// at zero allocations: the timer owns its event, so a policy that arms
+// at every idle period and disarms at every arrival allocates nothing.
+func TestTimerZeroAlloc(t *testing.T) {
+	s := New()
+	fired := 0
+	var tm Timer
+	tm.Init(s, func() { fired++ })
+	tm.Arm(time.Millisecond) // grow the heap once, outside the measurement
+	tm.Disarm()
+	allocs := testing.AllocsPerRun(100, func() {
+		tm.Arm(s.Now() + time.Millisecond)
+		tm.Disarm()
+		tm.Arm(s.Now() + 2*time.Millisecond)
+		if !s.Step() {
+			t.Fatal("armed timer did not fire")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Timer arm/disarm/arm/fire allocates %.1f allocs/run, want 0", allocs)
+	}
+	if fired != 101 {
+		t.Fatalf("fired %d times, want 101", fired)
 	}
 }

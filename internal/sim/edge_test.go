@@ -1,10 +1,11 @@
 package sim
 
-// Table-driven edge tests for the pooled event queue: behaviors that the
+// Table-driven edge tests for the event queue: behaviors that the
 // property suite samples randomly but that deserve named, deterministic
-// coverage — simultaneous events across both scheduling paths,
-// cancellation of queued handles, and free-list health after a context
-// cancellation aborts a run mid-flight.
+// coverage — simultaneous events across pooled events and timers,
+// disarming queued timers, timers discarded by RestoreClock, free-list
+// health after a context cancellation aborts a run mid-flight, and lane
+// compaction.
 
 import (
 	"context"
@@ -15,8 +16,8 @@ import (
 func TestEventQueueEdgeCases(t *testing.T) {
 	type step struct {
 		at     time.Duration
-		pooled bool // Schedule (pooled) vs At (handle)
-		cancel bool // cancel the handle before running
+		pooled bool // Schedule (pooled) vs a Timer
+		cancel bool // disarm the timer before running
 	}
 	cases := []struct {
 		name  string
@@ -85,21 +86,21 @@ func TestEventQueueEdgeCases(t *testing.T) {
 			record := func(arg any, _ time.Duration) {
 				fired = append(fired, arg.(int))
 			}
-			handles := make([]*Event, len(tc.steps))
+			timers := make([]Timer, len(tc.steps))
 			for i, st := range tc.steps {
 				if st.pooled {
 					s.Schedule(st.at, record, i)
 				} else {
-					i := i
-					handles[i] = s.At(st.at, func() { fired = append(fired, i) })
+					timers[i].Init(s, func() { fired = append(fired, i) })
+					timers[i].Arm(st.at)
 				}
 			}
 			for i, st := range tc.steps {
 				if st.cancel {
-					if handles[i] == nil {
-						t.Fatalf("step %d: cancel requires the handle path", i)
+					if !timers[i].Armed() {
+						t.Fatalf("step %d: disarming requires an armed timer", i)
 					}
-					s.Cancel(handles[i])
+					timers[i].Disarm()
 				}
 			}
 			if err := s.Run(); err != nil {
@@ -199,5 +200,109 @@ func TestPoolReuseAfterMidRunCancel(t *testing.T) {
 	}
 	if fired < target {
 		t.Fatalf("resume fired only %d events, want >= %d", fired, target)
+	}
+}
+
+// TestTimerDisarmedByRestoreClock is the fleet's case: one simulator
+// runs member after member, and RestoreClock discards every pending
+// event. A timer that is not restored must read disarmed, disarming it
+// must be a no-op, and it must arm again normally; a restored timer
+// fires at its recorded slot.
+func TestTimerDisarmedByRestoreClock(t *testing.T) {
+	s := New()
+	var fired []string
+	var left, back Timer
+	left.Init(s, func() { fired = append(fired, "left") })
+	back.Init(s, func() { fired = append(fired, "back") })
+	left.Arm(5 * time.Millisecond)
+	back.Arm(7 * time.Millisecond)
+	s.After(time.Millisecond, func() { fired = append(fired, "pooled") })
+	_, bat, bseq := back.Record()
+	now, seq, n := s.Clock()
+
+	s.RestoreClock(now, seq, n)
+	if left.Armed() || back.Armed() || s.Len() != 0 {
+		t.Fatalf("after RestoreClock: left %v back %v Len %d, want all disarmed and empty",
+			left.Armed(), back.Armed(), s.Len())
+	}
+	left.Disarm()
+	if armed, _, _ := left.Record(); armed || s.Len() != 0 {
+		t.Fatalf("Disarm of a discarded timer: record armed %v, Len %d", armed, s.Len())
+	}
+	if err := back.Restore(true, bat, bseq); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0] != "back" || s.Now() != 7*time.Millisecond {
+		t.Fatalf("fired %v at %v, want [back] at 7ms", fired, s.Now())
+	}
+	left.Arm(s.Now() + time.Millisecond)
+	if !left.Armed() || s.Len() != 1 {
+		t.Fatalf("re-arm after discard: Armed %v Len %d", left.Armed(), s.Len())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 2 || fired[1] != "left" {
+		t.Fatalf("fired %v, want [back left]", fired)
+	}
+}
+
+// TestTimerRestoreRangeCheck: Restore refuses seq 0 and a seq the
+// restored clock has not yet assigned, and leaves the timer disarmed.
+func TestTimerRestoreRangeCheck(t *testing.T) {
+	s := New()
+	var tm Timer
+	tm.Init(s, func() {})
+	s.RestoreClock(0, 4, 0)
+	for _, seq := range []uint64{0, 5} {
+		if err := tm.Restore(true, time.Second, seq); err == nil {
+			t.Errorf("Restore with seq %d succeeded at clock seq 4", seq)
+		}
+		if tm.Armed() || s.Len() != 0 {
+			t.Errorf("failed Restore with seq %d left the timer armed", seq)
+		}
+	}
+	if err := tm.Restore(true, time.Second, 4); err != nil || !tm.Armed() {
+		t.Fatalf("Restore with seq 4: %v, armed %v", err, tm.Armed())
+	}
+	// Restoring over an armed timer replaces its slot, never duplicates it.
+	if err := tm.Restore(true, 2*time.Second, 3); err != nil || s.Len() != 1 {
+		t.Fatalf("Restore over an armed timer: %v, Len %d", err, s.Len())
+	}
+	if at, seq, _ := s.NextAt(); at != 2*time.Second || seq != 3 {
+		t.Fatalf("NextAt = %v/%d, want 2s/3", at, seq)
+	}
+}
+
+// TestLaneCompactsUnderSustainedUse keeps the lane non-empty for many
+// times its depth, as a streaming replay does, and checks that its
+// backing array stays bounded by a small multiple of that depth.
+func TestLaneCompactsUnderSustainedUse(t *testing.T) {
+	s := New()
+	const depth = 256
+	var horizon time.Duration
+	var arrive EventFunc
+	arrive = func(_ any, _ time.Duration) {
+		horizon += time.Microsecond
+		s.Schedule(horizon, arrive, nil)
+	}
+	for i := 0; i < depth; i++ {
+		horizon += time.Microsecond
+		s.Schedule(horizon, arrive, nil)
+	}
+	for i := 0; i < 100*depth; i++ {
+		s.Step()
+	}
+	if s.Len() != depth {
+		t.Fatalf("Len = %d, want %d", s.Len(), depth)
+	}
+	if len(s.q.heap) != 0 {
+		t.Fatalf("in-order events reached the heap: %d", len(s.q.heap))
+	}
+	if c := cap(s.q.lane); c > 4*depth {
+		t.Fatalf("lane capacity %d grew past 4x its depth %d", c, depth)
 	}
 }

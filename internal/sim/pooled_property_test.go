@@ -1,11 +1,10 @@
 package sim
 
-// Property tests for the pooled Schedule path and the 4-ary heap added by
-// ISSUE 4. The existing property suite exercises the handle (At/After)
-// path; these trials interleave both paths, because production stacks do —
-// queues schedule pooled completions while policies hold cancelable
-// timers — and the FIFO/monotonicity invariants must hold across the mix
-// no matter how Event objects are recycled underneath.
+// Property tests for the pooled Schedule path and the 4-ary heap. These
+// trials interleave pooled events with func events and timers, because
+// production stacks do — replays schedule pooled arrivals while policies
+// and queues hold timers — and the FIFO/monotonicity invariants must hold
+// across the mix no matter how events are recycled underneath.
 
 import (
 	"math/rand"
@@ -94,7 +93,7 @@ func TestPropertyPooledMonotonicClock(t *testing.T) {
 
 // TestPropertyHeapMatchesSortedOrder drives random schedules and verifies
 // the 4-ary heap pops the exact (at, seq) total order a reference sort
-// produces, with random handle cancellations removed from both sides.
+// produces, with random timer disarms removed from both sides.
 func TestPropertyHeapMatchesSortedOrder(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(6000 + trial)))
@@ -110,19 +109,20 @@ func TestPropertyHeapMatchesSortedOrder(t *testing.T) {
 		record := func(arg any, _ time.Duration) {
 			fired = append(fired, arg.(*sched).id)
 		}
-		evs := make([]*Event, n)
+		timers := make([]Timer, n)
 		for i := 0; i < n; i++ {
 			all[i] = &sched{at: time.Duration(rng.Intn(16)) * time.Millisecond, id: i}
 			if rng.Intn(2) == 0 {
 				s.Schedule(all[i].at, record, all[i])
 			} else {
 				st := all[i]
-				evs[i] = s.At(st.at, func() { fired = append(fired, st.id) })
+				timers[i].Init(s, func() { fired = append(fired, st.id) })
+				timers[i].Arm(st.at)
 			}
 		}
 		for i := 0; i < n; i++ {
-			if evs[i] != nil && rng.Intn(4) == 0 {
-				s.Cancel(evs[i])
+			if timers[i].Armed() && rng.Intn(4) == 0 {
+				timers[i].Disarm()
 				all[i].canceled = true
 			}
 		}

@@ -83,8 +83,8 @@ func TestPropertyMonotonicClockRecursive(t *testing.T) {
 	}
 }
 
-// TestPropertyCancel randomly cancels events before and after they fire:
-// canceled-pending events must never run, post-fire cancels must be
+// TestPropertyCancel randomly disarms timers before and after they
+// fire: disarmed timers must never run, post-fire disarms must be
 // no-ops, and everything else must run exactly once.
 func TestPropertyCancel(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
@@ -92,29 +92,29 @@ func TestPropertyCancel(t *testing.T) {
 		s := New()
 		n := 20 + rng.Intn(100)
 		ran := make([]int, n)
-		evs := make([]*Event, n)
+		timers := make([]Timer, n)
 		canceledEarly := make([]bool, n)
 		for i := 0; i < n; i++ {
-			i := i
-			evs[i] = s.At(time.Duration(rng.Intn(10))*time.Millisecond, func() { ran[i]++ })
+			timers[i].Init(s, func() { ran[i]++ })
+			timers[i].Arm(time.Duration(rng.Intn(10)) * time.Millisecond)
 		}
-		// Cancel a random subset before running.
+		// Disarm a random subset before running.
 		for i := 0; i < n; i++ {
 			if rng.Intn(3) == 0 {
-				s.Cancel(evs[i])
+				timers[i].Disarm()
 				canceledEarly[i] = true
-				if !evs[i].Canceled() {
-					t.Fatalf("trial %d: event %d not marked canceled", trial, i)
+				if timers[i].Armed() {
+					t.Fatalf("trial %d: timer %d still armed after Disarm", trial, i)
 				}
 			}
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		// Cancel after fire: must not un-run anything or panic.
+		// Disarm after fire: must not un-run anything or panic.
 		for i := 0; i < n; i++ {
 			if rng.Intn(3) == 0 {
-				s.Cancel(evs[i])
+				timers[i].Disarm()
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -123,19 +123,19 @@ func TestPropertyCancel(t *testing.T) {
 				want = 0
 			}
 			if ran[i] != want {
-				t.Fatalf("trial %d: event %d ran %d times, want %d (canceled=%v)",
+				t.Fatalf("trial %d: timer %d ran %d times, want %d (disarmed=%v)",
 					trial, i, ran[i], want, canceledEarly[i])
 			}
-			if !canceledEarly[i] && !evs[i].Fired() {
-				t.Fatalf("trial %d: event %d not marked fired", trial, i)
+			if timers[i].Armed() {
+				t.Fatalf("trial %d: timer %d armed after the queue drained", trial, i)
 			}
 		}
 	}
 }
 
-// TestPropertyCancelDuringRun cancels events from inside other events'
-// callbacks — the way policies cancel their own timers mid-simulation —
-// and checks canceled events never fire.
+// TestPropertyCancelDuringRun disarms timers from inside other timers'
+// callbacks — the way policies disarm their own timers mid-simulation —
+// and checks disarmed timers never fire.
 func TestPropertyCancelDuringRun(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(3000 + trial)))
@@ -143,28 +143,28 @@ func TestPropertyCancelDuringRun(t *testing.T) {
 		n := 50
 		ran := make([]bool, n)
 		canceled := make([]bool, n)
-		evs := make([]*Event, n)
+		timers := make([]Timer, n)
 		for i := 0; i < n; i++ {
-			i := i
-			evs[i] = s.At(time.Duration(i)*time.Millisecond, func() {
+			timers[i].Init(s, func() {
 				ran[i] = true
-				// Cancel a random later event.
+				// Disarm a random later timer.
 				j := i + 1 + rng.Intn(n)
 				if j < n && !canceled[j] {
-					s.Cancel(evs[j])
+					timers[j].Disarm()
 					canceled[j] = true
 				}
 			})
+			timers[i].Arm(time.Duration(i) * time.Millisecond)
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
 			if canceled[i] && ran[i] {
-				t.Fatalf("trial %d: event %d ran after being canceled", trial, i)
+				t.Fatalf("trial %d: timer %d ran after being disarmed", trial, i)
 			}
 			if !canceled[i] && !ran[i] {
-				t.Fatalf("trial %d: event %d never ran", trial, i)
+				t.Fatalf("trial %d: timer %d never ran", trial, i)
 			}
 		}
 	}

@@ -17,11 +17,18 @@
 // they queue in the lane at O(1) and the heap holds only the few events
 // scheduled out of order (device completions, timers). Both are sorted by
 // (at, seq) and the kernel always fires the smaller head, so the firing
-// order is exactly that of a single heap. The handle-less Schedule path
-// recycles Event objects through a per-Simulator free list so steady-state
-// scheduling performs zero allocations. The free list is plain
-// single-threaded memory — never a sync.Pool — so reuse order, and
-// therefore everything else, is identical across hosts and worker counts.
+// order is exactly that of a single heap.
+//
+// Events take one of two owners. Schedule, At and After take an event
+// from a per-Simulator free list and return it there after it fires, so
+// steady-state scheduling performs zero allocations; such an event cannot
+// be cancelled. A component that keeps one pending callback per role — a
+// policy's threshold, a queue's poll, an in-flight completion — holds a
+// Timer by value instead: the Timer owns its event, re-arming and
+// disarming it in place, and records and restores it for snapshots. The
+// free list is plain single-threaded memory — never a sync.Pool — so
+// reuse order, and therefore everything else, is identical across hosts
+// and worker counts.
 package sim
 
 import (
@@ -34,49 +41,34 @@ import (
 // Stop before the run condition was met.
 var ErrStopped = errors.New("sim: stopped")
 
-// EventFunc is the callback of a pooled (handle-less) event: arg is the
-// value passed to Schedule, now the event's firing time. Hot paths
-// construct one EventFunc per component at wiring time and pass per-event
-// state through arg (a pointer, so the interface conversion does not
-// allocate), avoiding a closure allocation per scheduled event.
+// EventFunc is the callback of a pooled event: arg is the value passed to
+// Schedule, now the event's firing time. Hot paths construct one
+// EventFunc per component at wiring time and pass per-event state through
+// arg (a pointer, so the interface conversion does not allocate),
+// avoiding a closure allocation per scheduled event.
 type EventFunc func(arg any, now time.Duration)
 
-// Event is a scheduled callback. It is returned by the handle-returning
-// scheduling methods (At, After) so that callers can cancel it before it
-// fires.
-type Event struct {
-	at    time.Duration
-	seq   uint64
-	fn    func()
-	afn   EventFunc
-	arg   any
-	index int // heap index; -1 when not in the heap
-	fired bool
-	// cancel marks a canceled handle; pooled marks a Schedule event owned
-	// by the free list (no handle exposed, recycled after firing).
-	cancel bool
+// event is one pending callback: a pooled event that the free list owns
+// (Schedule, At, After) or the event a Timer owns.
+type event struct {
+	at     time.Duration
+	seq    uint64
+	fn     EventFunc
+	arg    any
+	index  int // heap index; -1 when in the lane or not queued
 	pooled bool
 }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.cancel }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
-// At reports the virtual time the event is (or was) scheduled for.
-func (e *Event) At() time.Duration { return e.at }
 
 // Simulator owns a virtual clock and an event queue. The zero value is ready
 // to use and starts at time zero.
 type Simulator struct {
 	now     time.Duration
-	q       queue //scrublint:transient events hold callbacks; components re-enqueue their own (at, seq) records on restore
+	q       queue //scrublint:transient events hold callbacks; components re-arm their own timers on restore
 	seq     uint64
 	stopped bool //scrublint:transient run-loop latch, reset by the next Run
 	fired   uint64
 
-	free []*Event //scrublint:transient event free list; pooled memory is identity, not state
+	free []*event //scrublint:transient event free list; pooled memory is identity, not state
 }
 
 // New returns a Simulator with its clock at zero.
@@ -92,36 +84,26 @@ func (s *Simulator) Len() int { return len(s.q.heap) + len(s.q.lane) - s.q.head 
 // denominator of the events/sec throughput metric cmd/scrubbench reports.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// At schedules fn to run at absolute virtual time t and returns a
-// cancelable handle. Scheduling in the past (t < Now) clamps to Now,
-// making the event fire next. Handle-returning events are never pooled —
-// the caller may hold the handle past firing — so each At costs one
-// allocation; hot paths that do not need cancellation use Schedule.
-func (s *Simulator) At(t time.Duration, fn func()) *Event {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	ev := &Event{at: t, seq: s.seq, fn: fn}
-	s.q.push(ev)
-	return ev
-}
+// At schedules fn to run at absolute virtual time t; the past clamps to
+// Now. It is Schedule with fn carried as the argument, so it cannot be
+// cancelled: a component that must disarm or snapshot its pending
+// callback holds a Timer instead.
+func (s *Simulator) At(t time.Duration, fn func()) { s.Schedule(t, callFunc, fn) }
 
-// After schedules fn to run d after the current virtual time. Negative d is
-// treated as zero.
-func (s *Simulator) After(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
+// After is At at d after the current virtual time. Negative d is treated
+// as zero.
+func (s *Simulator) After(d time.Duration, fn func()) { s.ScheduleAfter(d, callFunc, fn) }
 
-// Schedule enqueues a handle-less event at absolute virtual time t (the
-// past clamps to Now): fn(arg, t) fires in (time, scheduling) order
-// exactly like At events, but the Event object comes from and returns to
-// the simulator's free list, so steady-state scheduling allocates
-// nothing. There is no handle and therefore no cancellation; callers that
-// need to abandon work check their own state inside fn.
+// callFunc is the EventFunc of At events and timers: arg is the func()
+// to run. A func value converts to any without allocating.
+func callFunc(arg any, _ time.Duration) { arg.(func())() }
+
+// Schedule enqueues a pooled event at absolute virtual time t (the past
+// clamps to Now): fn(arg, t) fires in (time, scheduling) order, and the
+// event comes from and returns to the simulator's free list, so
+// steady-state scheduling allocates nothing. There is no cancellation;
+// callers that need to abandon work check their own state inside fn or
+// hold a Timer.
 //
 //scrub:hotpath
 func (s *Simulator) Schedule(t time.Duration, fn EventFunc, arg any) {
@@ -130,7 +112,7 @@ func (s *Simulator) Schedule(t time.Duration, fn EventFunc, arg any) {
 	}
 	s.seq++
 	ev := s.get()
-	ev.at, ev.seq, ev.afn, ev.arg, ev.pooled = t, s.seq, fn, arg, true
+	ev.at, ev.seq, ev.fn, ev.arg, ev.pooled = t, s.seq, fn, arg, true
 	s.q.enqueue(ev)
 }
 
@@ -145,78 +127,53 @@ func (s *Simulator) ScheduleAfter(d time.Duration, fn EventFunc, arg any) {
 	s.Schedule(s.now+d, fn, arg)
 }
 
-// Cancel removes a pending event. Canceling an event that already fired or
-// was already canceled is a no-op.
-func (s *Simulator) Cancel(ev *Event) {
-	if ev == nil || ev.fired || ev.cancel {
-		return
-	}
-	ev.cancel = true
-	if ev.index >= 0 {
-		s.q.remove(ev.index)
-	}
-}
-
 // Stop halts the current Run call after the in-progress event returns.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// get returns a reset Event, reusing the free list when possible.
+// get returns a reset event, reusing the free list when possible.
 //
 //scrub:hotpath
-func (s *Simulator) get() *Event {
+func (s *Simulator) get() *event {
 	if n := len(s.free); n > 0 {
 		ev := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		return ev
 	}
-	return &Event{}
+	return &event{}
 }
 
 // recycle resets a pooled event and returns it to the free list. Every
-// field is cleared so no callback, argument or flag can leak into the
-// event's next use.
+// field is cleared so no callback or argument can leak into the event's
+// next use.
 //
 //scrub:hotpath
-func (s *Simulator) recycle(ev *Event) {
-	*ev = Event{index: -1}
+func (s *Simulator) recycle(ev *event) {
+	*ev = event{index: -1}
 	s.free = append(s.free, ev)
 }
 
 // step fires the earliest pending event. It reports false when the queue is
 // empty. Pooled events are recycled before their callback runs — the
 // object is already off the queue and nothing else references it — so an
-// event chain (fire, schedule successor) reuses one Event object
-// indefinitely.
+// event chain (fire, schedule successor) reuses one event object
+// indefinitely. A timer's event is off the queue too, so its callback
+// sees the timer disarmed and may re-arm it.
 //
 //scrub:hotpath
 func (s *Simulator) step() bool {
-	for {
-		ev := s.q.pop()
-		if ev == nil {
-			return false
-		}
-		if ev.cancel {
-			continue
-		}
-		s.now = ev.at
-		s.fired++
-		ev.fired = true
-		if ev.afn != nil {
-			afn, arg, at := ev.afn, ev.arg, ev.at
-			if ev.pooled {
-				s.recycle(ev)
-			}
-			afn(arg, at)
-		} else {
-			fn := ev.fn
-			if ev.pooled {
-				s.recycle(ev)
-			}
-			fn()
-		}
-		return true
+	ev := s.q.pop()
+	if ev == nil {
+		return false
 	}
+	s.now = ev.at
+	s.fired++
+	fn, arg, at := ev.fn, ev.arg, ev.at
+	if ev.pooled {
+		s.recycle(ev)
+	}
+	fn(arg, at)
+	return true
 }
 
 // Run fires events until the queue is empty. It returns ErrStopped if Stop
@@ -274,22 +231,22 @@ func (s *Simulator) RunUntilContext(ctx context.Context, t time.Duration) error 
 // pops events in exactly one sequence, and that sequence is the one a
 // single binary heap (container/heap, which the 4-ary layout replaced)
 // pops. The lane is a FIFO kept sorted by construction: a pooled event
-// joins it only when it does not sort before the lane's tail. Handle
-// events always go to the heap, so Cancel finds them by heap index.
+// joins it only when it does not sort before the lane's tail. Timer
+// events always go to the heap, so Disarm finds them by heap index.
 
 // queue holds the pending events. lane[head:] is the lane's live part;
 // the consumed prefix is reclaimed when the lane empties, or compacted
 // away when an append would otherwise grow a mostly consumed array.
 type queue struct {
-	heap []*Event
-	lane []*Event
+	heap []*event
+	lane []*event
 	head int
 }
 
 // evLess orders events by (at, seq).
 //
 //scrub:hotpath
-func evLess(a, b *Event) bool {
+func evLess(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
@@ -297,7 +254,7 @@ func evLess(a, b *Event) bool {
 // otherwise to the heap.
 //
 //scrub:hotpath
-func (q *queue) enqueue(ev *Event) {
+func (q *queue) enqueue(ev *event) {
 	n := len(q.lane)
 	if n > q.head && evLess(ev, q.lane[n-1]) {
 		q.push(ev)
@@ -317,8 +274,8 @@ func (q *queue) enqueue(ev *Event) {
 // peek returns the earliest pending event, or nil.
 //
 //scrub:hotpath
-func (q *queue) peek() *Event {
-	var ev *Event
+func (q *queue) peek() *event {
+	var ev *event
 	if q.head < len(q.lane) {
 		ev = q.lane[q.head]
 	}
@@ -331,7 +288,7 @@ func (q *queue) peek() *Event {
 // pop removes and returns the earliest pending event, or nil.
 //
 //scrub:hotpath
-func (q *queue) pop() *Event {
+func (q *queue) pop() *event {
 	if q.head < len(q.lane) {
 		ev := q.lane[q.head]
 		if len(q.heap) == 0 || evLess(ev, q.heap[0]) {
@@ -352,7 +309,7 @@ func (q *queue) pop() *Event {
 // push inserts ev into the heap and sifts it up.
 //
 //scrub:hotpath
-func (q *queue) push(ev *Event) {
+func (q *queue) push(ev *event) {
 	q.heap = append(q.heap, ev)
 	ev.index = len(q.heap) - 1
 	q.up(ev.index)
@@ -361,7 +318,7 @@ func (q *queue) push(ev *Event) {
 // popHeap removes and returns the heap's minimum event.
 //
 //scrub:hotpath
-func (q *queue) popHeap() *Event {
+func (q *queue) popHeap() *event {
 	h := q.heap
 	ev := h[0]
 	n := len(h) - 1

@@ -58,32 +58,77 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New()
 	ran := false
-	ev := s.After(time.Millisecond, func() { ran = true })
-	s.Cancel(ev)
+	var tm Timer
+	tm.Init(s, func() { ran = true })
+	tm.Arm(time.Millisecond)
+	tm.Disarm()
+	if tm.Armed() {
+		t.Fatal("Armed() = true after Disarm")
+	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if ran {
-		t.Fatal("canceled event ran")
+		t.Fatal("disarmed timer ran")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	// Double-disarm and disarm-after-fire must be no-ops.
+	tm.Disarm()
+	tm.Arm(0)
+	if !tm.Armed() {
+		t.Fatal("Armed() = false after Arm")
 	}
-	// Double-cancel and cancel-after-fire must be no-ops.
-	s.Cancel(ev)
-	ev2 := s.After(0, func() {})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	s.Cancel(ev2)
-	if ev2.Canceled() {
-		t.Fatal("cancel after fire marked event canceled")
+	if !ran || tm.Armed() {
+		t.Fatalf("ran=%v armed=%v after firing, want true, false", ran, tm.Armed())
+	}
+	tm.Disarm()
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after disarm-after-fire, want 0", s.Len())
 	}
 }
 
+// TestCancelNil: the zero Timer is disarmed, and disarming or recording
+// it needs no simulator.
 func TestCancelNil(t *testing.T) {
+	var tm Timer
+	tm.Disarm() // must not panic
+	if armed, at, seq := tm.Record(); tm.Armed() || armed || at != 0 || seq != 0 {
+		t.Fatalf("zero Timer: Armed %v, Record %v/%v/%v", tm.Armed(), armed, at, seq)
+	}
+	if err := tm.Restore(false, 0, 0); err != nil {
+		t.Fatalf("Restore of a disarmed record: %v", err)
+	}
+	if err := tm.Restore(true, 0, 1); err == nil {
+		t.Fatal("armed Restore of a Timer with no simulator succeeded")
+	}
+}
+
+// TestRearmTakesFreshSeq: re-arming an armed timer is a removal plus a
+// fresh arming, so it fires after an event scheduled in between at the
+// same instant, as a cancel and reschedule did.
+func TestRearmTakesFreshSeq(t *testing.T) {
 	s := New()
-	s.Cancel(nil) // must not panic
+	var order []string
+	var tm Timer
+	tm.Init(s, func() { order = append(order, "timer") })
+	tm.Arm(time.Millisecond)
+	s.At(time.Millisecond, func() { order = append(order, "at") })
+	tm.Arm(time.Millisecond)
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d after re-arm, want 2", s.Len())
+	}
+	_, _, seq := tm.Record()
+	if _, clock, _ := s.Clock(); seq != clock || seq != 3 {
+		t.Fatalf("re-armed seq %d, clock seq %d, want 3", seq, clock)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "at" || order[1] != "timer" {
+		t.Fatalf("order = %v, want [at timer]", order)
+	}
 }
 
 func TestScheduleInPastClamps(t *testing.T) {
