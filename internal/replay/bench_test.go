@@ -7,6 +7,8 @@ package replay
 // against the checked-in BENCH_*.json baseline.
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -53,6 +55,67 @@ func BenchmarkReplayHotPath(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(tr.Records))*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
+}
+
+// writeMSRFixture writes the replay-busy workload's trace shape to an
+// MSR-Cambridge CSV: TPC-C uplifted onto a 300 GB disk with its gaps
+// stretched 4x, so the drive keeps up with the open-loop arrivals.
+func writeMSRFixture(tb testing.TB, dur time.Duration) (path string, records int) {
+	syn, ok := trace.ByName("TPCdisk66")
+	if !ok {
+		tb.Fatal("TPCdisk66 missing from catalog")
+	}
+	up, err := trace.Uplift(syn.Source(1, dur/4), trace.UpliftOptions{
+		Profile: trace.ProfileHDD300, TimeScale: 4, Seed: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := trace.ReadAll(up)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path = filepath.Join(tb.TempDir(), "tpc.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := trace.WriteMSR(f, tr.Source(), "tpcc", 66); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return path, len(tr.Records)
+}
+
+// BenchmarkRunSourceMSR replays an MSR CSV file as the end-to-end replay
+// workloads do: open the file, decode it while replaying, close it. Run
+// it at -cpu 1,2: decoding overlaps the simulation only with a second
+// core, and at one the batch handoff must cost no more than noise.
+func BenchmarkRunSourceMSR(b *testing.B) {
+	path, n := writeMSRFixture(b, 2*time.Minute)
+	s := sim.New()
+	q := blockdev.NewQueue(s, disk.MustNew(disk.HitachiUltrastar15K450()), iosched.NewCFQ())
+	rp := &Replayer{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := trace.OpenMSR(path, trace.MSROptions{DiskNumber: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := rp.RunSource(s, q, src, trace.ProfileHDD300.Sectors)
+		src.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Requests != int64(n) {
+			b.Fatalf("completed %d of %d records", res.Requests, n)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 }
 
 // TestReplayHotPathSteadyStateAllocs pins the allocation budget of a

@@ -21,7 +21,9 @@ import (
 // look-ahead window of scheduled arrivals and aggregates metrics on the
 // fly, so a multi-ten-GB trace replays in constant memory. When the
 // source is an in-memory *trace.SliceSource, whose length is known up
-// front, it also keeps per-request response and wait times.
+// front, it also keeps per-request response and wait times. Any other
+// source is decoded ahead on a second goroutine by a trace.ReadAhead,
+// which the Replayer keeps and reuses.
 //
 // A Replayer owns its request and result buffers and reuses them across
 // RunSource calls: after a warm-up run, the steady-state replay path
@@ -52,7 +54,8 @@ type Replayer struct {
 	// queue holds them while in flight) and are recycled through
 	// freeReqs, so the steady state allocates nothing; the pool only
 	// grows when the device falls behind the open-loop arrivals.
-	src          trace.Source
+	src          recordSource
+	ra           *trace.ReadAhead
 	srcErr       error
 	srcEOF       bool
 	start        time.Duration
@@ -70,6 +73,12 @@ type Replayer struct {
 	// address through the Source interface would force a heap escape on
 	// every record.
 	rec trace.Record
+}
+
+// recordSource is what refillOne reads records from: the
+// *trace.SliceSource itself, or the ReadAhead decoding any other source.
+type recordSource interface {
+	Next(rec *trace.Record) error
 }
 
 // defaultWindow is the look-ahead depth: deep enough that the simulator
@@ -183,16 +192,35 @@ func (r *Result) MaxSlowdownVs(base *Result) time.Duration {
 // it is taken from src.DiskSectors() (parser sources that learn the
 // extent as they scan should be given it explicitly or replayed from a
 // cache, which knows it up front).
+//
+// A source other than a *trace.SliceSource is read on a second goroutine
+// up to a ring of record batches ahead of the last replayed record, so
+// its Next must not touch state the simulation uses, and RunSource
+// returns only once that goroutine has let go of it. After a failed
+// RunSource the source's position is therefore past the failure point;
+// Reset it before reading it again.
 func (rp *Replayer) RunSource(s *sim.Simulator, q *blockdev.Queue, src trace.Source, diskSectors int64) (*Result, error) {
 	if diskSectors <= 0 {
 		diskSectors = src.DiskSectors()
 	}
-	ss, keep := src.(*trace.SliceSource)
-	rp.keep = keep
-	if keep {
+	if ss, ok := src.(*trace.SliceSource); ok {
+		rp.keep = true
 		rp.responses = growZeroed(rp.responses, ss.Len())
 		rp.waits = growZeroed(rp.waits, ss.Len())
+		return rp.run(s, q, ss, diskSectors)
 	}
+	if rp.ra == nil {
+		rp.ra = trace.NewReadAhead()
+	}
+	rp.ra.Start(src)
+	defer rp.ra.Stop()
+	rp.keep = false
+	return rp.run(s, q, rp.ra, diskSectors)
+}
+
+// run replays the records src yields. RunSource has set rp.keep and, when
+// it is set, sized the per-request arrays.
+func (rp *Replayer) run(s *sim.Simulator, q *blockdev.Queue, src recordSource, diskSectors int64) (*Result, error) {
 	rp.sim, rp.q, rp.src = s, q, src
 	if rp.Class == 0 {
 		rp.Class = blockdev.ClassBE

@@ -233,6 +233,30 @@ func TestRunSourceStreamSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRunSourceWarmStreamSteadyStateAllocs pins a warm streaming
+// RunSource at two allocations per call whatever the record count: the
+// Result and a fixed cost of the drain, while the read-ahead's channels,
+// batches and goroutine entry point are made once per Replayer.
+func TestRunSourceWarmStreamSteadyStateAllocs(t *testing.T) {
+	r := newRig(t)
+	rp := &Replayer{}
+	for _, count := range []int64{1000, 20000} {
+		src := &metronomeSource{count: count, step: 8 * time.Millisecond, sectors: r.q.Disk().Sectors()}
+		run := func() {
+			if err := src.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rp.RunSource(r.sim, r.q, src, src.sectors); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(3, run); allocs > 2 {
+			t.Fatalf("warm streaming replay of %d records allocates %.1f times, want <= 2", count, allocs)
+		}
+	}
+}
+
 // metronomeSource streams count records at a fixed interarrival with
 // LCG-scattered LBAs: an endless-trace stand-in whose rate the rig disk
 // can sustain, so open-loop replay reaches steady state instead of

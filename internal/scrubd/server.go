@@ -88,9 +88,14 @@ func (s *Server) scrape() (obs.Snapshot, error) {
 	return obs.MergeSnapshots(eng, op)
 }
 
+// jsonContentType is every JSON response's Content-Type value. Header.Set
+// would allocate a fresh one-element slice per response; the header map
+// holds this shared one instead, which nothing writes through.
+var jsonContentType = []string{"application/json; charset=utf-8"}
+
 // writeJSON sends buf with the API content type.
 func writeJSON(w http.ResponseWriter, status int, buf []byte) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(buf)
 }

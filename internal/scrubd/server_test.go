@@ -2,6 +2,7 @@ package scrubd_test
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -217,5 +218,41 @@ func TestServiceCheckpointEndpoint(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("restored decision differs: %+v vs %+v", a, b)
+	}
+}
+
+// reusedHeaderWriter is a ResponseWriter that keeps one header map and
+// discards the body, so an allocation count covers only the handler.
+type reusedHeaderWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *reusedHeaderWriter) Header() http.Header         { return w.h }
+func (w *reusedHeaderWriter) WriteHeader(status int)      { w.status = status }
+func (w *reusedHeaderWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestDecideHandlerZeroAllocs pins the decide handler — parse, decide,
+// encode, headers — at zero allocations per warm request; what a served
+// request costs beyond it is net/http's own.
+func TestDecideHandlerZeroAllocs(t *testing.T) {
+	recs, last := genRecords(11, 2, 40)
+	eng := scrubd.NewEngine(scrubd.Config{Shards: 2, MinGaps: 8, RefitEvery: 8})
+	t.Cleanup(eng.Close)
+	if _, err := eng.IngestBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	srv := scrubd.NewServer(eng, scrubd.ServerConfig{})
+	r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/decide?dev=d0000&now_us=%d", last[0]+100_000), nil)
+	w := &reusedHeaderWriter{h: http.Header{}}
+	scrubd.HandleDecide(srv, w, r)
+	if w.status != http.StatusOK || w.h.Get("Content-Type") != "application/json; charset=utf-8" {
+		t.Fatalf("decide answered %d with Content-Type %q", w.status, w.h.Get("Content-Type"))
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		scrubd.HandleDecide(srv, w, r)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm decide handler allocates %.1f/request, want 0", allocs)
 	}
 }

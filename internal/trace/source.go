@@ -18,6 +18,12 @@ import (
 // returns nil, or returns io.EOF once the source is drained (rec is then
 // unspecified). Any other error is terminal: the source stays at the
 // failing position until Reset.
+//
+// A consumer may read a source ahead of the records it has acted on:
+// replay.RunSource decodes a streamed source on a ReadAhead goroutine, up
+// to a ring of record batches ahead of the last replayed record. After a
+// run that failed or stopped early the source's position is past that
+// record, so Reset it before reading it again.
 type Source interface {
 	// Next fills rec with the next record; io.EOF ends the stream.
 	Next(rec *Record) error
