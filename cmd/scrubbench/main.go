@@ -399,26 +399,23 @@ func runSweep(maxDrives, shards int, progress io.Writer) (*benchcmp.Run, error) 
 // measure runs fn iters times after one discarded warmup and fills in the
 // metrics. Timing takes the best iteration — the minimum is the standard
 // noise-robust statistic for benchmarks, since interference only ever adds
-// time — while allocations average over the timed calls (they are
-// deterministic, and averaging smooths one-off pool growth). events
-// reports the simulator events fired by one fn call (zero when not
-// applicable).
+// time. Allocations come from the second of two more, untimed calls
+// under GOMAXPROCS 1, as testing.AllocsPerRun counts them: Mallocs is
+// process-wide, and with more Ps the runtime's own records for a
+// concurrent stage (goroutines, channel waits, new Ms) land in it and
+// vary from run to run. events reports the simulator events fired by one
+// fn call (zero when not applicable).
 func measure(name string, iters int, fn func() (events uint64, err error)) (benchcmp.Result, error) {
 	res := benchcmp.Result{Name: name}
 	if _, err := fn(); err != nil { // warmup: size pools and buffers
 		return res, err
 	}
 	cal := calibrate()
-	var ms runtime.MemStats
-	bestNs, bestEvents, mallocs := int64(0), uint64(0), uint64(0)
+	bestNs, bestEvents := int64(0), uint64(0)
 	for i := 0; i < iters; i++ {
-		runtime.ReadMemStats(&ms)
-		m0 := ms.Mallocs
 		start := time.Now()
 		ev, err := fn()
 		elapsed := time.Since(start).Nanoseconds()
-		runtime.ReadMemStats(&ms)
-		mallocs += ms.Mallocs - m0
 		if err != nil {
 			return res, err
 		}
@@ -431,13 +428,36 @@ func measure(name string, iters int, fn func() (events uint64, err error)) (benc
 		cal = min(cal, calRun())
 	}
 
+	// The first call on one P is a warmup, as in AllocsPerRun: the
+	// runtime may still allocate its own records in it while the P's
+	// caches refill after the switch.
+	procs := runtime.GOMAXPROCS(1)
+	mallocs, err := countMallocs(fn)
+	if err == nil {
+		mallocs, err = countMallocs(fn)
+	}
+	runtime.GOMAXPROCS(procs)
+	if err != nil {
+		return res, err
+	}
+
 	res.NsPerOp = float64(bestNs)
-	res.AllocsPerOp = float64(mallocs) / float64(iters)
+	res.AllocsPerOp = float64(mallocs)
 	res.CalNs = float64(cal)
 	if bestEvents > 0 && bestNs > 0 {
 		res.EventsPerSec = float64(bestEvents) / (float64(bestNs) / 1e9)
 	}
 	return res, nil
+}
+
+// countMallocs returns the heap allocations one call of fn makes.
+func countMallocs(fn func() (uint64, error)) (uint64, error) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	m0 := ms.Mallocs
+	_, err := fn()
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - m0, err
 }
 
 // calibrate returns the best of 5 calibration runs. Measured next to

@@ -1,16 +1,18 @@
 package disk
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
 
 // scanCache is the reference cache: the linear-scan implementation the
-// start-sorted index replaced. contains and fill take the first matching
-// segment in slice order, fill evicts the lowest lastUse (first on ties),
-// and invalidate keeps the survivors in order.
+// cell table and LRU list stand in for. contains and fill take the first
+// matching segment in slice order, fill evicts the lowest lastUse (first
+// on ties), and invalidate keeps the survivors in order.
 type scanCache struct {
 	segments    []segment
 	maxSegments int
@@ -82,21 +84,57 @@ func (c *scanCache) invalidate(lba, n int64) {
 	c.segments = out
 }
 
-// checkIndex verifies idx is a permutation of the segment slots sorted by
-// start.
-func checkIndex(c *cache) string {
-	if len(c.idx) != len(c.segments) {
-		return "index and segments differ in length"
+// checkCache verifies the cache's structures against its segments: every
+// slot is filed in the table exactly once, under the cell of its start
+// and reachable from that cell's home without crossing a free entry, and
+// the LRU list holds the slots in (lastUse, slot) order.
+func checkCache(c *cache) string {
+	n := len(c.segments)
+	if n > c.maxSegments {
+		return "more segments than slots"
 	}
-	seen := make([]bool, len(c.segments))
-	for k, i := range c.idx {
-		if i < 0 || int(i) >= len(c.segments) || seen[i] {
-			return "index is not a permutation of the slots"
+	mask := len(c.table) - 1
+	filed := make([]int, n)
+	for h, v := range c.table {
+		if v == 0 {
+			continue
 		}
-		seen[i] = true
-		if k > 0 && c.segments[c.idx[k-1]].start > c.segments[i].start {
-			return "index out of start order"
+		i := int(v) - 1
+		if i < 0 || i >= n {
+			return fmt.Sprintf("table entry %d names slot %d of %d", h, i, n)
 		}
+		filed[i]++
+		for k := c.home(c.segments[i].start >> c.shift); k != h; k = (k + 1) & mask {
+			if c.table[k] == 0 {
+				return fmt.Sprintf("slot %d is not reachable from its cell's home", i)
+			}
+		}
+	}
+	for i, f := range filed {
+		if f != 1 {
+			return fmt.Sprintf("slot %d is filed %d times", i, f)
+		}
+	}
+	linked := make([]bool, n)
+	p := int32(0)
+	for k := 0; k < n; k++ {
+		x := c.next[p]
+		if x < 1 || int(x) > n || linked[x-1] {
+			return fmt.Sprintf("LRU list position %d holds node %d of %d, or a node twice", k, x, n)
+		}
+		linked[x-1] = true
+		if c.prev[x] != p {
+			return fmt.Sprintf("node %d links back to %d, want %d", x, c.prev[x], p)
+		}
+		if p != 0 {
+			if u, v := c.segments[p-1].lastUse, c.segments[x-1].lastUse; u > v || u == v && p > x {
+				return fmt.Sprintf("LRU list puts slot %d before slot %d", p-1, x-1)
+			}
+		}
+		p = x
+	}
+	if c.next[p] != 0 || c.prev[0] != p {
+		return "LRU list does not close at the sentinel"
 	}
 	return ""
 }
@@ -185,7 +223,7 @@ func TestCacheIndexMatchesScan(t *testing.T) {
 					t.Fatalf("segs %d trial %d op %d:\nindexed clock %d %v\nscan    clock %d %v",
 						maxSegs, trial, op, got.clock, got.segments, want.clock, want.segments)
 				}
-				if msg := checkIndex(got); msg != "" {
+				if msg := checkCache(got); msg != "" {
 					t.Fatalf("segs %d trial %d op %d: %s", maxSegs, trial, op, msg)
 				}
 				for i, a := range want.segments {
@@ -268,7 +306,7 @@ func TestCacheIndexSurvivesRestore(t *testing.T) {
 		if !reflect.DeepEqual(saved(d), saved(orig)) {
 			t.Fatal("restored disk state diverged from the original")
 		}
-		if msg := checkIndex(d.cache); msg != "" {
+		if msg := checkCache(d.cache); msg != "" {
 			t.Fatal(msg)
 		}
 	}
@@ -305,5 +343,209 @@ func BenchmarkCacheMissFill(b *testing.B) {
 		if !c.contains(lba, n) {
 			c.fill(lba, n, ra, sectors)
 		}
+	}
+}
+
+// fuzzSegCounts are the cache sizes FuzzCacheMatchesScan picks from: the
+// edge cases, the Ultrastar's 32 and sizes either side of a table size.
+var fuzzSegCounts = [...]int{1, 2, 16, 32, 33, 64, 100}
+
+// FuzzCacheMatchesScan decodes an operation stream from the fuzz bytes
+// and runs it on the cache and on the scan reference, requiring the same
+// hit result, segment slice and clock, and intact structures, after every
+// operation. The first byte picks the segment count and a segment
+// capacity that is not a power of two; then each five bytes are one
+// contains, fill, invalidate, reset, or SaveState→RestoreState round
+// trip into a second disk whose cache holds older contents; half the
+// round trips coarsen the recency stamps, and the clock below them, so
+// that segments tie.
+func FuzzCacheMatchesScan(f *testing.F) {
+	for seed := int64(0); seed < 32; seed++ {
+		ops := make([]byte, 1+5*100)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		runCacheDiff(t, ops)
+	})
+}
+
+func runCacheDiff(t *testing.T, ops []byte) {
+	if len(ops) == 0 {
+		return
+	}
+	const diskSectors = 4096
+	maxSegs := fuzzSegCounts[int(ops[0]&0x7f)%len(fuzzSegCounts)]
+	segBytes := int64(48)
+	if ops[0]&0x80 != 0 {
+		segBytes = 100
+	}
+	m := Model{CacheBytes: int64(maxSegs) * segBytes * SectorSize, CacheSegments: maxSegs}
+	disks := [2]*Disk{{cache: newCache(&m)}, {cache: newCache(&m)}}
+	got := disks[0].cache
+	want := &scanCache{maxSegments: maxSegs, segBytes: segBytes}
+	// LBAs fall in a band ending at the disk's end, wide enough to hold
+	// every segment twice over and reaching below sector 0 for large
+	// caches; a high op bit snaps them to an existing segment instead.
+	band := segBytes * int64(2+2*maxSegs)
+	var st State
+	for k, rest := 0, ops[1:]; len(rest) >= 5; k, rest = k+1, rest[5:] {
+		op, raw := rest[0], int64(rest[1])|int64(rest[2])<<8
+		n := 1 + int64(rest[3])%(2*segBytes)
+		ra := int64(rest[4]) % segBytes
+		lba := diskSectors - band + raw%band
+		var snap *segment
+		if op&0x80 != 0 && len(want.segments) > 0 {
+			snap = &want.segments[int(raw)%len(want.segments)]
+			lba = snap.end
+		}
+		var hitGot, hitWant bool
+		switch kind := op & 0x7f % 16; {
+		case kind < 6:
+			if snap != nil && kind&1 != 0 {
+				lba = snap.start
+			}
+			hitGot, hitWant = got.contains(lba, n), want.contains(lba, n)
+		case kind < 12:
+			if snap != nil && kind&1 != 0 {
+				// End the fill exactly where a segment starts.
+				lba = snap.start - n - ra
+			}
+			got.fill(lba, n, ra, diskSectors)
+			want.fill(lba, n, ra, diskSectors)
+		case kind < 14:
+			got.invalidate(lba, n)
+			want.invalidate(lba, n)
+		case kind == 14:
+			got.reset()
+			want.segments = want.segments[:0]
+		default:
+			from := disks[0]
+			disks[0], disks[1] = disks[1], from
+			from.SaveState(&st)
+			if raw&1 != 0 {
+				// Coarsen the recency stamps, and the clock more, so
+				// that segments tie on lastUse, with each other and with
+				// the stamps to come, and the LRU order falls to the
+				// slots.
+				st.CacheClock /= 8
+				want.clock /= 8
+				for j := range st.CacheSegs {
+					st.CacheSegs[j].LastUse /= 4
+					want.segments[j].lastUse /= 4
+				}
+			}
+			disks[0].RestoreState(&st)
+			got = disks[0].cache
+		}
+		if hitGot != hitWant {
+			t.Fatalf("op %d (%d, lba %d, n %d): hit %v, scan says %v", k, op, lba, n, hitGot, hitWant)
+		}
+		if got.clock != want.clock || !slices.Equal(got.segments, want.segments) {
+			t.Fatalf("op %d (%d, lba %d, n %d):\ncache clock %d %v\nscan  clock %d %v",
+				k, op, lba, n, got.clock, got.segments, want.clock, want.segments)
+		}
+		if msg := checkCache(got); msg != "" {
+			t.Fatalf("op %d (%d, lba %d, n %d): %s", k, op, lba, n, msg)
+		}
+	}
+}
+
+// TestCacheZeroAlloc requires contains, fill and invalidate on a full
+// cache, and a restore into a disk whose cache is in use, to allocate
+// nothing.
+func TestCacheZeroAlloc(t *testing.T) {
+	m := HitachiUltrastar15K450()
+	d := MustNew(m)
+	c, sectors := d.cache, d.Sectors()
+	const n = 16
+	ra := m.ReadAheadBytes / SectorSize
+	rng := rand.New(rand.NewSource(1))
+	var lbas [256]int64
+	for i := range lbas {
+		lbas[i] = rng.Int63n(sectors - 1<<16)
+	}
+	for _, lba := range lbas[:m.CacheSegments] {
+		c.fill(lba, n, ra, sectors)
+	}
+	i := 0
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"contains", func() { c.contains(lbas[i%len(lbas)], n) }},
+		{"fill", func() { c.fill(lbas[i%len(lbas)], n, ra, sectors) }},
+		{"invalidate", func() {
+			c.invalidate(c.segments[i%len(c.segments)].start, n)
+			c.fill(lbas[i%len(lbas)], n, ra, sectors)
+		}},
+	} {
+		if len(c.segments) != m.CacheSegments {
+			t.Fatalf("%s: cache holds %d segments, want it full", tc.name, len(c.segments))
+		}
+		if avg := testing.AllocsPerRun(1000, func() { tc.fn(); i++ }); avg != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, avg)
+		}
+	}
+	st := saved(d)
+	used := MustNew(m)
+	for _, lba := range lbas[len(lbas)-m.CacheSegments:] {
+		used.cache.fill(lba, n, ra, sectors)
+	}
+	if avg := testing.AllocsPerRun(100, func() { used.RestoreState(st) }); avg != 0 {
+		t.Errorf("RestoreState: %v allocs/op, want 0", avg)
+	}
+}
+
+// BenchmarkCacheWriteInvalidate times replay's read-and-write pattern on
+// the Ultrastar's 32-segment cache: a read that misses and fills, then a
+// write that drops the segment a read eight commands earlier filled, as
+// TPC-C's writes drop cached segments.
+func BenchmarkCacheWriteInvalidate(b *testing.B) {
+	m := HitachiUltrastar15K450()
+	d := MustNew(m)
+	c, sectors := d.cache, d.Sectors()
+	const n = 16
+	ra := m.ReadAheadBytes / SectorSize
+	rng := rand.New(rand.NewSource(1))
+	var lbas [4096]int64
+	for i := range lbas {
+		lbas[i] = rng.Int63n(sectors - n)
+	}
+	for _, lba := range lbas[:m.CacheSegments] {
+		c.fill(lba, n, ra, sectors)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lba := lbas[i%len(lbas)]
+		if !c.contains(lba, n) {
+			c.fill(lba, n, ra, sectors)
+		}
+		c.invalidate(lbas[(i+len(lbas)-8)%len(lbas)], n)
+	}
+}
+
+// BenchmarkCacheSequentialRead times the cache under a sequential
+// stream of 64 KB reads on the Ultrastar, seven of eight of which hit
+// the segment the readahead of the eighth filled: the hit path that the
+// synthetic sequential workloads take.
+func BenchmarkCacheSequentialRead(b *testing.B) {
+	m := HitachiUltrastar15K450()
+	d := MustNew(m)
+	c, sectors := d.cache, d.Sectors()
+	const n = 128
+	ra := m.ReadAheadBytes / SectorSize
+	var lba int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%128 == 0 { // an 8 MB chunk at a new place
+			lba = int64(i) * 7919 % (sectors / 2) &^ 7
+		}
+		if !c.contains(lba, n) {
+			c.fill(lba, n, ra, sectors)
+		}
+		lba += n
 	}
 }

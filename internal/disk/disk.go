@@ -74,7 +74,7 @@ type Disk struct {
 
 	model Model     //scrublint:transient construction parameter, supplied at construction
 	geo   *geometry //scrublint:transient immutable geometry, rebuilt from the per-model cache
-	cache *cache    //scrublint:transient indexed segment cache, recorded as CacheClock/CacheSegs by SaveState
+	cache *cache    //scrublint:transient segment cache with its cell table and LRU list, recorded as CacheClock/CacheSegs by SaveState
 
 	// Observability instruments (nil when uninstrumented; every use is a
 	// nil-safe single-branch no-op then). A nil obsHit short-circuits the
@@ -338,17 +338,4 @@ func (d *Disk) lsesIn(lba, n int64) []int64 {
 	out := make([]int64, hi-lo)
 	copy(out, d.st.LSEs[lo:hi])
 	return out
-}
-
-// MediaRate returns the sustained media rate in bytes/sec at an LBA in
-// [0, Sectors()).
-func (d *Disk) MediaRate(lba int64) float64 { return d.geo.mediaRate(lba) }
-
-// SeekTime exposes the seek curve between two LBAs in [0, Sectors()), for
-// calibration tests and the documentation of optimizer inputs.
-func (d *Disk) SeekTime(fromLBA, toLBA int64) time.Duration {
-	g := d.geo
-	from, _ := g.cylinderOf(fromLBA, g.zoneOf(fromLBA))
-	to, _ := g.cylinderOf(toLBA, g.zoneOf(toLBA))
-	return g.seekTime(from, to)
 }

@@ -327,11 +327,17 @@ func TestLSEDetection(t *testing.T) {
 
 func TestSeekMonotoneInDistance(t *testing.T) {
 	d := MustNew(HitachiUltrastar15K450())
+	g := d.geo
+	seek := func(from, to int64) time.Duration {
+		a, _ := g.cylinderOf(from, g.zoneOf(from))
+		b, _ := g.cylinderOf(to, g.zoneOf(to))
+		return g.seekTime(a, b)
+	}
 	half := d.Sectors() / 2
-	s0 := d.SeekTime(0, 0)
-	s1 := d.SeekTime(0, half/8)
-	s2 := d.SeekTime(0, half)
-	s3 := d.SeekTime(0, d.Sectors()-1)
+	s0 := seek(0, 0)
+	s1 := seek(0, half/8)
+	s2 := seek(0, half)
+	s3 := seek(0, d.Sectors()-1)
 	if s0 != 0 {
 		t.Fatalf("seek(0) = %v, want 0", s0)
 	}
@@ -346,8 +352,12 @@ func TestSeekMonotoneInDistance(t *testing.T) {
 
 func TestZonedMediaRate(t *testing.T) {
 	d := MustNew(HitachiUltrastar15K450())
-	outer := d.MediaRate(0)
-	inner := d.MediaRate(d.Sectors() - 1)
+	g := d.geo
+	rate := func(lba int64) float64 { // bytes per second
+		return float64(g.zones[g.zoneOf(lba)].spt) * SectorSize / g.rotation.Seconds()
+	}
+	outer := rate(0)
+	inner := rate(d.Sectors() - 1)
 	if outer <= inner {
 		t.Fatalf("outer rate %v not above inner %v", outer, inner)
 	}

@@ -199,9 +199,3 @@ func (g *geometry) transferTime(n, left int64, z, cyl int) (time.Duration, int) 
 		}
 	}
 }
-
-// mediaRate returns the sustained media transfer rate at the LBA's zone in
-// bytes per second.
-func (g *geometry) mediaRate(lba int64) float64 {
-	return float64(g.zones[g.zoneOf(lba)].spt) * SectorSize / g.rotation.Seconds()
-}

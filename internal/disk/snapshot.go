@@ -13,8 +13,8 @@ type SegState struct {
 // snapshot carries only what the drive accumulated: head position,
 // outstanding LSEs, counters and cache contents (including the LRU
 // clock, which decides future evictions). The cache keeps its contents
-// in its own indexed form; a live Disk does not read CacheClock or
-// CacheSegs, which SaveState fills.
+// in its own segment slots, cell table and LRU list; a live Disk does not
+// read CacheClock or CacheSegs, which SaveState fills.
 type State struct {
 	HeadCyl      int
 	LSEs         []int64 // sorted
@@ -47,8 +47,8 @@ func (d *Disk) RestoreState(st *State) {
 	d.st = *st
 	d.st.LSEs = append(lses, st.LSEs...)
 	d.st.CacheSegs = nil
+	d.cache.reset()
 	d.cache.clock = st.CacheClock
-	d.cache.segments = d.cache.segments[:0]
 	for _, s := range st.CacheSegs {
 		d.cache.segments = append(d.cache.segments, segment{start: s.Start, end: s.End, lastUse: s.LastUse})
 	}
