@@ -70,14 +70,16 @@ type PosSource interface {
 // unchanged by the wrapping.
 //
 // Seeding the standard source costs far more than a draw, and a parked
-// fleet member at field LSE rates almost never draws between one hydrate
-// and the next. So the generator is seeded and advanced lazily: a seek
-// only records (seed, draws), and the first draw after it seeds the
-// generator and replays the draws.
+// fleet member at field LSE rates makes only its first draw or two of a
+// campaign between one hydrate and the next. So a seek only records
+// (seed, draws), and the generator is touched lazily: while unsynced,
+// each of a stream's first 273 draws is computed from the two seeded
+// table words it reads (freshDraw); a draw past that seeds the
+// generator and replays the draws before it.
 type countingSource struct {
 	seed   int64
 	draws  uint64
-	src    rand.Source64 // allocated at the first draw, reseeded after
+	src    rand.Source64 // allocated at the first replay, reseeded after
 	synced bool          // src stands at draw number draws of seed's stream
 }
 
@@ -85,8 +87,13 @@ func newCountingSource(seed int64) *countingSource {
 	return &countingSource{seed: seed}
 }
 
-// live returns the generator positioned at (seed, draws).
-func (c *countingSource) live() rand.Source64 {
+// next returns the stream's next Uint64.
+func (c *countingSource) next() uint64 {
+	if !c.synced && c.draws < freshDraws {
+		u := freshDraw(c.seed, c.draws)
+		c.draws++
+		return u
+	}
 	if !c.synced {
 		if c.src == nil {
 			//scrublint:allow detorder this IS the draw-counting source; the wrapper captures draws for snapshot replay
@@ -99,28 +106,22 @@ func (c *countingSource) live() rand.Source64 {
 		}
 		c.synced = true
 	}
-	return c.src
+	c.draws++
+	return c.src.Uint64()
 }
 
-func (c *countingSource) Int63() int64 {
-	src := c.live()
-	c.draws++
-	return src.Int63()
-}
+// Int63 masks Uint64 as the standard source's Int63 does.
+func (c *countingSource) Int63() int64 { return int64(c.next() & (1<<63 - 1)) }
 
-func (c *countingSource) Uint64() uint64 {
-	src := c.live()
-	c.draws++
-	return src.Uint64()
-}
+func (c *countingSource) Uint64() uint64 { return c.next() }
 
 func (c *countingSource) Seed(seed int64) { c.seek(seed, 0) }
 
 // seek positions the source at draw number draws of seed's stream. The
-// generator is left alone: the next draw seeds it and replays the draws.
-// Int63 and Uint64 both advance the standard source by one step, so
-// replaying with Uint64 alone lands on the same state regardless of
-// which mix of calls consumed the originals.
+// generator is left alone: a later draw computes its value or seeds the
+// generator and replays. Int63 and Uint64 both advance the standard
+// source by one step, so replaying with Uint64 alone lands on the same
+// state regardless of which mix of calls consumed the originals.
 func (c *countingSource) seek(seed int64, draws uint64) {
 	c.seed, c.draws, c.synced = seed, draws, false
 }

@@ -240,6 +240,11 @@ func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, fin
 	if err != nil {
 		return memberErr(i, err)
 	}
+	if m.vals == nil && st.reg != nil {
+		// The member's first park: size its value buffer once rather
+		// than growing it through append.
+		m.vals = make([]int64, 0, st.layout.Width())
+	}
 	sys := st.sys
 	if now := sys.Sim.Now(); now < boundary {
 		if err := sys.RunFor(ctx, boundary-now); err != nil {

@@ -18,6 +18,12 @@
 //  3. Zero steady-state allocations when enabled. Histograms use fixed
 //     arrays, the trace ring is preallocated, and event payloads are two
 //     int64 operands rather than formatted strings.
+//  4. Constant-time observations. A histogram finds its bucket from the
+//     observation's bit length: a 65-entry table, built once per bounds
+//     set, names the lowest bucket that octave can land in, and Observe
+//     steps up from there. The 1-2-5 defaults have at most one bound per
+//     octave, so that is one table load and at most two compares. Other
+//     bounds may take more steps but count by the same upper bounds.
 //
 // Components expose an Instrument(*Registry) method that resolves their
 // named instruments once at wiring time; hot paths then touch only the
@@ -25,6 +31,7 @@
 package obs
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -111,7 +118,8 @@ func DefaultLatencyBuckets() []time.Duration {
 // bounds[i-1] < d <= bounds[i]; one final bucket catches overflow). The
 // nil Histogram is a valid no-op instrument.
 type Histogram struct {
-	bounds []time.Duration // ascending upper bounds
+	bounds []time.Duration // ascending upper bounds; shared, never mutated
+	start  *bucketIndex    // built once per bounds set
 	counts []int64         // len(bounds)+1; last is the +Inf bucket
 	total  int64
 	sum    time.Duration
@@ -119,20 +127,50 @@ type Histogram struct {
 	max    time.Duration
 }
 
+// bucketIndex is where Observe starts its bucket search: entry k is the
+// lowest bucket whose bound is >= 2^(k-1) (>= 0 for k = 0). An
+// observation d >= 0 with bits.Len64(d) = k is at least 2^(k-1), so no
+// lower bucket can hold it, and Observe steps up from there while d
+// exceeds the bound. With at most one bound per octave, as in the 1-2-5
+// defaults, that is at most one step.
+type bucketIndex [65]int32
+
+func newBucketIndex(bounds []time.Duration) *bucketIndex {
+	var ix bucketIndex
+	lo := 0
+	for k := range ix {
+		// Negative bounds sit below every threshold; no bound reaches
+		// 2^63, so entry 64 is the overflow bucket.
+		for lo < len(bounds) && (bounds[lo] < 0 || k > 0 && uint64(bounds[lo]) < 1<<(k-1)) {
+			lo++
+		}
+		ix[k] = int32(lo)
+	}
+	return &ix
+}
+
+// defaultBounds and defaultIndex serve every histogram on the default
+// bounds, so registries share one table rather than building one each.
+var (
+	defaultBounds = DefaultLatencyBuckets()
+	defaultIndex  = newBucketIndex(defaultBounds)
+)
+
 // NewHistogram builds a histogram over the given upper bounds, sorted
 // and deduplicated (nil means DefaultLatencyBuckets). Registries construct histograms for
 // callers; direct construction is for tests and standalone aggregation.
 func NewHistogram(bounds []time.Duration) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets()
+	b, ix := defaultBounds, defaultIndex
+	if len(bounds) > 0 {
+		// Duplicate bounds are dropped: a repeated bound is a bucket no
+		// observation can land in, and a snapshot, whose bounds must
+		// ascend strictly, could not carry it back.
+		b = slices.Clone(bounds)
+		slices.Sort(b)
+		b = slices.Compact(b)
+		ix = newBucketIndex(b)
 	}
-	// Duplicate bounds are dropped: a repeated bound is a bucket no
-	// observation can land in, and a snapshot, whose bounds must ascend
-	// strictly, could not carry it back.
-	b := slices.Clone(bounds)
-	slices.Sort(b)
-	b = slices.Compact(b)
-	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
+	return &Histogram{bounds: b, start: ix, counts: make([]int64, len(b)+1)}
 }
 
 // Observe records one duration. Negative observations clamp to zero.
@@ -143,17 +181,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	// Binary search over the fixed bounds; no allocation.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	i := int(h.start[bits.Len64(uint64(d))])
+	for i < len(h.bounds) && d > h.bounds[i] {
+		i++
 	}
-	h.counts[lo]++
+	h.counts[i]++
 	h.total++
 	h.sum += d
 	if h.total == 1 || d < h.min {
@@ -178,34 +210,4 @@ func (h *Histogram) Sum() time.Duration {
 		return 0
 	}
 	return h.sum
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0, 1]): the
-// bucket boundary below which at least q of the observations fall.
-// Observations in the overflow bucket report the maximum observed value.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil || h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	need := int64(q * float64(h.total))
-	if need < 1 {
-		need = 1
-	}
-	seen := int64(0)
-	for i, c := range h.counts {
-		seen += c
-		if seen >= need {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
 }

@@ -48,7 +48,7 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	var ring *Ring
 	ring.Emit(0, "l", "k", 1, 2)
 	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 ||
-		h.Sum() != 0 || h.Quantile(0.5) != 0 || ring.Len() != 0 ||
+		h.Sum() != 0 || ring.Len() != 0 ||
 		ring.Total() != 0 || ring.Capacity() != 0 || ring.Events() != nil {
 		t.Fatal("nil instrument reported state")
 	}
@@ -77,11 +77,30 @@ func TestHistogramBucketing(t *testing.T) {
 	if h.min != 0 || h.max != time.Minute {
 		t.Fatalf("min/max = %v/%v", h.min, h.max)
 	}
-	if got := h.Quantile(0.5); got != time.Millisecond {
-		t.Fatalf("p50 = %v, want 1ms", got)
-	}
-	if got := h.Quantile(1); got != time.Minute {
-		t.Fatalf("p100 = %v, want 1m (overflow reports observed max)", got)
+}
+
+// TestBucketIndexSkipsNegativeBounds pins Observe's start table where
+// the bounds go below zero: no observation reaches a negative bound, so
+// every entry starts past them rather than scanning them.
+func TestBucketIndexSkipsNegativeBounds(t *testing.T) {
+	ix := newBucketIndex([]time.Duration{-5, -1, 0, 1, 3, 1000})
+	for k := range ix {
+		var want int32
+		switch {
+		case k == 0:
+			want = 2 // bound 0
+		case k == 1:
+			want = 3 // bound 1
+		case k == 2:
+			want = 4 // bound 3
+		case k <= 10:
+			want = 5 // bound 1000 >= 2^(k-1)
+		default:
+			want = 6 // overflow
+		}
+		if ix[k] != want {
+			t.Errorf("start[%d] = %d, want %d", k, ix[k], want)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package stats
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // This file is the streaming counterpart of idle.go: where IdleAnalysis
 // sorts a complete idle-interval sample, OnlineIdle maintains a
@@ -155,9 +158,9 @@ func (o *OnlineIdle) FractionLonger(t time.Duration) float64 {
 }
 
 // Quantile returns an upper bound for the q-quantile of the idle
-// distribution: the bucket boundary below which at least q of the
-// observations fall (the maximum observed value for the overflow
-// bucket), mirroring obs.Histogram.Quantile.
+// distribution: the bound of the bucket holding the observation of
+// nearest rank ceil(q·n) (the maximum observed value for the overflow
+// bucket).
 func (o *OnlineIdle) Quantile(q float64) time.Duration {
 	if o.total == 0 {
 		return 0
@@ -168,7 +171,7 @@ func (o *OnlineIdle) Quantile(q float64) time.Duration {
 	if q > 1 {
 		q = 1
 	}
-	need := int64(q * float64(o.total))
+	need := int64(math.Ceil(q * float64(o.total)))
 	if need < 1 {
 		need = 1
 	}

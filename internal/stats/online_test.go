@@ -79,6 +79,32 @@ func TestOnlineIdleFractionAndQuantile(t *testing.T) {
 	}
 }
 
+// TestOnlineIdleQuantileNearestRank pins the rank at ceil(q·n): with one
+// observation in each of three buckets the median is the second, not
+// the first that floor(q·n) = 1 picks.
+func TestOnlineIdleQuantileNearestRank(t *testing.T) {
+	o := NewOnlineIdle([]time.Duration{time.Millisecond, time.Second})
+	o.Observe(500 * time.Microsecond)
+	o.Observe(500 * time.Millisecond)
+	o.Observe(time.Minute)
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0, time.Millisecond},
+		{0.3, time.Millisecond},
+		{1.0 / 3, time.Millisecond},
+		{0.5, time.Second},
+		{2.0 / 3, time.Second},
+		{0.7, time.Minute},
+		{1, time.Minute},
+	} {
+		if got := o.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%g) = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
 // TestOnlineIdleMatchesIdleAnalysis ties the online estimator to the
 // offline IdleAnalysis on bucket-boundary probes, where both are exact.
 func TestOnlineIdleMatchesIdleAnalysis(t *testing.T) {
