@@ -1,5 +1,5 @@
-// Command scrublint is the project's multichecker: it runs the nine
-// determinism/pool-safety/hot-path/snapshot-integrity analyzers from
+// Command scrublint is the project's multichecker: it runs the ten
+// determinism/pool-safety/hot-path/snapshot-integrity/unused-export analyzers from
 // internal/analysis over the packages matching its arguments and exits
 // nonzero on any finding.
 //

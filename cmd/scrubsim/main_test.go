@@ -107,15 +107,16 @@ func TestScrubsimMetricsMatchSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := obs.NewHistogram(nil)
+	wantReg := obs.New()
+	want := wantReg.Histogram("core.fg.slowdown")
 	for _, sec := range res.Waits {
 		want.Observe(time.Duration(sec * float64(time.Second)))
 	}
 
-	if got.Count != want.Count() {
-		t.Fatalf("slowdown count: snapshot %d, engine %d", got.Count, want.Count())
+	wantSnap := wantReg.Snapshot().Histograms[0]
+	if got.Count != wantSnap.Count {
+		t.Fatalf("slowdown count: snapshot %d, engine %d", got.Count, wantSnap.Count)
 	}
-	wantSnap := want.Snapshot("core.fg.slowdown")
 	for i, b := range got.Buckets {
 		if b != wantSnap.Buckets[i] {
 			t.Errorf("bucket %d: snapshot %+v, engine %+v", i, b, wantSnap.Buckets[i])

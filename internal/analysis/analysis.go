@@ -1,9 +1,10 @@
 // Package analysis is the simulator's static-analysis layer: a small,
 // dependency-free framework in the spirit of golang.org/x/tools/go/analysis
-// plus nine project-specific analyzers (simtime, seededrand, poolsafe,
-// hotpath, obsguard, snapshotdrift, gobsafe, detorder, errsink) that
-// machine-check the determinism, pool-safety, hot-path and
-// snapshot-integrity invariants the simulation results depend on.
+// plus ten project-specific analyzers (simtime, seededrand, poolsafe,
+// hotpath, obsguard, snapshotdrift, gobsafe, detorder, errsink,
+// unusedexport) that machine-check the determinism, pool-safety,
+// hot-path and snapshot-integrity invariants the simulation results
+// depend on, and that exported code under internal/ has a caller.
 //
 // The framework is self-contained on purpose: the repository builds with
 // the standard library only, so instead of x/tools the loader shells out
@@ -275,6 +276,7 @@ func All() []*Analyzer {
 		GobSafeAnalyzer,
 		DetOrderAnalyzer,
 		ErrSinkAnalyzer,
+		UnusedExportAnalyzer,
 	}
 }
 

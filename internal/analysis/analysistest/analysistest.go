@@ -45,6 +45,8 @@ type expectation struct {
 // Run loads dir as a package with import path asImportPath, applies the
 // analyzer, and fails t on any mismatch between diagnostics and want
 // comments.
+//
+//scrublint:allow unusedexport test helper by design: analyzer tests call it
 func Run(t *testing.T, dir, asImportPath string, a *analysis.Analyzer) {
 	t.Helper()
 	pkg, diags := load(t, dir, asImportPath, a)
@@ -85,6 +87,8 @@ func checkWants(t *testing.T, pkg *analysis.Package, diags []analysis.Diagnostic
 // for the rest — must type-check and re-analyze clean. That is the
 // "compiling, lint-clean after -fix" acceptance check, run hermetically
 // in a temp dir.
+//
+//scrublint:allow unusedexport test helper by design: analyzer tests call it
 func RunWithFixes(t *testing.T, dir, asImportPath string, a *analysis.Analyzer, goldenDir string) {
 	t.Helper()
 	pkg, diags := load(t, dir, asImportPath, a)
@@ -150,6 +154,8 @@ func RunWithFixes(t *testing.T, dir, asImportPath string, a *analysis.Analyzer, 
 // analyzer stays silent, ignoring want comments. It exists to re-load a
 // diagnostic-bearing testdata package under an out-of-scope import path
 // and prove the scope rule, not the pattern match, is what fires.
+//
+//scrublint:allow unusedexport test helper by design: analyzer tests call it
 func RunNoDiagnostics(t *testing.T, dir, asImportPath string, a *analysis.Analyzer) {
 	t.Helper()
 	_, diags := load(t, dir, asImportPath, a)

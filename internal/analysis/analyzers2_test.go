@@ -99,3 +99,11 @@ func TestGenerics(t *testing.T) {
 func TestBuildTags(t *testing.T) {
 	analysistest.Run(t, td("buildtag"), "repro/internal/sim", analysis.SimTimeAnalyzer)
 }
+
+// TestUnusedExport covers a func used only from a _test.go file, an
+// unused var and method, interface-satisfying and run-time-asserted
+// methods, generics used only through instantiations, and the allow
+// directive.
+func TestUnusedExport(t *testing.T) {
+	analysistest.Run(t, td("unusedexport"), "repro/internal/unusedexportfix", analysis.UnusedExportAnalyzer)
+}

@@ -33,7 +33,7 @@ func TestRepoRunsClean(t *testing.T) {
 }
 
 // TestSuiteComposition pins the analyzer set: CI and the docs both
-// promise exactly these nine checks.
+// promise exactly these ten checks.
 func TestSuiteComposition(t *testing.T) {
 	var names []string
 	for _, a := range analysis.All() {
@@ -46,7 +46,7 @@ func TestSuiteComposition(t *testing.T) {
 		names = append(names, a.Name)
 	}
 	got := strings.Join(names, " ")
-	want := "simtime seededrand poolsafe hotpath obsguard snapshotdrift gobsafe detorder errsink"
+	want := "simtime seededrand poolsafe hotpath obsguard snapshotdrift gobsafe detorder errsink unusedexport"
 	if got != want {
 		t.Fatalf("suite = %q, want %q", got, want)
 	}

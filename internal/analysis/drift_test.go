@@ -133,3 +133,61 @@ func TestUnexportedGobFieldFailsLint(t *testing.T) {
 		t.Fatalf("unexported gob field did not fail lint; got %v", diags)
 	}
 }
+
+// TestUnusedExportFailsLint is the acceptance check for unusedexport:
+// an exported func added to a copy of internal/stats, with only a test
+// calling it, is flagged once the copy stands in for the real package
+// in the whole module; the same func with one non-test caller is not,
+// and nothing else in the module is flagged either way.
+func TestUnusedExportFailsLint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	module, err := analysis.Load("", "repro/...")
+	if err != nil {
+		t.Fatalf("loading module packages: %v", err)
+	}
+	const mutant = "\n// Midrange returns the mean of the extremes.\nfunc Midrange(xs []float64) float64 { return (xs[0] + xs[len(xs)-1]) / 2 }\n"
+	lint := func(caller string) []analysis.Diagnostic {
+		dir := copyPackage(t, filepath.Join("..", "stats"), func(name string, data []byte) []byte {
+			if name == "descriptive.go" {
+				data = append(data, mutant...)
+			}
+			return data
+		})
+		for name, src := range map[string]string{
+			"midrange_test.go": "package stats\n\nimport \"testing\"\n\nfunc TestMidrange(t *testing.T) { _ = Midrange([]float64{1}) }\n",
+			"caller.go":        caller,
+		} {
+			if src == "" {
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats, err := analysis.LoadDir(dir, "repro/internal/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs := make([]*analysis.Package, 0, len(module))
+		for _, p := range module {
+			if p.PkgPath == "repro/internal/stats" {
+				p = stats
+			}
+			pkgs = append(pkgs, p)
+		}
+		diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{analysis.UnusedExportAnalyzer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return diags
+	}
+	diags := lint("")
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "exported func Midrange has no non-test use") {
+		t.Fatalf("test-only Midrange: got %v, want one finding on Midrange", diags)
+	}
+	if diags := lint("package stats\n\nfunc midrangeOf(xs []float64) float64 { return Midrange(xs) }\n\nvar _ = midrangeOf\n"); len(diags) != 0 {
+		t.Fatalf("Midrange with a non-test caller: got %v, want none", diags)
+	}
+}

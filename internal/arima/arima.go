@@ -208,6 +208,3 @@ func (p *Predictor) PredictNext() float64 {
 	}
 	return p.model.Predict(p.history)
 }
-
-// Model returns the current fitted model, or nil before the first fit.
-func (p *Predictor) Model() *Model { return p.model }

@@ -183,7 +183,7 @@ func TestPredictorStreaming(t *testing.T) {
 		pred.Observe(x)
 		mean += (x - mean) / float64(i+1)
 	}
-	if pred.Model() == nil {
+	if pred.model == nil {
 		t.Fatal("predictor never fitted")
 	}
 	// AR prediction must clearly beat the running mean for an AR(1) input.

@@ -75,12 +75,6 @@ func NewOnlineAR(maxOrder int, decay float64) *OnlineAR {
 	}
 }
 
-// MaxOrder returns the configured order bound.
-func (o *OnlineAR) MaxOrder() int { return o.maxOrder }
-
-// Count returns the number of observations folded in.
-func (o *OnlineAR) Count() int64 { return o.n }
-
 // Observe folds one observation into the decayed sums.
 //
 //scrub:hotpath
@@ -125,22 +119,6 @@ func (o *OnlineAR) Mean() float64 {
 
 // Ready reports whether a model has been fitted.
 func (o *OnlineAR) Ready() bool { return o.fitted }
-
-// Order returns the fitted order (0 before the first successful Refit).
-func (o *OnlineAR) Order() int {
-	if !o.fitted {
-		return 0
-	}
-	return o.order
-}
-
-// NoiseVar returns the fitted innovation variance (0 before a fit).
-func (o *OnlineAR) NoiseVar() float64 {
-	if !o.fitted {
-		return 0
-	}
-	return o.noise
-}
 
 // Refit re-estimates the AR coefficients from the current decayed
 // autocovariances: Levinson-Durbin over every order the sample supports,

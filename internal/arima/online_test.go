@@ -32,8 +32,8 @@ func TestOnlineARRecoversAR2(t *testing.T) {
 	if got := o.Mean(); math.Abs(got-5.0) > 0.2 {
 		t.Fatalf("mean = %g, want ~5.0", got)
 	}
-	if o.Order() < 2 {
-		t.Fatalf("order = %d, want >= 2", o.Order())
+	if fittedOrder(o) < 2 {
+		t.Fatalf("order = %d, want >= 2", fittedOrder(o))
 	}
 	// The first two coefficients should be near the generator's.
 	batch, err := FitAIC(xs, 8)
@@ -78,7 +78,7 @@ func TestOnlineARDeterministicAcrossReplays(t *testing.T) {
 				o.Refit()
 			}
 		}
-		return o.Predict(), o.Order(), o.NoiseVar()
+		return o.Predict(), fittedOrder(o), o.noise
 	}
 	p1, o1, n1 := run()
 	p2, o2, n2 := run()
@@ -99,8 +99,8 @@ func TestOnlineARNotReadyFallsBackToMean(t *testing.T) {
 	}
 	// Too few lags with weight: refit keeps it unfitted but doesn't fail.
 	o.Refit()
-	if o.Ready() && o.Order() > 2 {
-		t.Fatalf("order %d from 2 observations", o.Order())
+	if o.Ready() && fittedOrder(o) > 2 {
+		t.Fatalf("order %d from 2 observations", fittedOrder(o))
 	}
 }
 
@@ -129,7 +129,7 @@ func TestOnlineARStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Predict() != o.Predict() || r.Order() != o.Order() || r.Count() != o.Count() {
+	if r.Predict() != o.Predict() || fittedOrder(r) != fittedOrder(o) || r.n != o.n {
 		t.Fatal("restored fitter diverged from original")
 	}
 	// Continued observation streams must stay identical.
@@ -178,4 +178,13 @@ func TestOnlineARHotPathAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Refit allocated %.1f/op, want 0", allocs)
 	}
+}
+
+// fittedOrder returns o's fitted order, 0 before the first successful
+// Refit.
+func fittedOrder(o *OnlineAR) int {
+	if !o.fitted {
+		return 0
+	}
+	return o.order
 }

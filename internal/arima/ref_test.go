@@ -222,7 +222,7 @@ func checkRefit(t *testing.T, xs []float64, maxOrder int, decay float64, every i
 		}
 		g, w := got.Refit(), refRefit(want)
 		gs, ws := got.State(), want.State()
-		if g != w || got.Order() != want.Order() || gs.Fitted != ws.Fitted ||
+		if g != w || fittedOrder(got) != fittedOrder(want) || gs.Fitted != ws.Fitted ||
 			!sameFloats(gs.Coeffs, ws.Coeffs) || !sameBits(gs.Mean, ws.Mean) || !sameBits(gs.Noise, ws.Noise) {
 			t.Fatalf("after %d observations (order %d, decay %g): Refit %v %+v, reference %v %+v",
 				i+1, maxOrder, decay, g, gs, w, ws)

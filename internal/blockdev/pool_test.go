@@ -191,7 +191,7 @@ func TestPropertyRequestConservation(t *testing.T) {
 		n := 50 + rng.Intn(400)
 		var submitted, succeeded, failed int
 		onDone := func(r *Request) {
-			if r.Failed() {
+			if r.Err != nil {
 				failed++
 			} else {
 				succeeded++

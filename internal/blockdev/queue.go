@@ -132,14 +132,8 @@ func (q *Queue) Disk() disk.Device { return q.dev }
 // requests on the first medium error.
 func (q *Queue) SetRetryPolicy(p RetryPolicy) { q.retry = p }
 
-// RetryPolicy returns the installed medium-error policy.
-func (q *Queue) RetryPolicy() RetryPolicy { return q.retry }
-
 // Stats returns a copy of the accumulated statistics.
 func (q *Queue) Stats() QueueStats { return q.st.Stats }
-
-// Busy reports whether a request is being serviced.
-func (q *Queue) Busy() bool { return q.inflight != nil }
 
 // Inflight returns the request currently on the device, or nil.
 func (q *Queue) Inflight() *Request { return q.inflight }
@@ -164,10 +158,6 @@ func (q *Queue) Quiesced() bool {
 	return len(q.staged) == 0 && q.sched.Len() == 0 &&
 		(q.headBarrier == nil || q.headBarrier == q.inflight)
 }
-
-// IdleSince returns when the device last became idle; meaningful only
-// while Idle() is true.
-func (q *Queue) IdleSince() time.Duration { return q.st.IdleSince }
 
 // SubscribeIdle registers fn to run whenever the device transitions to
 // idle (nothing in flight, nothing dispatchable). Scrub scheduling

@@ -215,8 +215,12 @@ func TestIdleHookFiresOnTransition(t *testing.T) {
 	if !q.Idle() {
 		t.Fatal("queue should be idle")
 	}
-	if q.IdleSince() != idleTimes[0] {
-		t.Fatalf("IdleSince %v != hook time %v", q.IdleSince(), idleTimes[0])
+	var st blockdev.QState
+	if err := q.SaveState(&st, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st.IdleSince != idleTimes[0] {
+		t.Fatalf("IdleSince %v != hook time %v", st.IdleSince, idleTimes[0])
 	}
 }
 
@@ -237,18 +241,18 @@ func TestSubmitHookSeesEveryRequest(t *testing.T) {
 
 func TestPendingAndBusy(t *testing.T) {
 	s, q := newRig(t)
-	if q.Busy() || q.Pending() != 0 || q.Inflight() != nil {
+	if q.Inflight() != nil || q.Pending() != 0 {
 		t.Fatal("fresh queue should be empty")
 	}
 	q.Submit(&blockdev.Request{Op: disk.OpRead, LBA: 0, Sectors: 8, Origin: blockdev.Foreground})
 	q.Submit(&blockdev.Request{Op: disk.OpRead, LBA: 1 << 20, Sectors: 8, Origin: blockdev.Foreground})
-	if !q.Busy() || q.Pending() != 1 {
-		t.Fatalf("busy=%v pending=%d, want true,1", q.Busy(), q.Pending())
+	if q.Inflight() == nil || q.Pending() != 1 {
+		t.Fatalf("inflight=%v pending=%d, want a request,1", q.Inflight(), q.Pending())
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if q.Busy() || q.Pending() != 0 {
+	if q.Inflight() != nil || q.Pending() != 0 {
 		t.Fatal("queue should drain")
 	}
 }

@@ -149,9 +149,6 @@ func (r *Request) MergedCount() int { return len(r.mergeOf) }
 // Bytes returns the request length in bytes.
 func (r *Request) Bytes() int64 { return r.Sectors * disk.SectorSize }
 
-// Failed reports whether the request completed with a terminal error.
-func (r *Request) Failed() bool { return r.Err != nil }
-
 // ResponseTime returns Done - Submit.
 func (r *Request) ResponseTime() time.Duration { return r.Done - r.Submit }
 

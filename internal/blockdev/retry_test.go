@@ -77,8 +77,8 @@ func TestRetryPolicyTable(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			r, st := verifyOver(t, tc.policy, tc.lses...)
-			if r.Failed() != tc.wantFail {
-				t.Fatalf("Failed() = %v, want %v (err %v)", r.Failed(), tc.wantFail, r.Err)
+			if failed := r.Err != nil; failed != tc.wantFail {
+				t.Fatalf("failed = %v, want %v (err %v)", failed, tc.wantFail, r.Err)
 			}
 			if tc.wantFail {
 				var me *disk.MediumError

@@ -305,9 +305,6 @@ func build(cfg Config) (*System, error) {
 // Config returns the (defaulted) configuration the system was built with.
 func (sys *System) Config() Config { return sys.cfg }
 
-// Obs returns the registry the system is instrumented against, or nil.
-func (sys *System) Obs() *obs.Registry { return sys.reg }
-
 // Instrument attaches every layer of the stack to a metrics registry:
 // the disk (service times, cache), the elevator (dispatch decisions),
 // the block layer (queue depth, wait times, collisions), the scrubber

@@ -26,6 +26,8 @@ type Recorder struct {
 // AttachRecorder subscribes a Recorder to the system's queue. window
 // bounds the retained history (older records are discarded); zero keeps
 // everything.
+//
+//scrublint:allow unusedexport ROADMAP item 14 puts the optimizer inside the daemon
 func (sys *System) AttachRecorder(window time.Duration) *Recorder {
 	rec := &Recorder{sys: sys, started: sys.Sim.Now(), window: window}
 	sys.Queue.SubscribeSubmit(func(r *blockdev.Request) {
@@ -86,6 +88,8 @@ func (rec *Recorder) Records() []trace.Record {
 // Retune re-runs the optimizer on the recorded history and applies the
 // new request size and threshold to the running system. It returns the
 // new choice. Only Waiting-policy systems can be retuned.
+//
+//scrublint:allow unusedexport ROADMAP item 14 puts the optimizer inside the daemon
 func (rec *Recorder) Retune(goal optimize.Goal) (optimize.Choice, error) {
 	if rec.sys.cfg.Policy != PolicyWaiting {
 		return optimize.Choice{}, errors.New("core: only waiting-policy systems retune")

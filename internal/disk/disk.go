@@ -130,9 +130,6 @@ func (d *Disk) SetCacheEnabled(on bool) {
 	}
 }
 
-// CacheEnabled reports whether the on-disk cache is active.
-func (d *Disk) CacheEnabled() bool { return d.st.CacheEnabled }
-
 // InjectLSE marks a sector as a latent sector error. Media accesses
 // covering it will report it.
 func (d *Disk) InjectLSE(lba int64) {

@@ -220,9 +220,6 @@ func MustNewSSD(m SSDModel) *SSD {
 	return s
 }
 
-// Model returns the device's parameter set.
-func (s *SSD) Model() SSDModel { return s.model }
-
 // ModelName implements Device.
 func (s *SSD) ModelName() string { return s.model.Name }
 
@@ -259,13 +256,6 @@ func (s *SSD) LSECount() int { return len(s.st.LSEs) }
 // is always zero.
 func (s *SSD) Stats() (served, mediaOps, cacheHits int64) {
 	return s.st.Served, s.st.MediaOps, 0
-}
-
-// GCStats reports the pause process as seen by the service path: pause
-// windows generated on the service clock so far, requests that collided
-// with a pause, and the total time those requests spent waiting.
-func (s *SSD) GCStats() (pauses, delayedReqs int64, delayTotal time.Duration) {
-	return s.gc.idx, s.st.GCHits, s.st.GCWait
 }
 
 // Instrument attaches the device to a metrics registry: per-op service

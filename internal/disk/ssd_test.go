@@ -200,7 +200,7 @@ func TestSSDGCDelaysRequests(t *testing.T) {
 		}
 		now = res.Done
 	}
-	pauses, hits, wait := s.GCStats()
+	pauses, hits, wait := s.gc.idx, s.st.GCHits, s.st.GCWait
 	if hits == 0 {
 		t.Fatal("no requests collided with GC over a continuous stream")
 	}

@@ -370,6 +370,8 @@ func Table3Waiting(o Options, name string, goalMS int) (optimize.Choice, error) 
 // the full queueing simulation: it runs the tuned Waiting policy live on
 // the replayed trace and returns (analytic MB/s, live MB/s). Used by
 // tests and EXPERIMENTS.md to justify the idlesim methodology.
+//
+//scrublint:allow unusedexport ROADMAP item 4's analytic-vs-live oracle
 func WaitingLiveCheck(o Options, name string, goalMS int) (analytic, live float64, err error) {
 	choice, err := Table3Waiting(o, name, goalMS)
 	if err != nil {

@@ -125,6 +125,8 @@ func (e *Engine) wireSlots() ([]memberSlot, error) {
 // CheckpointFile writes a checkpoint through durable.WriteFile, so a
 // crash mid-write leaves either the old checkpoint or the new one —
 // never a torn one.
+//
+//scrublint:allow unusedexport README's fleet snippet; ROADMAP item 3's crash-safety battery
 func (e *Engine) CheckpointFile(path string) error {
 	return durable.WriteFile(durable.OS, path, func(f durable.File) error { return e.Checkpoint(f) })
 }

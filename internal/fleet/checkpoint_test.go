@@ -60,8 +60,8 @@ func TestCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Now() != cut {
-			t.Fatalf("trial %d: resumed at %v, want %v", trial, r.Now(), cut)
+		if r.now != cut {
+			t.Fatalf("trial %d: resumed at %v, want %v", trial, r.now, cut)
 		}
 		rep, err := r.Run(context.Background(), testHorizon)
 		if err != nil {
@@ -289,9 +289,9 @@ func FuzzResume(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded checkpoint rejected: %v", err)
 		}
-		if again.Now() != e.Now() || len(again.slots) != len(e.slots) {
+		if again.now != e.now || len(again.slots) != len(e.slots) {
 			t.Fatalf("round trip moved the fleet: now %v -> %v, %d -> %d members",
-				e.Now(), again.Now(), len(e.slots), len(again.slots))
+				e.now, again.now, len(e.slots), len(again.slots))
 		}
 	})
 }

@@ -123,7 +123,7 @@ func runEngine(t *testing.T, classes []MemberClass, shards, workers int, slice t
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, e.MemberReports(), e.MemberObs()
+	return rep, e.MemberReports(), e.finalObs
 }
 
 func asJSON(t *testing.T, v any) string {

@@ -56,8 +56,10 @@ type Config struct {
 	// Instrument gives every member its own obs registry; per-member
 	// snapshots merge into the fleet view of the final report.
 	Instrument bool
-	// KeepMembers retains every member's final Report and obs snapshot
-	// (test- and small-fleet-scale; a million reports is not "compact").
+	// KeepMembers retains every member's final Report (MemberReports)
+	// and, instrumented, its obs snapshot, which the determinism tests
+	// compare member by member (test- and small-fleet-scale; a million
+	// reports is not "compact").
 	KeepMembers bool
 }
 
@@ -115,12 +117,6 @@ func New(cfg Config, classes []MemberClass) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// Members returns the fleet size.
-func (e *Engine) Members() int { return len(e.slots) }
-
-// Now returns the slice boundary the fleet has been advanced to.
-func (e *Engine) Now() time.Duration { return e.now }
 
 // stack is one live member stack of a class: a built core.System and,
 // instrumented, its registry. A shard keeps one per class for a slice
@@ -369,7 +365,3 @@ func (e *Engine) Run(ctx context.Context, horizon time.Duration) (*Report, error
 // MemberReports returns the per-member final reports (KeepMembers only;
 // nil otherwise), indexed in member order.
 func (e *Engine) MemberReports() []core.Report { return e.finalReports }
-
-// MemberObs returns the per-member final obs snapshots (KeepMembers and
-// Instrument only; nil otherwise), indexed in member order.
-func (e *Engine) MemberObs() []obs.Snapshot { return e.finalObs }

@@ -42,50 +42,6 @@ func ScrubService(m disk.Model) ServiceFunc {
 	}
 }
 
-// SSDScrubService derives a ServiceFunc from a solid-state model: fixed
-// command/completion overheads, wave-striped flash reads across the
-// channel/die array, and bus transfer — no rotational miss, which is why
-// flash scrub throughput stays linear down to small request sizes.
-func SSDScrubService(m disk.SSDModel) ServiceFunc {
-	stripe := int64(m.Channels * m.DiesPerChannel)
-	if stripe < 1 {
-		stripe = 1
-	}
-	pageSectors := m.PageBytes / disk.SectorSize
-	if pageSectors < 1 {
-		pageSectors = 1
-	}
-	fixed := m.CommandOverhead + m.CompletionOverhead
-	return func(sectors int64) time.Duration {
-		pages := (sectors + pageSectors - 1) / pageSectors
-		waves := (pages + stripe - 1) / stripe
-		flash := time.Duration(waves) * m.ReadPage
-		var bus time.Duration
-		if m.BusBytesPerSec > 0 {
-			bus = time.Duration(float64(sectors*disk.SectorSize) / m.BusBytesPerSec * float64(time.Second))
-		}
-		return fixed + flash + bus
-	}
-}
-
-// ServiceFor derives a ServiceFunc from any device model, dispatching on
-// the concrete type: rotational models get the seek/rotation service
-// curve, solid-state models the wave-striped flash curve.
-func ServiceFor(dm disk.DeviceModel) (ServiceFunc, error) {
-	switch m := dm.(type) {
-	case disk.Model:
-		return ScrubService(m), nil
-	case *disk.Model:
-		return ScrubService(*m), nil
-	case disk.SSDModel:
-		return SSDScrubService(m), nil
-	case *disk.SSDModel:
-		return SSDScrubService(*m), nil
-	default:
-		return nil, fmt.Errorf("idlesim: no service curve for device model %T", dm)
-	}
-}
-
 // SizeFunc returns the sector count of the k-th request of a firing burst,
 // issued sinceFire after the burst began. Adaptive strategies
 // (Section V-C) plug in here.

@@ -86,9 +86,6 @@ func (b *BSA) Instrument(reg *obs.Registry) {
 // learned so far.
 func (b *BSA) BadRanges() int { return b.bad.Ranges() }
 
-// MarkBad seeds the bad-sector map, e.g. from a previous scrub pass.
-func (b *BSA) MarkBad(lba, n int64) { b.bad.MarkBad(lba, n) }
-
 // expiry returns the anti-starvation bound.
 func (b *BSA) expiry() time.Duration {
 	if b.Expiry > 0 {

@@ -14,19 +14,19 @@ func TestSectorMapMergeAndQuery(t *testing.T) {
 	var m SectorMap
 	m.MarkBad(100, 10)
 	m.MarkBad(200, 10)
-	if m.Ranges() != 2 || m.BadSectors() != 20 {
-		t.Fatalf("ranges=%d sectors=%d", m.Ranges(), m.BadSectors())
+	if m.Ranges() != 2 || badSectors(&m) != 20 {
+		t.Fatalf("ranges=%d sectors=%d", m.Ranges(), badSectors(&m))
 	}
 	m.MarkBad(110, 90) // bridges the gap (adjacent left, overlapping right)
-	if m.Ranges() != 1 || m.BadSectors() != 110 {
-		t.Fatalf("after bridge: ranges=%d sectors=%d", m.Ranges(), m.BadSectors())
+	if m.Ranges() != 1 || badSectors(&m) != 110 {
+		t.Fatalf("after bridge: ranges=%d sectors=%d", m.Ranges(), badSectors(&m))
 	}
 	if !m.Overlaps(150, 1) || !m.Overlaps(0, 101) || m.Overlaps(0, 100) || m.Overlaps(210, 5) {
 		t.Fatal("Overlaps wrong")
 	}
 	m.Clear(150, 10) // split
-	if m.Ranges() != 2 || m.BadSectors() != 100 {
-		t.Fatalf("after split: ranges=%d sectors=%d", m.Ranges(), m.BadSectors())
+	if m.Ranges() != 2 || badSectors(&m) != 100 {
+		t.Fatalf("after split: ranges=%d sectors=%d", m.Ranges(), badSectors(&m))
 	}
 	if m.Overlaps(150, 10) {
 		t.Fatal("cleared region still bad")
@@ -88,9 +88,18 @@ func TestSectorMapMatchesReference(t *testing.T) {
 	}
 }
 
+// badSectors returns the total number of sectors m marks bad.
+func badSectors(m *SectorMap) int64 {
+	var total int64
+	for i := range m.starts {
+		total += m.ends[i] - m.starts[i]
+	}
+	return total
+}
+
 func TestBSADefersSuspectTraffic(t *testing.T) {
 	b := NewBSA()
-	b.MarkBad(500, 10)
+	b.bad.MarkBad(500, 10)
 	bad := req(0, blockdev.ClassBE, 500, 8)
 	clean := req(0, blockdev.ClassBE, 1000, 8)
 	b.Add(bad, 0)
@@ -106,7 +115,7 @@ func TestBSADefersSuspectTraffic(t *testing.T) {
 func TestBSAAntiStarvation(t *testing.T) {
 	b := NewBSA()
 	b.Expiry = 100 * time.Millisecond
-	b.MarkBad(500, 10)
+	b.bad.MarkBad(500, 10)
 	bad := req(0, blockdev.ClassBE, 500, 8)
 	bad.Submit = 0
 	b.Add(bad, 0)
@@ -124,7 +133,7 @@ func TestBSARepairFirst(t *testing.T) {
 	if b.BadRanges() != 0 {
 		t.Fatal("fresh BSA knows bad ranges")
 	}
-	b.MarkBad(500, 10)
+	b.bad.MarkBad(500, 10)
 	bad := req(0, blockdev.ClassBE, 500, 8)
 	clean := req(0, blockdev.ClassBE, 1000, 8)
 	b.Add(clean, 0)
@@ -187,7 +196,7 @@ func TestBSARequestConservation(t *testing.T) {
 				// Pre-seed part of the map so classification happens on
 				// arrival, not only after learning.
 				for i := 0; i < 50; i++ {
-					b.MarkBad(rng.Int63n(d.Sectors()), rng.Int63n(32)+1)
+					b.bad.MarkBad(rng.Int63n(d.Sectors()), rng.Int63n(32)+1)
 				}
 			}
 			q := blockdev.NewQueue(s, d, sched)

@@ -90,15 +90,6 @@ func (m *SectorMap) Clear(lba, n int64) {
 // Ranges returns the number of disjoint bad ranges.
 func (m *SectorMap) Ranges() int { return len(m.starts) }
 
-// BadSectors returns the total number of sectors marked bad.
-func (m *SectorMap) BadSectors() int64 {
-	var total int64
-	for i := range m.starts {
-		total += m.ends[i] - m.starts[i]
-	}
-	return total
-}
-
 // Reset forgets every range (keeps capacity).
 func (m *SectorMap) Reset() {
 	m.starts = m.starts[:0]

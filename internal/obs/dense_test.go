@@ -14,7 +14,7 @@ func TestDuplicateBoundsRoundTrip(t *testing.T) {
 	h := reg.HistogramBuckets("x", []time.Duration{time.Millisecond, time.Millisecond, 2 * time.Millisecond})
 	h.Observe(time.Millisecond)
 	h.Observe(3 * time.Millisecond)
-	if got := len(h.Snapshot("x").Buckets); got != 3 {
+	if got := len(histSnapOf(h, "x").Buckets); got != 3 {
 		t.Fatalf("%d buckets, want 3 (1ms, 2ms, overflow)", got)
 	}
 	fresh := New()
@@ -84,7 +84,7 @@ func TestDenseValuesRoundTrip(t *testing.T) {
 	// An unseen gauge stays unseen: its first Set below zero becomes max.
 	src.Gauge("c.gauge").Set(-2)
 	dst.Gauge("c.gauge").Set(-2)
-	if a, b := dst.Gauge("c.gauge").Max(), src.Gauge("c.gauge").Max(); a != b {
+	if a, b := dst.Gauge("c.gauge").max, src.Gauge("c.gauge").max; a != b {
 		t.Errorf("restored unseen gauge max %d, live %d", a, b)
 	}
 	// Appending into a buffer of enough capacity does not allocate.

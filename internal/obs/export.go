@@ -49,12 +49,6 @@ type HistSnap struct {
 	Buckets  []HistBucket `json:"buckets"`
 }
 
-// Snapshot copies the histogram's current state under the given name.
-func (h *Histogram) Snapshot(name string) HistSnap {
-	v := append([]int64{h.total, int64(h.sum), int64(h.min), int64(h.max)}, h.counts...)
-	return histSnap(name, h.bounds, v)
-}
-
 // Snapshot copies the registry's current state. A nil Registry yields an
 // empty (but valid) Snapshot.
 func (r *Registry) Snapshot() Snapshot {

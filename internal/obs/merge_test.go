@@ -56,8 +56,8 @@ func TestGaugeMerge(t *testing.T) {
 	if g.Value() != 5 {
 		t.Errorf("merged gauge value = %d, want 5 (2+3)", g.Value())
 	}
-	if g.Max() != 10 {
-		t.Errorf("merged gauge max = %d, want 10", g.Max())
+	if g.max != 10 {
+		t.Errorf("merged gauge max = %d, want 10", g.max)
 	}
 	// A gauge that was never set contributes nothing.
 	unseen := New()
@@ -65,16 +65,16 @@ func TestGaugeMerge(t *testing.T) {
 	if err := mergeInto(a, unseen); err != nil {
 		t.Fatal(err)
 	}
-	if g.Value() != 5 || g.Max() != 10 {
-		t.Errorf("unseen merge changed gauge to (%d, %d)", g.Value(), g.Max())
+	if g.Value() != 5 || g.max != 10 {
+		t.Errorf("unseen merge changed gauge to (%d, %d)", g.Value(), g.max)
 	}
 	// Merging into a fresh registry adopts the source.
 	c := New()
 	if err := mergeInto(c, b); err != nil {
 		t.Fatal(err)
 	}
-	if g := c.Gauge("g"); g.Value() != 3 || g.Max() != 5 {
-		t.Errorf("merge into fresh gauge = (%d, %d), want (3, 5)", g.Value(), g.Max())
+	if g := c.Gauge("g"); g.Value() != 3 || g.max != 5 {
+		t.Errorf("merge into fresh gauge = (%d, %d), want (3, 5)", g.Value(), g.max)
 	}
 }
 
@@ -87,20 +87,20 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := a.Histogram("h")
-	if h.Count() != 3 {
-		t.Errorf("merged count = %d, want 3", h.Count())
+	if h.total != 3 {
+		t.Errorf("merged count = %d, want 3", h.total)
 	}
 	if h.Sum() != 111*time.Millisecond {
 		t.Errorf("merged sum = %v, want 111ms", h.Sum())
 	}
 	// Merging an empty histogram is a no-op, including min/max.
-	before := h.Snapshot("h")
+	before := histSnapOf(h, "h")
 	empty := New()
 	empty.Histogram("h")
 	if err := mergeInto(a, empty); err != nil {
 		t.Fatal(err)
 	}
-	if after := h.Snapshot("h"); snapJSON(t, after) != snapJSON(t, before) {
+	if after := histSnapOf(h, "h"); snapJSON(t, after) != snapJSON(t, before) {
 		t.Errorf("empty merge changed histogram:\nbefore: %s\nafter:  %s", snapJSON(t, before), snapJSON(t, after))
 	}
 }
@@ -118,6 +118,11 @@ func TestHistogramMergeBoundsMismatch(t *testing.T) {
 	if err := mergeInto(a, c); err == nil {
 		t.Error("bound-value mismatch accepted")
 	}
+}
+
+// histSnapOf copies one histogram's current state under the given name.
+func histSnapOf(h *Histogram, name string) HistSnap {
+	return histSnap(name, h.bounds, append([]int64{h.total, int64(h.sum), int64(h.min), int64(h.max)}, h.counts...))
 }
 
 func snapJSON(t *testing.T, v any) string {
@@ -206,7 +211,7 @@ func TestMergeSnapshotRoundTrip(t *testing.T) {
 	}
 	// A post-restore Set below the restored max keeps the max.
 	fresh.Gauge("g").Set(3)
-	if got := fresh.Gauge("g").Max(); got != 12 {
+	if got := fresh.Gauge("g").max; got != 12 {
 		t.Errorf("restored gauge max after lower Set = %d, want 12", got)
 	}
 	orig.Gauge("g").Set(3)

@@ -93,14 +93,6 @@ func (g *Gauge) Value() int64 {
 	return g.v
 }
 
-// Max returns the largest value ever set (0 for the nil Gauge).
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
 // DefaultLatencyBuckets returns the standard log-spaced (1-2-5 per
 // decade) duration bucket bounds, 1 µs through 50 s. The set is fixed —
 // never derived from observations — so histogram output is byte-stable
@@ -194,14 +186,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-}
-
-// Count returns the number of observations (0 for the nil Histogram).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.total
 }
 
 // Sum returns the sum of all observations (0 for the nil Histogram).

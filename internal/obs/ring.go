@@ -100,16 +100,3 @@ func (t *Ring) Events() []Event {
 	}
 	return out
 }
-
-// Tail returns the most recent n events oldest-first (all of them when
-// n exceeds the retained count).
-func (t *Ring) Tail(n int) []Event {
-	if n <= 0 {
-		return nil
-	}
-	evs := t.Events()
-	if n < len(evs) {
-		return evs[len(evs)-n:]
-	}
-	return evs
-}

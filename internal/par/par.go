@@ -107,22 +107,6 @@ func Do(workers, n int, fn func(i int)) {
 	})
 }
 
-// Map fans fn over [0, n) and returns the results in index order. On
-// error the partially-filled slice is returned alongside the joined
-// errors, so callers can salvage the successful indices if they choose.
-func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, workers, n, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	return out, err
-}
-
 // SubSeed derives a stable per-task seed from a base seed and the task's
 // identity. The key parts are hashed with FNV-1a and the result mixed with
 // the base through a splitmix64 finalizer, so related keys ("disk0",

@@ -107,20 +107,6 @@ func TestDoWritesIndexAddressed(t *testing.T) {
 	}
 }
 
-func TestMapOrdersResults(t *testing.T) {
-	got, err := Map(context.Background(), 8, 20, func(_ context.Context, i int) (string, error) {
-		return fmt.Sprintf("r%d", i), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != fmt.Sprintf("r%d", i) {
-			t.Fatalf("got[%d] = %q", i, v)
-		}
-	}
-}
-
 func TestWorkersResolution(t *testing.T) {
 	if Workers(3) != 3 {
 		t.Fatal("explicit count not honored")

@@ -48,16 +48,6 @@ func (a Array) stripeWidth() int {
 	return a.StripeWidth
 }
 
-// RebuildSpeedup returns the factor by which a declustered layout can
-// parallelize one rebuild relative to clustered parity: the rebuild
-// reads (k-1)/(Disks-1) as much data per surviving drive, spread evenly,
-// so with bandwidth the binding constraint the rebuild completes
-// (Disks-1)/(k-1) times faster. Callers scale Array.RebuildTime by it
-// when deriving declustered arrays from measured clustered rebuilds.
-func (a Array) RebuildSpeedup() float64 {
-	return float64(a.Disks-1) / float64(a.stripeWidth()-1)
-}
-
 // Validate checks the parameters.
 func (a Array) Validate() error {
 	switch {
@@ -152,23 +142,4 @@ func (r Report) String() string {
 	return fmt.Sprintf(
 		"latent/disk %.3f, P(loss|rebuild): lse %.4f double %.4f, %.3g losses/yr, MTTDL %.3g yr",
 		r.LatentPerDisk, r.PLossLSE, r.PLossDouble, r.LossPerYear, r.MTTDLYears)
-}
-
-// MLETImprovement reports the factor by which annual data-loss events
-// drop when a scrubbing policy change moves the MLET from old to new.
-func MLETImprovement(a Array, oldMLET, newMLET time.Duration) (float64, error) {
-	a.ScrubMLET = oldMLET
-	before, err := Analyze(a)
-	if err != nil {
-		return 0, err
-	}
-	a.ScrubMLET = newMLET
-	after, err := Analyze(a)
-	if err != nil {
-		return 0, err
-	}
-	if after.LossPerYear <= 0 {
-		return math.Inf(1), nil
-	}
-	return before.LossPerYear / after.LossPerYear, nil
 }

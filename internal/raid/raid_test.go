@@ -95,10 +95,7 @@ func TestScrubbingImprovesMTTDL(t *testing.T) {
 	if fastRep.MTTDLYears <= slowRep.MTTDLYears {
 		t.Fatalf("faster scrubbing did not help: %v vs %v years", fastRep.MTTDLYears, slowRep.MTTDLYears)
 	}
-	impr, err := MLETImprovement(a, 6*time.Hour, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	impr := slowRep.LossPerYear / fastRep.LossPerYear
 	// In the small-probability regime the LSE-loss term scales ~linearly
 	// with MLET; with the double-failure term mixed in, improvement is
 	// between 1x and 6x.
@@ -212,9 +209,6 @@ func TestDeclusteredLossScalesWithWidth(t *testing.T) {
 	}
 	if rep.PLossLSE >= clustered.PLossLSE {
 		t.Fatal("narrower stripes should expose fewer latent errors per rebuild")
-	}
-	if sp := a.RebuildSpeedup(); math.Abs(sp-7.0/3.0) > 1e-15 {
-		t.Fatalf("RebuildSpeedup = %v, want 7/3", sp)
 	}
 	bad := a
 	bad.StripeWidth = 1

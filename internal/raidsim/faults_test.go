@@ -221,10 +221,17 @@ func TestObservedLossMatchesAnalyticModel(t *testing.T) {
 
 	// And the headline direction the paper argues: driving the MLET down
 	// (better scrubbing) improves the loss rate monotonically.
-	if gain, err := raid.MLETImprovement(raid.Array{
-		Disks: 3, DiskMTTF: 1000 * 24 * time.Hour, RebuildTime: 10 * time.Minute,
-		LSERate: 0.001,
-	}, 100*time.Hour, time.Hour); err != nil || gain <= 1 {
-		t.Fatalf("MLET improvement = %v, %v; want > 1", gain, err)
+	lossPerYear := func(mlet time.Duration) float64 {
+		rep, err := raid.Analyze(raid.Array{
+			Disks: 3, DiskMTTF: 1000 * 24 * time.Hour, RebuildTime: 10 * time.Minute,
+			LSERate: 0.001, ScrubMLET: mlet,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.LossPerYear
+	}
+	if slow, fast := lossPerYear(100*time.Hour), lossPerYear(time.Hour); fast >= slow {
+		t.Fatalf("losses/yr %v at a 1 h MLET vs %v at 100 h; want fewer", fast, slow)
 	}
 }

@@ -173,12 +173,6 @@ func New(cfg Config) (*Group, error) {
 	return g, nil
 }
 
-// Layout returns the group's stripe placement.
-func (g *Group) Layout() Layout { return g.cfg.Layout }
-
-// StripeWidth returns the effective stripe width k.
-func (g *Group) StripeWidth() int { return g.width }
-
 // declustered reports whether the sliding-window mapping is active.
 func (g *Group) declustered() bool { return g.cfg.Layout == LayoutDeclustered }
 
@@ -270,9 +264,6 @@ func (g *Group) FailDisk(index int) error {
 	g.spare = blockdev.NewQueue(g.sim, d, g.spareSched)
 	return nil
 }
-
-// Failed reports the failed member index, or -1.
-func (g *Group) Failed() int { return g.failed }
 
 // Read submits a logical read; done fires when every stripe unit has
 // been served (reconstructing units of a failed member from the row's

@@ -136,7 +136,7 @@ func TestDegradedReadReconstruction(t *testing.T) {
 	if err := g.FailDisk(member); err != nil {
 		t.Fatal(err)
 	}
-	if g.Failed() != member {
+	if g.failed != member {
 		t.Fatal("failure not recorded")
 	}
 	done := false
@@ -185,7 +185,7 @@ func TestRebuildBackToBack(t *testing.T) {
 	if finished == 0 {
 		t.Fatalf("rebuild incomplete: %.1f%%", 100*g.RebuildProgress())
 	}
-	if g.Failed() != -1 || g.Rebuilding() {
+	if g.failed != -1 || g.Rebuilding() {
 		t.Fatal("spare not promoted")
 	}
 	st := g.Stats()

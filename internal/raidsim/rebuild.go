@@ -40,9 +40,13 @@ func (g *Group) StartRebuild(waitThreshold time.Duration, done func(now time.Dur
 }
 
 // Rebuilding reports whether a rebuild is in progress.
+//
+//scrublint:allow unusedexport ROADMAP item 8's reliability chain
 func (g *Group) Rebuilding() bool { return g.rebuilding }
 
 // RebuildProgress returns the fraction of rows rebuilt.
+//
+//scrublint:allow unusedexport ROADMAP item 8's reliability chain
 func (g *Group) RebuildProgress() float64 {
 	if g.rowsTotal == 0 {
 		return 0

@@ -9,6 +9,7 @@ import (
 	"repro/internal/iosched"
 	"repro/internal/scrub"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -244,7 +245,14 @@ func TestReplayerSlowdownVsBaseline(t *testing.T) {
 	}
 	// The response-time CDF with scrubbing must sit right of the baseline
 	// at the median.
-	if res.CDF().Quantile(0.5) < base.CDF().Quantile(0.5) {
+	q := func(r *Result) float64 {
+		m, err := stats.Quantile(r.Responses, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if q(res) < q(base) {
 		t.Fatal("median response improved under scrubbing")
 	}
 }
@@ -274,26 +282,7 @@ func TestSyntheticValidation(t *testing.T) {
 		t.Fatal("chunk < request accepted")
 	}
 	var ws WorkloadStats
-	if ws.ThroughputMBps(time.Second) != 0 || ws.MeanResponse() != 0 {
+	if ws.ThroughputMBps(time.Second) != 0 {
 		t.Fatal("zero stats should give zeros")
-	}
-}
-
-func TestSyntheticStop(t *testing.T) {
-	r := newRig(t)
-	w := &Synthetic{Seed: 6}
-	if err := w.Start(r.sim, r.q); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.sim.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	w.Stop()
-	if err := r.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	n := w.Stats().Requests
-	if n == 0 {
-		t.Fatal("no requests before stop")
 	}
 }

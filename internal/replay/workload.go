@@ -57,7 +57,6 @@ type Synthetic struct {
 
 	cursor    int64
 	remaining int64
-	stopped   bool
 
 	// doneFn/thinkFn are built once in Start so the per-request and
 	// per-chunk hot path allocates no closures; requests come from the
@@ -89,14 +88,6 @@ func (w WorkloadStats) ThroughputMBps(now time.Duration) float64 {
 	return float64(w.Bytes) / 1e6 / span.Seconds()
 }
 
-// MeanResponse returns the mean per-request response time.
-func (w WorkloadStats) MeanResponse() time.Duration {
-	if w.Requests == 0 {
-		return 0
-	}
-	return w.RespTotal / time.Duration(w.Requests)
-}
-
 // Start begins the closed loop on the given simulator and queue.
 func (w *Synthetic) Start(s *sim.Simulator, q *blockdev.Queue) error {
 	if w.ChunkBytes <= 0 {
@@ -123,9 +114,6 @@ func (w *Synthetic) Start(s *sim.Simulator, q *blockdev.Queue) error {
 	return nil
 }
 
-// Stop halts the loop after the in-flight request.
-func (w *Synthetic) Stop() { w.stopped = true }
-
 // Stats returns a copy of the accumulated statistics.
 func (w *Synthetic) Stats() WorkloadStats { return w.stats }
 
@@ -141,9 +129,6 @@ func (w *Synthetic) beginChunk() {
 }
 
 func (w *Synthetic) issue() {
-	if w.stopped {
-		return
-	}
 	reqSectors := w.ReqBytes / disk.SectorSize
 	sectors := w.q.Disk().Sectors()
 	lba := w.cursor
@@ -173,9 +158,6 @@ func (w *Synthetic) completed(r *blockdev.Request) {
 	}
 	if r.Collision {
 		w.stats.Collisions++
-	}
-	if w.stopped {
-		return
 	}
 	w.cursor += r.Sectors
 	w.remaining -= r.Bytes()

@@ -181,9 +181,6 @@ func (st *Staggered) Progress() float64 { return float64(st.done) / float64(st.t
 // Name implements Algorithm.
 func (st *Staggered) Name() string { return "staggered" }
 
-// Regions returns the configured region count.
-func (st *Staggered) Regions() int { return int(st.regions) }
-
 var _ CursorSaver = (*Staggered)(nil)
 
 // SaveCursor implements CursorSaver.

@@ -404,7 +404,7 @@ func TestAlgorithmAccessors(t *testing.T) {
 		t.Fatal("sequential name wrong")
 	}
 	st, _ := NewStaggered(1000, 100, 4)
-	if st.Name() != "staggered" || st.Regions() != 4 {
+	if st.Name() != "staggered" || st.regions != 4 {
 		t.Fatal("staggered accessors wrong")
 	}
 	st.Next(100)

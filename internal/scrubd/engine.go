@@ -18,6 +18,7 @@ var (
 	// ErrBackpressure is never returned. IngestBatch applies each batch
 	// inside the call, so there is no feed queue to fill; the sentinel
 	// stays for callers that still test for it.
+	//scrublint:allow unusedexport e2ebench/scrubd.go tests for it; ROADMAP item 16 deletes it
 	ErrBackpressure = errors.New("scrubd: feed queue full")
 	// ErrUnknownDevice reports a decision query for a device that has
 	// never appeared in the feed.
@@ -196,9 +197,6 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Config returns the engine's effective (default-filled) configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Close stops ingestion: further feeding returns ErrClosed. Decisions
 // remain answerable after Close.
 func (e *Engine) Close() { e.closed.Store(true) }
@@ -292,6 +290,8 @@ var errRecordInvalid = errors.New("scrubd: invalid feed record")
 // ApplyQueued does nothing and returns 0: IngestBatch applies every
 // record before it returns, so nothing is ever left to apply. It stays
 // for callers written against the queued engine.
+//
+//scrublint:allow unusedexport e2ebench/scrubd.go calls it; ROADMAP item 16 deletes it
 func (e *Engine) ApplyQueued() int { return 0 }
 
 // applyLocked folds one arrival at atUs into d. Caller holds s.mu.

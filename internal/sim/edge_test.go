@@ -272,8 +272,8 @@ func TestTimerRestoreRangeCheck(t *testing.T) {
 	if err := tm.Restore(true, 2*time.Second, 3); err != nil || s.Len() != 1 {
 		t.Fatalf("Restore over an armed timer: %v, Len %d", err, s.Len())
 	}
-	if at, seq, _ := s.NextAt(); at != 2*time.Second || seq != 3 {
-		t.Fatalf("NextAt = %v/%d, want 2s/3", at, seq)
+	if at, seq, _ := peekAt(s); at != 2*time.Second || seq != 3 {
+		t.Fatalf("next event = %v/%d, want 2s/3", at, seq)
 	}
 }
 

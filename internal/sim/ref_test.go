@@ -12,8 +12,8 @@ package sim
 // re-armed and disarmed from outside and inside callbacks, restores of
 // some timers with arbitrary sequence numbers, Step, RunUntil, Stop and
 // context cancellation mid-run — and must fire the same events at the
-// same (at, seq), with the same NextAt, Len, Clock and timer records
-// after every operation.
+// same (at, seq), with the same next pending (at, seq), Len, Clock and
+// timer records after every operation.
 
 import (
 	"container/heap"
@@ -215,7 +215,7 @@ func (k simKernel) restoreClock(now time.Duration, seq, fired uint64) {
 	k.s.RestoreClock(now, seq, fired)
 }
 func (k simKernel) clock() (time.Duration, uint64, uint64) { return k.s.Clock() }
-func (k simKernel) nextAt() (time.Duration, uint64, bool)  { return k.s.NextAt() }
+func (k simKernel) nextAt() (time.Duration, uint64, bool)  { return peekAt(k.s) }
 func (k simKernel) len() int                               { return k.s.Len() }
 
 // refKernel drives each timer role the way components drove handles:
@@ -586,4 +586,14 @@ func sameLog(got, want []string, from int) error {
 		return fmt.Errorf("sim fired %d events, reference %d", len(got), len(want))
 	}
 	return nil
+}
+
+// peekAt returns the timestamp and sequence number of s's earliest
+// pending event. ok=false means the queue is empty.
+func peekAt(s *Simulator) (at time.Duration, seq uint64, ok bool) {
+	ev := s.q.peek()
+	if ev == nil {
+		return 0, 0, false
+	}
+	return ev.at, ev.seq, true
 }

@@ -178,6 +178,8 @@ func (s *Simulator) step() bool {
 
 // Run fires events until the queue is empty. It returns ErrStopped if Stop
 // was called before the queue drained.
+//
+//scrublint:allow unusedexport e2ebench/probes.go calls it
 func (s *Simulator) Run() error {
 	s.stopped = false
 	for !s.stopped {

@@ -50,13 +50,3 @@ func (s *Simulator) RestoreClock(now time.Duration, seq, fired uint64) {
 // at a time until the member reaches a parkable state; firing events one
 // by one is indistinguishable from a Run over the same span.
 func (s *Simulator) Step() bool { return s.step() }
-
-// NextAt returns the timestamp and sequence number of the earliest
-// pending event. ok=false means the queue is empty.
-func (s *Simulator) NextAt() (at time.Duration, seq uint64, ok bool) {
-	ev := s.q.peek()
-	if ev == nil {
-		return 0, 0, false
-	}
-	return ev.at, ev.seq, true
-}

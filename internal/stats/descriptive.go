@@ -40,15 +40,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// SampleVariance returns the Bessel-corrected variance, or 0 when
-// len(xs) < 2.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return Variance(xs) * float64(len(xs)) / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
@@ -137,21 +128,6 @@ func NewCDF(xs []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile of the sample.
-func (c *CDF) Quantile(q float64) float64 { return QuantileSorted(c.sorted, q) }
 
 // Points returns up to n (x, P(X<=x)) pairs spanning the sample, suitable
 // for plotting Fig. 7-style response-time CDFs.

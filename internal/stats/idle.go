@@ -10,31 +10,6 @@ import (
 // (idle-time tail concentration, expected remaining idle time, percentile
 // of remaining idle time, and fraction of idle time usable after waiting).
 
-// IdleIntervals extracts the idle-interval durations from request arrival
-// times paired with per-request service durations: the disk is idle from
-// the completion of a request until the arrival of the next, provided that
-// arrival comes later. Arrivals must be non-decreasing. A request arriving
-// while a previous one is still in service extends the busy period.
-func IdleIntervals(arrivals, services []time.Duration) []time.Duration {
-	n := len(arrivals)
-	if len(services) < n {
-		n = len(services)
-	}
-	var idles []time.Duration
-	var busyUntil time.Duration
-	for i := 0; i < n; i++ {
-		at := arrivals[i]
-		if at > busyUntil {
-			if busyUntil > 0 || i > 0 {
-				idles = append(idles, at-busyUntil)
-			}
-			busyUntil = at
-		}
-		busyUntil += services[i]
-	}
-	return idles
-}
-
 // IdleGaps extracts idle intervals from arrival times alone, treating each
 // request's service time as zero; the result is the inter-arrival gap
 // series. The paper's Section V analysis models inter-arrival durations
@@ -73,12 +48,6 @@ func NewIdleAnalysis(idles []time.Duration) *IdleAnalysis {
 	}
 	return &IdleAnalysis{sorted: xs, suffix: suffix, total: suffix[0]}
 }
-
-// N returns the number of idle intervals.
-func (a *IdleAnalysis) N() int { return len(a.sorted) }
-
-// Total returns the total idle time in seconds.
-func (a *IdleAnalysis) Total() float64 { return a.total }
 
 // Durations returns the idle durations in seconds, ascending. The returned
 // slice is shared; callers must not modify it.

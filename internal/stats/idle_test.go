@@ -8,33 +8,6 @@ import (
 	"time"
 )
 
-func TestIdleIntervals(t *testing.T) {
-	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
-	arrivals := []time.Duration{ms(0), ms(10), ms(30), ms(31)}
-	services := []time.Duration{ms(5), ms(5), ms(5), ms(5)}
-	// Busy 0-5, idle 5-10, busy 10-15, idle 15-30, busy 30-36 (31 arrives
-	// during service of 30 and queues).
-	idles := IdleIntervals(arrivals, services)
-	want := []time.Duration{ms(5), ms(15)}
-	if len(idles) != len(want) {
-		t.Fatalf("idles = %v, want %v", idles, want)
-	}
-	for i := range want {
-		if idles[i] != want[i] {
-			t.Fatalf("idles = %v, want %v", idles, want)
-		}
-	}
-}
-
-func TestIdleIntervalsEmpty(t *testing.T) {
-	if got := IdleIntervals(nil, nil); got != nil {
-		t.Fatalf("want nil, got %v", got)
-	}
-	if got := IdleIntervals([]time.Duration{time.Second}, []time.Duration{time.Millisecond}); len(got) != 0 {
-		t.Fatalf("single request should give no idle intervals, got %v", got)
-	}
-}
-
 func TestIdleGaps(t *testing.T) {
 	s := time.Second
 	gaps := IdleGaps([]time.Duration{0, s, 3 * s, 3 * s, 7 * s})
@@ -167,7 +140,7 @@ func TestFractionLonger(t *testing.T) {
 
 func TestIdleAnalysisEmpty(t *testing.T) {
 	a := NewIdleAnalysis(nil)
-	if a.N() != 0 || a.Total() != 0 || a.TailShare(0.5) != 0 ||
+	if len(a.Durations()) != 0 || a.total != 0 || a.TailShare(0.5) != 0 ||
 		a.ExpectedRemaining(0) != 0 || a.UsableAfterWait(0) != 0 ||
 		a.FractionLonger(0) != 0 {
 		t.Fatal("empty analysis should return zeros")

@@ -1,17 +1,14 @@
 package stats
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // This file is the streaming counterpart of idle.go: where IdleAnalysis
 // sorts a complete idle-interval sample, OnlineIdle maintains a
 // fixed-bucket histogram of idle durations that can be updated one
 // observation at a time with no allocation and no re-sort. The daemon
-// (internal/scrubd) keeps one per device; the same Section V-A curves
-// (expected remaining idle time, fraction of intervals longer than t)
-// are answered from bucket sums instead of the sorted sample.
+// (internal/scrubd) keeps one per device; the Section V-A expected
+// remaining idle time is answered from bucket sums instead of the sorted
+// sample.
 //
 // All state is integer nanoseconds, so observation order, batch
 // boundaries and serialization round-trips never perturb the answers:
@@ -31,8 +28,8 @@ func DefaultIdleBuckets() []time.Duration {
 }
 
 // OnlineIdle is an online fixed-bucket histogram of idle-interval
-// durations. Observe is allocation-free; the conditional-distribution
-// queries (ExpectedRemaining, FractionLonger, Quantile) are O(buckets).
+// durations. Observe is allocation-free; the conditional-expectation
+// query ExpectedRemaining is O(buckets).
 type OnlineIdle struct {
 	bounds []int64 // ascending upper bounds, nanoseconds
 	counts []int64 // len(bounds)+1; last is the overflow bucket
@@ -94,14 +91,8 @@ func (o *OnlineIdle) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of observed idle intervals.
-func (o *OnlineIdle) Count() int64 { return o.total }
-
 // Sum returns the total observed idle time.
 func (o *OnlineIdle) Sum() time.Duration { return time.Duration(o.sum) }
-
-// Max returns the largest observed idle interval.
-func (o *OnlineIdle) Max() time.Duration { return time.Duration(o.max) }
 
 // ExpectedRemaining is the online estimate of Fig. 11's curve: given the
 // device has already been idle for t, the expected additional idle time
@@ -133,59 +124,6 @@ func (o *OnlineIdle) ExpectedRemaining(t time.Duration) time.Duration {
 		rem = 0
 	}
 	return time.Duration(rem)
-}
-
-// FractionLonger returns the fraction of observed idle intervals whose
-// bucket lies strictly above t, the online analogue of
-// IdleAnalysis.FractionLonger.
-func (o *OnlineIdle) FractionLonger(t time.Duration) float64 {
-	if o.total == 0 {
-		return 0
-	}
-	tn := int64(t)
-	if tn < 0 {
-		tn = 0
-	}
-	start := o.bucketOf(tn)
-	if start < len(o.bounds) && o.bounds[start] == tn {
-		start++
-	}
-	var n int64
-	for i := start; i < len(o.counts); i++ {
-		n += o.counts[i]
-	}
-	return float64(n) / float64(o.total)
-}
-
-// Quantile returns an upper bound for the q-quantile of the idle
-// distribution: the bound of the bucket holding the observation of
-// nearest rank ceil(q·n) (the maximum observed value for the overflow
-// bucket).
-func (o *OnlineIdle) Quantile(q float64) time.Duration {
-	if o.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	need := int64(math.Ceil(q * float64(o.total)))
-	if need < 1 {
-		need = 1
-	}
-	seen := int64(0)
-	for i, c := range o.counts {
-		seen += c
-		if seen >= need {
-			if i < len(o.bounds) {
-				return time.Duration(o.bounds[i])
-			}
-			return time.Duration(o.max)
-		}
-	}
-	return time.Duration(o.max)
 }
 
 // OnlineIdleState is the serializable snapshot of an OnlineIdle; all

@@ -7,7 +7,7 @@ import (
 
 func TestOnlineIdleBasics(t *testing.T) {
 	o := NewOnlineIdle(nil)
-	if o.Count() != 0 || o.ExpectedRemaining(0) != 0 || o.Quantile(0.5) != 0 {
+	if o.total != 0 || o.ExpectedRemaining(0) != 0 {
 		t.Fatalf("empty histogram should answer zeros")
 	}
 	o.Observe(-time.Second) // ignored
@@ -21,14 +21,14 @@ func TestOnlineIdleBasics(t *testing.T) {
 		o.Observe(d)
 		sum += d
 	}
-	if o.Count() != int64(len(durs)) {
-		t.Fatalf("Count = %d, want %d", o.Count(), len(durs))
+	if o.total != int64(len(durs)) {
+		t.Fatalf("total = %d, want %d", o.total, len(durs))
 	}
 	if o.Sum() != sum {
 		t.Fatalf("Sum = %v, want %v", o.Sum(), sum)
 	}
-	if o.Max() != 10*time.Second {
-		t.Fatalf("Max = %v, want 10s", o.Max())
+	if time.Duration(o.max) != 10*time.Second {
+		t.Fatalf("max = %v, want 10s", time.Duration(o.max))
 	}
 }
 
@@ -57,54 +57,6 @@ func TestOnlineIdleExpectedRemaining(t *testing.T) {
 	}
 }
 
-func TestOnlineIdleFractionAndQuantile(t *testing.T) {
-	o := NewOnlineIdle(nil)
-	for i := 0; i < 90; i++ {
-		o.Observe(10 * time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		o.Observe(10 * time.Second)
-	}
-	if f := o.FractionLonger(100 * time.Millisecond); f != 0.10 {
-		t.Fatalf("FractionLonger(100ms) = %g, want 0.10", f)
-	}
-	if f := o.FractionLonger(time.Hour); f != 0 {
-		t.Fatalf("FractionLonger(1h) = %g, want 0", f)
-	}
-	if q := o.Quantile(0.5); q != 10*time.Millisecond {
-		t.Fatalf("Quantile(0.5) = %v, want 10ms", q)
-	}
-	if q := o.Quantile(0.99); q != 10*time.Second {
-		t.Fatalf("Quantile(0.99) = %v, want 10s", q)
-	}
-}
-
-// TestOnlineIdleQuantileNearestRank pins the rank at ceil(q·n): with one
-// observation in each of three buckets the median is the second, not
-// the first that floor(q·n) = 1 picks.
-func TestOnlineIdleQuantileNearestRank(t *testing.T) {
-	o := NewOnlineIdle([]time.Duration{time.Millisecond, time.Second})
-	o.Observe(500 * time.Microsecond)
-	o.Observe(500 * time.Millisecond)
-	o.Observe(time.Minute)
-	for _, c := range []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0, time.Millisecond},
-		{0.3, time.Millisecond},
-		{1.0 / 3, time.Millisecond},
-		{0.5, time.Second},
-		{2.0 / 3, time.Second},
-		{0.7, time.Minute},
-		{1, time.Minute},
-	} {
-		if got := o.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%g) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
 // TestOnlineIdleMatchesIdleAnalysis ties the online estimator to the
 // offline IdleAnalysis on bucket-boundary probes, where both are exact.
 func TestOnlineIdleMatchesIdleAnalysis(t *testing.T) {
@@ -124,11 +76,6 @@ func TestOnlineIdleMatchesIdleAnalysis(t *testing.T) {
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("ExpectedRemaining(%v): online %g vs offline %g", probe, got, want)
 		}
-		gf := on.FractionLonger(probe)
-		wf := off.FractionLonger(probe.Seconds())
-		if diff := gf - wf; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("FractionLonger(%v): online %g vs offline %g", probe, gf, wf)
-		}
 	}
 }
 
@@ -142,9 +89,9 @@ func TestOnlineIdleStateRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("restore rejected a valid state")
 	}
-	if r.Count() != o.Count() || r.Sum() != o.Sum() || r.Max() != o.Max() {
-		t.Fatalf("restored totals differ: %d/%v/%v vs %d/%v/%v",
-			r.Count(), r.Sum(), r.Max(), o.Count(), o.Sum(), o.Max())
+	if r.total != o.total || r.Sum() != o.Sum() || r.max != o.max {
+		t.Fatalf("restored totals differ: %d/%v/%d vs %d/%v/%d",
+			r.total, r.Sum(), r.max, o.total, o.Sum(), o.max)
 	}
 	for _, probe := range []time.Duration{0, 10 * time.Millisecond, time.Second} {
 		if r.ExpectedRemaining(probe) != o.ExpectedRemaining(probe) {

@@ -18,15 +18,6 @@ type Weibull struct {
 	Scale float64
 }
 
-// Mean returns the distribution mean lambda * Gamma(1 + 1/k).
-func (w Weibull) Mean() float64 {
-	g, _ := math.Lgamma(1 + 1/w.Shape)
-	return w.Scale * math.Exp(g)
-}
-
-// HazardDecreasing reports k < 1.
-func (w Weibull) HazardDecreasing() bool { return w.Shape < 1 }
-
 // FitWeibull fits by maximum likelihood: Newton iteration on the shape
 // profile equation, then the closed-form scale. Requires positive data.
 func FitWeibull(xs []float64) (Weibull, error) {

@@ -174,6 +174,8 @@ type limitSource struct {
 
 // Limit returns a view of src that drains after max records (max <= 0
 // returns src unchanged). Reset rewinds the cap along with the source.
+//
+//scrublint:allow unusedexport e2ebench/e2ebench_test.go calls it
 func Limit(src Source, max int64) Source {
 	if max <= 0 {
 		return src

@@ -175,7 +175,7 @@ func TestSynthAutocorrelation(t *testing.T) {
 func TestSynthPeriodicity(t *testing.T) {
 	spec, _ := ByName("HPc3t3d0")
 	tr := spec.Generate(17, 3*24*time.Hour)
-	period, _ := stats.DetectPeriod(tr.HourlyCounts())
+	period, _ := stats.DetectPeriod(hourlyCounts(tr))
 	if period != 24 {
 		t.Fatalf("detected period %dh, want 24h", period)
 	}
@@ -344,4 +344,17 @@ func TestRateModNeutralWithoutPeriod(t *testing.T) {
 	if math.Abs(mid-1) > 1e-9 {
 		t.Fatalf("mid modulation = %v, want 1", mid)
 	}
+}
+
+// hourlyCounts buckets request arrivals into per-hour counts (Fig. 8's
+// request-activity series).
+func hourlyCounts(t *Trace) []float64 {
+	if len(t.Records) == 0 {
+		return nil
+	}
+	counts := make([]float64, int(t.Duration()/time.Hour)+1)
+	for _, r := range t.Records {
+		counts[r.Arrival/time.Hour]++
+	}
+	return counts
 }

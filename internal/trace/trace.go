@@ -56,20 +56,6 @@ func (t *Trace) Arrivals() []time.Duration {
 	return out
 }
 
-// HourlyCounts buckets request arrivals into per-hour counts (Fig. 8's
-// request-activity series).
-func (t *Trace) HourlyCounts() []float64 {
-	if len(t.Records) == 0 {
-		return nil
-	}
-	hours := int(t.Duration()/time.Hour) + 1
-	counts := make([]float64, hours)
-	for _, r := range t.Records {
-		counts[r.Arrival/time.Hour]++
-	}
-	return counts
-}
-
 // header is the CSV header written and expected by this package.
 const header = "arrival_us,op,lba,sectors"
 

@@ -78,16 +78,12 @@ func TestTraceAccessors(t *testing.T) {
 	if tr.Duration() != 3*time.Hour {
 		t.Fatalf("Duration = %v", tr.Duration())
 	}
-	counts := tr.HourlyCounts()
-	if len(counts) != 4 || counts[1] != 1 || counts[3] != 1 {
-		t.Fatalf("HourlyCounts = %v", counts)
-	}
 	arr := tr.Arrivals()
 	if len(arr) != 2 || arr[0] != time.Hour+time.Minute {
 		t.Fatalf("Arrivals = %v", arr)
 	}
 	empty := &Trace{}
-	if empty.Duration() != 0 || empty.HourlyCounts() != nil {
+	if empty.Duration() != 0 {
 		t.Fatal("empty trace accessors wrong")
 	}
 }
