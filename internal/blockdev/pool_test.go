@@ -156,8 +156,10 @@ func TestPooledRequestPoisonedThroughQueue(t *testing.T) {
 }
 
 // TestPropertyRequestConservation is the conservation invariant across
-// randomized workloads: submitted == completed, and completed splits
-// exactly into succeeded + failed. Trials randomize the scheduler, retry
+// randomized workloads: submitted == completed, completed splits exactly
+// into succeeded + failed, and after every submit and completion the
+// queue's held count (what blockdev.queue_depth reports) equals Pending
+// plus the request in flight. Trials randomize the scheduler, retry
 // policy, LSE population, cache mode, request mix (reads, writes, verifies,
 // pooled and caller-owned, barriers) and arrival pattern.
 func TestPropertyRequestConservation(t *testing.T) {
@@ -190,7 +192,17 @@ func TestPropertyRequestConservation(t *testing.T) {
 
 		n := 50 + rng.Intn(400)
 		var submitted, succeeded, failed int
+		checkHeld := func(when string) {
+			want := int64(q.Pending())
+			if q.inflight != nil {
+				want++
+			}
+			if q.held != want {
+				t.Fatalf("trial %d: after %s, held %d, want %d (pending plus in flight)", trial, when, q.held, want)
+			}
+		}
 		onDone := func(r *Request) {
+			checkHeld("a completion")
 			if r.Err != nil {
 				failed++
 			} else {
@@ -224,6 +236,7 @@ func TestPropertyRequestConservation(t *testing.T) {
 				r.OnComplete = onDone
 				submitted++
 				q.Submit(r)
+				checkHeld("a submit")
 			}, nil)
 		}
 		if err := s.Run(); err != nil {
@@ -247,6 +260,7 @@ func TestPropertyRequestConservation(t *testing.T) {
 		if !q.Idle() {
 			t.Fatalf("trial %d: queue not idle after drain", trial)
 		}
+		checkHeld("the drain")
 	}
 }
 

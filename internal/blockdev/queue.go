@@ -57,8 +57,20 @@ type Queue struct {
 
 	// Barrier machinery: the head barrier waits for the elevator to
 	// drain; requests submitted after it stage until it completes.
-	headBarrier *Request   //scrublint:transient SaveState refuses a queue with a barrier pending
-	staged      []*Request //scrublint:transient SaveState refuses a queue with a barrier pending
+	//
+	//scrublint:transient SaveState refuses a queue with a barrier pending
+	barrier struct {
+		head   *Request
+		staged []*Request
+	}
+
+	// held is the block layer's request count that blockdev.queue_depth
+	// reports: the elevator's requests (those merged into another no
+	// longer count), the staged ones, the barrier slot and the device,
+	// so a barrier in service counts twice, in its slot and on the
+	// device. It is kept as requests move, sparing the per-request
+	// Scheduler.Len call.
+	held int64 //scrublint:transient RestoreState recounts it from the restored in-flight request
 
 	// inflightEv is the in-flight request's pending completion or retry
 	// re-service, as st.EvKind says; poll is the scheduler's re-poll.
@@ -140,8 +152,8 @@ func (q *Queue) Inflight() *Request { return q.inflight }
 
 // Pending returns the number of queued (not yet dispatched) requests.
 func (q *Queue) Pending() int {
-	n := q.sched.Len() + len(q.staged)
-	if q.headBarrier != nil {
+	n := q.sched.Len() + len(q.barrier.staged)
+	if q.barrier.head != nil {
 		n++
 	}
 	return n
@@ -155,8 +167,8 @@ func (q *Queue) Idle() bool { return q.inflight == nil && q.Pending() == 0 }
 // the request currently in service. At most the one in-flight request
 // remains, which a snapshot can carry.
 func (q *Queue) Quiesced() bool {
-	return len(q.staged) == 0 && q.sched.Len() == 0 &&
-		(q.headBarrier == nil || q.headBarrier == q.inflight)
+	return len(q.barrier.staged) == 0 && q.sched.Len() == 0 &&
+		(q.barrier.head == nil || q.barrier.head == q.inflight)
 }
 
 // SubscribeIdle registers fn to run whenever the device transitions to
@@ -195,22 +207,13 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 	q.obsTrace = reg.Trace()
 }
 
-// depth returns the number of requests in the block layer (queued plus
-// in flight). Only computed when the depth gauge is live.
-func (q *Queue) depth() int64 {
-	n := int64(q.Pending())
-	if q.inflight != nil {
-		n++
-	}
-	return n
-}
-
 // Submit enqueues a request at the current virtual time.
 //
 //scrub:hotpath
 func (q *Queue) Submit(r *Request) {
 	now := q.sim.Now()
 	r.Submit = now
+	r.absorbed = false
 	q.st.Seq++
 	r.seq = q.st.Seq
 	if r.Origin == Scrub || r.Origin == Foreground {
@@ -233,17 +236,18 @@ func (q *Queue) Submit(r *Request) {
 	}
 
 	switch {
-	case q.headBarrier != nil:
+	case q.barrier.head != nil:
 		// A barrier is pending: everything later stages behind it.
-		q.staged = append(q.staged, r)
+		q.barrier.staged = append(q.barrier.staged, r)
 	case r.Barrier:
-		q.headBarrier = r
+		q.barrier.head = r
 	default:
 		q.sched.Add(r, now)
 	}
-	if q.obsDepth != nil {
-		q.obsDepth.Set(q.depth())
+	if !r.absorbed {
+		q.held++
 	}
+	q.obsDepth.Set(q.held)
 	q.dispatch()
 }
 
@@ -257,8 +261,9 @@ func (q *Queue) dispatch() {
 	now := q.sim.Now()
 
 	// The head barrier runs once the elevator has drained.
-	if q.headBarrier != nil && q.sched.Len() == 0 {
-		q.start(q.headBarrier, now)
+	if q.barrier.head != nil && q.sched.Len() == 0 {
+		q.held++ // on the device, and still in its slot
+		q.start(q.barrier.head, now)
 		return
 	}
 
@@ -382,6 +387,7 @@ func (q *Queue) fireInflight() {
 //scrub:hotpath
 func (q *Queue) complete(r *Request, now time.Duration) {
 	q.inflight = nil
+	q.held--
 	q.st.EvKind = evNone
 	r.Done = now
 	if r.Origin == Scrub || r.Origin == Foreground {
@@ -390,12 +396,11 @@ func (q *Queue) complete(r *Request, now time.Duration) {
 	}
 	if q.obsColl != nil {
 		q.obsTrace.Emit(now, "blockdev", "complete", r.LBA, r.Sectors)
-		if q.obsDepth != nil {
-			q.obsDepth.Set(q.depth())
-		}
+		q.obsDepth.Set(q.held)
 	}
-	if r == q.headBarrier {
-		q.headBarrier = nil
+	if r == q.barrier.head {
+		q.barrier.head = nil
+		q.held--
 		q.flushStaged()
 	} else {
 		q.sched.OnComplete(r, now)
@@ -448,14 +453,17 @@ func (q *Queue) complete(r *Request, now time.Duration) {
 func (q *Queue) flushStaged() {
 	now := q.sim.Now()
 	i := 0
-	for ; i < len(q.staged); i++ {
-		r := q.staged[i]
+	for ; i < len(q.barrier.staged); i++ {
+		r := q.barrier.staged[i]
 		if r.Barrier {
-			q.headBarrier = r
+			q.barrier.head = r
 			i++
 			break
 		}
 		q.sched.Add(r, now)
+		if r.absorbed {
+			q.held--
+		}
 	}
-	q.staged = append(q.staged[:0], q.staged[i:]...)
+	q.barrier.staged = append(q.barrier.staged[:0], q.barrier.staged[i:]...)
 }

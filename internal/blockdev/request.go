@@ -121,6 +121,9 @@ type Request struct {
 	// mergeOf lists requests absorbed into this one by elevator merging;
 	// they complete when this request completes.
 	mergeOf []*Request
+	// absorbed marks a request merged into another by AbsorbMerge since
+	// its Submit; the queue no longer counts it as held.
+	absorbed bool
 }
 
 // reset clears every field for pool reuse, keeping only the pooled mark
@@ -141,6 +144,7 @@ func (r *Request) reset() {
 func (r *Request) AbsorbMerge(other *Request) {
 	r.Sectors += other.Sectors
 	r.mergeOf = append(r.mergeOf, other)
+	other.absorbed = true
 }
 
 // MergedCount returns how many requests were absorbed into this one.

@@ -133,16 +133,59 @@ func TestFirstParkSizesValuesOnce(t *testing.T) {
 	}
 }
 
+// benchCampaign is the fleet-sweep campaign BenchmarkCampaignInstrumented
+// runs: 256 instrumented drives in 8 shards on 2 workers, over 4 s in
+// 1 s slices.
+func benchCampaign(tb testing.TB) *Engine {
+	e, err := New(Config{Shards: 8, Workers: 2, Slice: time.Second, Seed: 1000, Instrument: true}, sweepClasses(256))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// TestCampaignStacksPerWorker pins what a campaign builds: at most one
+// stack per worker and class however many shards and slices it runs
+// (8 shards × 2 classes × 4 slices would be 64), and a bound on its
+// allocations that per-slice or per-shard stack rebuilds would break.
+func TestCampaignStacksPerWorker(t *testing.T) {
+	e := benchCampaign(t)
+	ctx := context.Background()
+	built := map[*stack]bool{}
+	for b := time.Second; b < 4*time.Second; b += time.Second {
+		if err := e.Advance(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+		for _, set := range e.stacks.free {
+			for _, st := range set {
+				if st != nil {
+					built[st] = true
+				}
+			}
+		}
+	}
+	if max := e.cfg.Workers * len(e.classes); len(built) > max {
+		t.Errorf("%d stacks built over three slices, want at most %d", len(built), max)
+	}
+
+	const maxAllocs = 4800
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := benchCampaign(t).Run(ctx, 4*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per campaign", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations per campaign, want <= %d", allocs, maxAllocs)
+	}
+}
+
 // BenchmarkCampaignInstrumented runs one fleet-sweep campaign: 256
 // instrumented drives in 8 shards over 4 s in 1 s slices.
 func BenchmarkCampaignInstrumented(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e, err := New(Config{Shards: 8, Workers: 2, Slice: time.Second, Seed: 1000, Instrument: true}, sweepClasses(256))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(context.Background(), 4*time.Second); err != nil {
+		if _, err := benchCampaign(b).Run(context.Background(), 4*time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}

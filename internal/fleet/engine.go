@@ -5,22 +5,24 @@
 // obs values; a checkpoint of the fleet-sweep benchmark's members takes
 // about 2.5 kB per member (fleet.state_bytes_per_member, 2526 B) — and
 // only hydrates a member while advancing it one time slice. Hydrating
-// builds nothing: each shard keeps one live stack per class for the
-// slice and restores member after member onto it in place
-// (core.System.Restore plus obs.Registry.SetValues); parking is a state
-// snapshot plus obs.Registry.AppendValues into the member's own buffer.
-// Members stripe into shards executed over internal/par with work
-// stealing, so live memory is bounded by workers × classes, not the
-// fleet size; per-member results reduce through integer-exact,
-// commutative merges, so every report is byte-identical across shard
-// and worker counts — and to running each member live, start to
-// horizon, on its own.
+// builds nothing: a shard takes a set of live stacks, one per class,
+// from a free list that outlives the slice, and restores member after
+// member onto them in place (core.System.Restore plus
+// obs.Registry.SetValues, one copy); parking is a state snapshot plus
+// obs.Registry.AppendValues into the member's own buffer. Members
+// stripe into shards executed over internal/par with work stealing, so
+// live memory is bounded by workers × classes, not the fleet size or
+// the number of shards and slices; per-member results reduce through
+// integer-exact, commutative merges, so every report is byte-identical
+// across shard and worker counts — and to running each member live,
+// start to horizon, on its own.
 package fleet
 
 import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -81,8 +83,16 @@ type Engine struct {
 	now     time.Duration
 	done    bool //scrublint:transient Checkpoint refuses a finished campaign
 
-	finalReports []core.Report  //scrublint:transient per-member results exist only after Run; Checkpoint refuses then
-	finalObs     []obs.Snapshot //scrublint:transient per-member snapshots exist only after Run; Checkpoint refuses then
+	// final is what Run keeps for MemberReports and the determinism
+	// tests: every member's report and, instrumented, obs snapshot.
+	//
+	//scrublint:transient per-member results exist only after Run; Checkpoint refuses then
+	final struct {
+		reports []core.Report
+		obs     []obs.Snapshot
+	}
+
+	stacks stackPool //scrublint:transient live stacks, overwritten by every hydrate; a resumed engine builds its own
 }
 
 // rollForwardCap bounds the events a member may fire past a slice
@@ -119,10 +129,11 @@ func New(cfg Config, classes []MemberClass) (*Engine, error) {
 }
 
 // stack is one live member stack of a class: a built core.System and,
-// instrumented, its registry. A shard keeps one per class for a slice
-// and restores every member it advances onto it in place — the stack is
-// built once, never per member — so live memory is bounded by
-// Workers × classes.
+// instrumented, its registry. A shard restores every member it advances
+// onto its set's stack of the member's class in place, and the set goes
+// back to a stackPool for the next shard or slice — the stack is built
+// once per worker, never per member, shard or slice — so live memory is
+// bounded by Workers × classes.
 type stack struct {
 	sys *core.System
 	reg *obs.Registry // nil when uninstrumented
@@ -254,9 +265,9 @@ func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, fin
 			return memberErr(i, err)
 		}
 		if e.cfg.KeepMembers {
-			e.finalReports[i] = rep
+			e.final.reports[i] = rep
 			if st.reg != nil {
-				if e.finalObs[i], err = st.layout.Snapshot(vals); err != nil {
+				if e.final.obs[i], err = st.layout.Snapshot(vals); err != nil {
 					return memberErr(i, err)
 				}
 			}
@@ -283,12 +294,41 @@ func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, fin
 	return nil
 }
 
+// stackPool is an engine's free list of stack sets (one stack per
+// class, indexed by class, each built on first use), kept across
+// slices. A shard takes a set and returns it when its members are done,
+// so no more sets exist than shards run at once: Workers.
+type stackPool struct {
+	mu   sync.Mutex
+	free [][]*stack
+}
+
+// get returns a free set, or a new empty one of classes stacks.
+func (p *stackPool) get(classes int) []*stack {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return make([]*stack, classes)
+	}
+	set := p.free[n-1]
+	p.free = p.free[:n-1]
+	return set
+}
+
+// put returns a set to the pool.
+func (p *stackPool) put(set []*stack) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = append(p.free, set)
+}
+
 // runSlice advances every member to boundary, striping members into
 // shards and executing the shards over the work-stealing pool. Each
-// shard owns a contiguous member range, one live stack per class and a
-// private aggregate filled in member order, so reduction over shards
-// (in shard order, integer-exact merges) is independent of which worker
-// ran what when.
+// shard owns a contiguous member range, a set of stacks from the
+// engine's free list and a private aggregate filled in member order, so
+// reduction over shards (in shard order, integer-exact merges) is
+// independent of which worker ran what when.
 func (e *Engine) runSlice(ctx context.Context, boundary time.Duration, final bool, aggs []aggregate) error {
 	n := len(e.slots)
 	shards := e.cfg.Shards
@@ -297,7 +337,8 @@ func (e *Engine) runSlice(ctx context.Context, boundary time.Duration, final boo
 	}
 	return par.StealingForEach(ctx, e.cfg.Workers, shards, func(ctx context.Context, s int) error {
 		lo, hi := s*n/shards, (s+1)*n/shards
-		stacks := make([]*stack, len(e.classes))
+		stacks := e.stacks.get(len(e.classes))
+		defer e.stacks.put(stacks)
 		for i := lo; i < hi; i++ {
 			if err := e.advance(ctx, i, boundary, final, &aggs[s], stacks); err != nil {
 				return err
@@ -348,9 +389,9 @@ func (e *Engine) Run(ctx context.Context, horizon time.Duration) (*Report, error
 		}
 	}
 	if e.cfg.KeepMembers {
-		e.finalReports = make([]core.Report, len(e.slots))
+		e.final.reports = make([]core.Report, len(e.slots))
 		if e.cfg.Instrument {
-			e.finalObs = make([]obs.Snapshot, len(e.slots))
+			e.final.obs = make([]obs.Snapshot, len(e.slots))
 		}
 	}
 	aggs := make([]aggregate, e.cfg.Shards)
@@ -359,9 +400,10 @@ func (e *Engine) Run(ctx context.Context, horizon time.Duration) (*Report, error
 	}
 	e.now = horizon
 	e.done = true
+	e.stacks.free = nil // a finished campaign hydrates no one
 	return reduce(aggs, len(e.slots), horizon)
 }
 
 // MemberReports returns the per-member final reports (KeepMembers only;
 // nil otherwise), indexed in member order.
-func (e *Engine) MemberReports() []core.Report { return e.finalReports }
+func (e *Engine) MemberReports() []core.Report { return e.final.reports }

@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// Dense values: a registry's whole state as one []int64, instruments in
-// creation order. Parking a fleet member is AppendValues into a reused
-// buffer and hydrating it is SetValues, so neither walks names, sorts or
-// allocates; a name-keyed Snapshot is built from a vector only where one
-// is exported (Layout.Snapshot). Per instrument the vector holds
+// Dense values: a registry's whole state is one []int64, instruments in
+// creation order, and every instrument handle writes into its window of
+// it. Parking a fleet member is AppendValues into a reused buffer and
+// hydrating it is SetValues, one copy each; a name-keyed Snapshot is
+// built from a vector only where one is exported (Layout.Snapshot). Per
+// instrument the vector holds
 //
 //	counter:   value
 //	gauge:     value, max, seen (0 or 1)
@@ -86,23 +87,7 @@ func (r *Registry) AppendValues(dst []int64) []int64 {
 	if r == nil {
 		return dst
 	}
-	for _, in := range r.insts {
-		switch {
-		case in.c != nil:
-			dst = append(dst, in.c.v)
-		case in.g != nil:
-			seen := int64(0)
-			if in.g.seen {
-				seen = 1
-			}
-			dst = append(dst, in.g.v, in.g.max, seen)
-		default:
-			h := in.h
-			dst = append(dst, h.total, int64(h.sum), int64(h.min), int64(h.max))
-			dst = append(dst, h.counts...)
-		}
-	}
-	return dst
+	return append(dst, r.vals...)
 }
 
 // SetValues overwrites every instrument of the registry from a dense
@@ -112,26 +97,10 @@ func (r *Registry) SetValues(vals []int64) error {
 	if r == nil {
 		return fmt.Errorf("obs: SetValues on a nil Registry")
 	}
-	if len(vals) != r.layout.width {
-		return fmt.Errorf("obs: %d values for a layout of width %d", len(vals), r.layout.width)
+	if err := r.layout.checkWidth(vals); err != nil {
+		return err
 	}
-	i := 0
-	for _, in := range r.insts {
-		switch {
-		case in.c != nil:
-			in.c.v = vals[i]
-			i++
-		case in.g != nil:
-			in.g.v, in.g.max, in.g.seen = vals[i], vals[i+1], vals[i+2] != 0
-			i += 3
-		default:
-			h := in.h
-			h.total, h.sum = vals[i], time.Duration(vals[i+1])
-			h.min, h.max = time.Duration(vals[i+2]), time.Duration(vals[i+3])
-			i += histHeader
-			i += copy(h.counts, vals[i:i+len(h.counts)])
-		}
-	}
+	copy(r.vals, vals)
 	return nil
 }
 
@@ -171,34 +140,38 @@ func (l *Layout) Merge(dst, src []int64) error {
 	}
 	for i := range l.entries {
 		e := &l.entries[i]
-		d, s := dst[e.off:e.off+e.size()], src[e.off:e.off+e.size()]
-		switch e.kind {
-		case kindCounter:
-			d[0] += s[0]
-		case kindGauge:
-			d[0] += s[0]
-			if d[2] == 0 || s[1] > d[1] {
-				d[1] = s[1]
-			}
-			d[2] = 1
-		default:
-			if s[0] == 0 {
-				continue
-			}
-			for j := histHeader; j < len(d); j++ {
-				d[j] += s[j]
-			}
-			if d[0] == 0 || s[2] < d[2] {
-				d[2] = s[2]
-			}
-			if s[3] > d[3] {
-				d[3] = s[3]
-			}
-			d[0] += s[0]
-			d[1] += s[1]
-		}
+		mergeWindow(e.kind, dst[e.off:e.off+e.size()], src[e.off:e.off+e.size()])
 	}
 	return nil
+}
+
+// mergeWindow folds one instrument's window s into d, both of kind k.
+func mergeWindow(k kind, d, s []int64) {
+	switch k {
+	case kindCounter:
+		d[0] += s[0]
+	case kindGauge:
+		d[0] += s[0]
+		if d[2] == 0 || s[1] > d[1] {
+			d[1] = s[1]
+		}
+		d[2] = 1
+	default:
+		if s[0] == 0 {
+			return
+		}
+		for j := histHeader; j < len(d); j++ {
+			d[j] += s[j]
+		}
+		if d[0] == 0 || s[2] < d[2] {
+			d[2] = s[2]
+		}
+		if s[3] > d[3] {
+			d[3] = s[3]
+		}
+		d[0] += s[0]
+		d[1] += s[1]
+	}
 }
 
 // Snapshot builds the name-sorted Snapshot of a vector of this layout,
@@ -292,15 +265,14 @@ func (l *Layout) Values(s Snapshot) ([]int64, error) {
 			if !ok {
 				return nil, fmt.Errorf("obs: snapshot lacks histogram %q", e.name)
 			}
-			bounds, counts, err := bucketsOf(h)
+			bounds, w, err := histWindow(h)
 			if err != nil {
 				return nil, err
 			}
 			if !slices.Equal(bounds, e.bounds) {
 				return nil, fmt.Errorf("obs: histogram %q bucket bounds differ from the layout's", e.name)
 			}
-			vals = append(vals, h.Count, h.SumNanos, h.MinNanos, h.MaxNanos)
-			vals = append(vals, counts...)
+			vals = append(vals, w...)
 		}
 	}
 	return vals, nil

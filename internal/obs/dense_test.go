@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,7 +87,7 @@ func TestDenseValuesRoundTrip(t *testing.T) {
 	// An unseen gauge stays unseen: its first Set below zero becomes max.
 	src.Gauge("c.gauge").Set(-2)
 	dst.Gauge("c.gauge").Set(-2)
-	if a, b := dst.Gauge("c.gauge").max, src.Gauge("c.gauge").max; a != b {
+	if a, b := dst.Gauge("c.gauge").w[1], src.Gauge("c.gauge").w[1]; a != b {
 		t.Errorf("restored unseen gauge max %d, live %d", a, b)
 	}
 	// Appending into a buffer of enough capacity does not allocate.
@@ -255,4 +258,154 @@ func TestLayoutValuesInvertsSnapshot(t *testing.T) {
 	if _, err := l.Values(malformed); err == nil {
 		t.Error("Values accepted a malformed histogram snapshot")
 	}
+}
+
+// TestHandlesSurviveRegrowth: instruments created once values are
+// written, as MergeSnapshot creates them (and scrubd's checkpoint
+// restore through it), grow the value vector and may move it; every
+// handle taken earlier still writes into the registry.
+func TestHandlesSurviveRegrowth(t *testing.T) {
+	r := denseReg()
+	c, g, h := r.Counter("z.count"), r.Gauge("m.gauge"), r.HistogramBuckets("a.hist", nil)
+	before := &r.vals[0]
+	other := New()
+	for i := 0; i < 64; i++ {
+		other.Counter(fmt.Sprintf("extra.%02d", i)).Inc()
+	}
+	other.Histogram("extra.hist").Observe(time.Second)
+	if err := r.MergeSnapshot(other.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if &r.vals[0] == before {
+		t.Fatal("the vector did not move; the test needs more instruments")
+	}
+	c.Add(1)
+	g.Set(2)
+	h.Observe(2 * time.Second)
+	snap := r.Snapshot()
+	want := map[string]int64{"z.count": 10, "extra.00": 1, "extra.63": 1}
+	for _, cs := range snap.Counters {
+		if w, ok := want[cs.Name]; ok && cs.Value != w {
+			t.Errorf("counter %s = %d, want %d", cs.Name, cs.Value, w)
+		}
+	}
+	for _, gs := range snap.Gauges {
+		if gs.Name == "m.gauge" && (gs.Value != 2 || gs.Max != 4) {
+			t.Errorf("gauge = %d/%d, want 2/4", gs.Value, gs.Max)
+		}
+	}
+	for _, hs := range snap.Histograms {
+		if hs.Name == "a.hist" && (hs.Count != 2 || hs.MaxNanos != int64(2*time.Second)) {
+			t.Errorf("histogram count %d, max %d, want 2, %d", hs.Count, hs.MaxNanos, int64(2*time.Second))
+		}
+	}
+}
+
+// fuzzOps applies one instrument operation per 9 bytes of raw to r: a
+// selector byte (kind, one of 8 names, a shift) and a value. The fourth
+// kind is a histogram on bounds of its own, often two to an octave.
+func fuzzOps(r *Registry, raw []byte) {
+	for ; len(raw) >= 9; raw = raw[9:] {
+		name := fmt.Sprintf("i%d", raw[0]>>5)
+		v := int64(binary.LittleEndian.Uint64(raw[1:9])) >> (raw[0] & 0x1C * 2)
+		switch raw[0] % 4 {
+		case 0:
+			r.Counter(name).Add(v)
+		case 1:
+			r.Gauge(name).Set(v)
+		case 2:
+			r.Histogram(name).Observe(time.Duration(v))
+		default:
+			b := time.Duration(v&1023) << 10
+			r.HistogramBuckets("b"+name, []time.Duration{b, b + b/2 + 1, time.Second}).Observe(time.Duration(v))
+		}
+	}
+}
+
+// touch writes once through every instrument handle of r's layout,
+// taken before any later instrument exists.
+func touch(r *Registry) []func() {
+	var fns []func()
+	for i, e := range r.layout.entries {
+		v := int64(i + 1)
+		switch e.kind {
+		case kindCounter:
+			c := r.Counter(e.name)
+			fns = append(fns, func() { c.Add(v) })
+		case kindGauge:
+			g := r.Gauge(e.name)
+			fns = append(fns, func() { g.Set(v) })
+		default:
+			h := r.HistogramBuckets(e.name, nil)
+			fns = append(fns, func() { h.Observe(time.Duration(v) * time.Millisecond) })
+		}
+	}
+	return fns
+}
+
+// FuzzSetValuesRoundTrip: for registries built by arbitrary operations,
+// SetValues(AppendValues) into a registry of the same layout reproduces
+// the registry, and the Layout's Snapshot of the vector equals the
+// registry's own. Instruments added once values exist (one per 9 bytes
+// of later) keep the earlier values in place, and handles taken before
+// them still write into the registry.
+func FuzzSetValuesRoundTrip(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add(append(make([]byte, 9), 1, 2, 3, 4, 5, 6, 7, 8, 9), make([]byte, 90))
+	f.Add([]byte{0x23, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x41, 1, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 9*40))
+	f.Fuzz(func(t *testing.T, first, later []byte) {
+		src := New()
+		fuzzOps(src, first)
+		vals := src.AppendValues(nil)
+		dst := New()
+		for _, e := range src.layout.entries {
+			switch e.kind {
+			case kindCounter:
+				dst.Counter(e.name)
+			case kindGauge:
+				dst.Gauge(e.name)
+			default:
+				dst.HistogramBuckets(e.name, e.bounds)
+			}
+		}
+		if err := dst.SetValues(vals); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := snapJSON(t, dst.Snapshot()), snapJSON(t, src.Snapshot()); a != b {
+			t.Fatalf("SetValues(AppendValues) not identity:\nsrc: %s\ndst: %s", b, a)
+		}
+		snap, err := src.Layout().Snapshot(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := snapJSON(t, snap), snapJSON(t, src.Snapshot()); a != b {
+			t.Fatalf("Layout.Snapshot differs from Registry.Snapshot:\nreg:    %s\nlayout: %s", b, a)
+		}
+
+		writes := touch(src)
+		for i := 0; i < len(later)/9; i++ {
+			name := fmt.Sprintf("late.%d", i)
+			switch later[i*9] % 3 {
+			case 0:
+				src.Counter(name)
+			case 1:
+				src.Gauge(name)
+			default:
+				src.Histogram(name)
+			}
+		}
+		grown := src.AppendValues(nil)
+		if !slices.Equal(grown[:len(vals)], vals) || slices.ContainsFunc(grown[len(vals):], func(v int64) bool { return v != 0 }) {
+			t.Fatalf("regrowth moved values:\nbefore: %v\nafter:  %v", vals, grown)
+		}
+		for _, w := range touch(dst) {
+			w()
+		}
+		for _, w := range writes {
+			w()
+		}
+		if got, want := src.AppendValues(nil)[:len(vals)], dst.AppendValues(nil); !slices.Equal(got, want) {
+			t.Fatalf("handles taken before regrowth wrote elsewhere:\ngot:  %v\nwant: %v", got, want)
+		}
+	})
 }

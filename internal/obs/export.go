@@ -55,7 +55,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	return r.layout.snapshot(r.AppendValues(make([]int64, 0, r.layout.width)))
+	return r.layout.snapshot(r.vals)
 }
 
 // Formats lists the export formats WriteTo accepts.

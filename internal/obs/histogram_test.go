@@ -52,7 +52,7 @@ func probes(bounds []time.Duration) []time.Duration {
 // unless the bucket Observe counted is the one the binary search names.
 func checkObserve(t testing.TB, bounds, ds []time.Duration) {
 	t.Helper()
-	h := obs.NewHistogram(bounds)
+	h := obs.New().HistogramBuckets("h", bounds)
 	ref := slices.Clone(bounds)
 	if len(ref) == 0 {
 		ref = obs.DefaultLatencyBuckets()
@@ -71,7 +71,7 @@ func checkObserve(t testing.TB, bounds, ds []time.Duration) {
 }
 
 // randomBounds draws n bounds spread over every magnitude, about one in
-// eight negative, duplicates left in for NewHistogram to drop.
+// eight negative, duplicates left in for HistogramBuckets to drop.
 func randomBounds(r *rand.Rand, n int) []time.Duration {
 	b := make([]time.Duration, n)
 	for i := range b {
@@ -153,8 +153,22 @@ func decodeBounds(raw []byte) []time.Duration {
 	return b
 }
 
+// crowdOctaves returns bounds with two more beside each positive bound
+// b, at b+b/8+1 and b+b/4+2: mostly in b's octave, so Observe takes
+// several steps up from its table entry.
+func crowdOctaves(bounds []time.Duration) []time.Duration {
+	out := slices.Clone(bounds)
+	for _, b := range bounds {
+		if b > 0 && b < math.MaxInt64/2 {
+			out = append(out, b+b/8+1, b+b/4+2)
+		}
+	}
+	return out
+}
+
 func FuzzObserveMatchesBinarySearch(f *testing.F) {
 	f.Add([]byte{}, int64(1500))
+	f.Add(encodeBounds([]time.Duration{1 << 10, 3 << 9, 7 << 8, 1 << 11, 3 << 10}), int64(1800))
 	f.Add(encodeBounds(obs.DefaultLatencyBuckets()), int64(3*time.Millisecond))
 	f.Add(encodeBounds(fault.TTDBuckets()), int64(90*time.Minute))
 	f.Add(encodeBounds([]time.Duration{-7, -1, 0, 0, 1, 2, 2, 1 << 40, math.MaxInt64}), int64(-3))
@@ -162,6 +176,8 @@ func FuzzObserveMatchesBinarySearch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, d int64) {
 		bounds := decodeBounds(raw)
 		checkObserve(t, bounds, append(probes(bounds), time.Duration(d)))
+		crowded := crowdOctaves(bounds)
+		checkObserve(t, crowded, append(probes(crowded), time.Duration(d)))
 	})
 }
 
@@ -181,7 +197,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 			ds[i] = time.Duration(float64(c.lo) * math.Exp(r.Float64()*span))
 		}
 		b.Run(c.name, func(b *testing.B) {
-			h := obs.NewHistogram(c.bounds)
+			h := obs.New().HistogramBuckets("h", c.bounds)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				h.Observe(ds[i&1023])

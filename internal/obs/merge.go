@@ -3,6 +3,7 @@ package obs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -36,64 +37,42 @@ func (r *Registry) MergeSnapshot(s Snapshot) error {
 		return fmt.Errorf("obs: MergeSnapshot on a nil Registry")
 	}
 	for _, c := range s.Counters {
-		r.Counter(c.Name).v += c.Value
+		*r.Counter(c.Name).v += c.Value
 	}
 	for _, g := range s.Gauges {
-		dst := r.Gauge(g.Name)
-		dst.v += g.Value
-		if !dst.seen || g.Max > dst.max {
-			dst.max = g.Max
-		}
-		dst.seen = true
+		mergeWindow(kindGauge, r.Gauge(g.Name).w[:], []int64{g.Value, g.Max, 1})
 	}
 	for _, hs := range s.Histograms {
-		bounds, counts, err := bucketsOf(hs)
+		bounds, w, err := histWindow(hs)
 		if err != nil {
 			return err
 		}
 		dst := r.HistogramBuckets(hs.Name, bounds)
-		if len(dst.counts) != len(counts) {
-			return fmt.Errorf("obs: histogram %q bucket mismatch: %d vs %d buckets", hs.Name, len(dst.counts), len(counts))
+		if !slices.Equal(dst.bounds, bounds) {
+			return fmt.Errorf("obs: histogram %q bucket mismatch: bounds %v vs %v", hs.Name, dst.bounds, bounds)
 		}
-		for i, b := range bounds {
-			if dst.bounds[i] != b {
-				return fmt.Errorf("obs: histogram %q bucket mismatch at %d: %v vs %v", hs.Name, i, dst.bounds[i], b)
-			}
-		}
-		if hs.Count == 0 {
-			continue
-		}
-		for i, c := range counts {
-			dst.counts[i] += c
-		}
-		if dst.total == 0 || time.Duration(hs.MinNanos) < dst.min {
-			dst.min = time.Duration(hs.MinNanos)
-		}
-		if time.Duration(hs.MaxNanos) > dst.max {
-			dst.max = time.Duration(hs.MaxNanos)
-		}
-		dst.total += hs.Count
-		dst.sum += time.Duration(hs.SumNanos)
+		mergeWindow(kindHistogram, dst.w, w)
 	}
 	return nil
 }
 
-// bucketsOf splits a histogram snapshot into bounds and counts,
-// validating the shape (ascending bounds, exactly one trailing overflow
-// bucket).
-func bucketsOf(hs HistSnap) ([]time.Duration, []int64, error) {
+// histWindow splits a histogram snapshot into its bounds and its window
+// of a value vector (count, sum, min, max, buckets), validating the
+// shape: ascending bounds, exactly one trailing overflow bucket.
+func histWindow(hs HistSnap) ([]time.Duration, []int64, error) {
 	if len(hs.Buckets) < 1 {
 		return nil, nil, fmt.Errorf("obs: histogram %q snapshot has no buckets", hs.Name)
 	}
 	n := len(hs.Buckets) - 1
 	bounds := make([]time.Duration, n)
-	counts := make([]int64, n+1)
+	w := make([]int64, histHeader, histHeader+n+1)
+	w[0], w[1], w[2], w[3] = hs.Count, hs.SumNanos, hs.MinNanos, hs.MaxNanos
 	for i, b := range hs.Buckets {
+		w = append(w, b.Count)
 		if i == n {
 			if b.LeNanos != -1 {
 				return nil, nil, fmt.Errorf("obs: histogram %q snapshot missing overflow bucket", hs.Name)
 			}
-			counts[i] = b.Count
 			break
 		}
 		if b.LeNanos < 0 {
@@ -103,9 +82,8 @@ func bucketsOf(hs HistSnap) ([]time.Duration, []int64, error) {
 			return nil, nil, fmt.Errorf("obs: histogram %q snapshot bounds not ascending at %d", hs.Name, i)
 		}
 		bounds[i] = time.Duration(b.LeNanos)
-		counts[i] = b.Count
 	}
-	return bounds, counts, nil
+	return bounds, w, nil
 }
 
 // MergeSnapshots reduces any number of snapshots into one: counters add,

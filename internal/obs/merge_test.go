@@ -56,8 +56,8 @@ func TestGaugeMerge(t *testing.T) {
 	if g.Value() != 5 {
 		t.Errorf("merged gauge value = %d, want 5 (2+3)", g.Value())
 	}
-	if g.max != 10 {
-		t.Errorf("merged gauge max = %d, want 10", g.max)
+	if g.w[1] != 10 {
+		t.Errorf("merged gauge max = %d, want 10", g.w[1])
 	}
 	// A gauge that was never set contributes nothing.
 	unseen := New()
@@ -65,16 +65,16 @@ func TestGaugeMerge(t *testing.T) {
 	if err := mergeInto(a, unseen); err != nil {
 		t.Fatal(err)
 	}
-	if g.Value() != 5 || g.max != 10 {
-		t.Errorf("unseen merge changed gauge to (%d, %d)", g.Value(), g.max)
+	if g.Value() != 5 || g.w[1] != 10 {
+		t.Errorf("unseen merge changed gauge to (%d, %d)", g.Value(), g.w[1])
 	}
 	// Merging into a fresh registry adopts the source.
 	c := New()
 	if err := mergeInto(c, b); err != nil {
 		t.Fatal(err)
 	}
-	if g := c.Gauge("g"); g.Value() != 3 || g.max != 5 {
-		t.Errorf("merge into fresh gauge = (%d, %d), want (3, 5)", g.Value(), g.max)
+	if g := c.Gauge("g"); g.Value() != 3 || g.w[1] != 5 {
+		t.Errorf("merge into fresh gauge = (%d, %d), want (3, 5)", g.Value(), g.w[1])
 	}
 }
 
@@ -87,8 +87,8 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := a.Histogram("h")
-	if h.total != 3 {
-		t.Errorf("merged count = %d, want 3", h.total)
+	if h.w[0] != 3 {
+		t.Errorf("merged count = %d, want 3", h.w[0])
 	}
 	if h.Sum() != 111*time.Millisecond {
 		t.Errorf("merged sum = %v, want 111ms", h.Sum())
@@ -122,7 +122,7 @@ func TestHistogramMergeBoundsMismatch(t *testing.T) {
 
 // histSnapOf copies one histogram's current state under the given name.
 func histSnapOf(h *Histogram, name string) HistSnap {
-	return histSnap(name, h.bounds, append([]int64{h.total, int64(h.sum), int64(h.min), int64(h.max)}, h.counts...))
+	return histSnap(name, h.bounds, h.w)
 }
 
 func snapJSON(t *testing.T, v any) string {
@@ -211,7 +211,7 @@ func TestMergeSnapshotRoundTrip(t *testing.T) {
 	}
 	// A post-restore Set below the restored max keeps the max.
 	fresh.Gauge("g").Set(3)
-	if got := fresh.Gauge("g").max; got != 12 {
+	if got := fresh.Gauge("g").w[1]; got != 12 {
 		t.Errorf("restored gauge max after lower Set = %d, want 12", got)
 	}
 	orig.Gauge("g").Set(3)

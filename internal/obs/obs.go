@@ -15,9 +15,13 @@
 //     *Histogram / *Ring fields and each observation is a single branch
 //     with zero allocations (proved by TestNilInstrumentsZeroAllocs and
 //     BenchmarkReplayInstrumented).
-//  3. Zero steady-state allocations when enabled. Histograms use fixed
-//     arrays, the trace ring is preallocated, and event payloads are two
-//     int64 operands rather than formatted strings.
+//  3. Zero steady-state allocations when enabled. A registry's live
+//     state is one []int64 value vector (dense.go), and every
+//     instrument is a window of it: a counter one slot, a gauge three,
+//     a histogram its count, sum, min, max and buckets. Parking a
+//     fleet member and hydrating it are one copy each. The trace ring
+//     is preallocated, and event payloads are two int64 operands
+//     rather than formatted strings.
 //  4. Constant-time observations. A histogram finds its bucket from the
 //     observation's bit length: a 65-entry table, built once per bounds
 //     set, names the lowest bucket that octave can land in, and Observe
@@ -36,10 +40,11 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing int64. The nil Counter is a
-// valid no-op instrument.
+// Counter is a monotonically increasing int64: a pointer to its slot in
+// the registry's value vector. The nil Counter is a valid no-op
+// instrument.
 type Counter struct {
-	v int64
+	v *int64
 }
 
 // Add increments the counter by n.
@@ -47,7 +52,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.v += n
+	*c.v += n
 }
 
 // Inc increments the counter by one.
@@ -55,7 +60,7 @@ func (c *Counter) Inc() {
 	if c == nil {
 		return
 	}
-	c.v++
+	*c.v++
 }
 
 // Value returns the current count (0 for the nil Counter).
@@ -63,14 +68,14 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	return *c.v
 }
 
 // Gauge is a last-value instrument that also tracks the maximum ever
-// set. The nil Gauge is a valid no-op instrument.
+// set: three values of the registry's vector, the value, the max and 1
+// once set. The nil Gauge is a valid no-op instrument.
 type Gauge struct {
-	v, max int64
-	seen   bool
+	w *[3]int64
 }
 
 // Set records the current value.
@@ -78,10 +83,10 @@ func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
 	}
-	g.v = v
-	if !g.seen || v > g.max {
-		g.max = v
-		g.seen = true
+	w := g.w
+	w[0] = v
+	if w[2] == 0 || v > w[1] {
+		w[1], w[2] = v, 1
 	}
 }
 
@@ -90,7 +95,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v
+	return g.w[0]
 }
 
 // DefaultLatencyBuckets returns the standard log-spaced (1-2-5 per
@@ -107,16 +112,14 @@ func DefaultLatencyBuckets() []time.Duration {
 
 // Histogram counts duration observations into fixed log-spaced buckets
 // (upper-bound semantics: bucket i counts observations d with
-// bounds[i-1] < d <= bounds[i]; one final bucket catches overflow). The
-// nil Histogram is a valid no-op instrument.
+// bounds[i-1] < d <= bounds[i]; one final bucket catches overflow). Its
+// state is a window of the registry's vector: count, sum, min and max,
+// then one count per bucket. The nil Histogram is a valid no-op
+// instrument.
 type Histogram struct {
+	w      []int64         // histHeader + len(bounds) + 1 values
 	bounds []time.Duration // ascending upper bounds; shared, never mutated
 	start  *bucketIndex    // built once per bounds set
-	counts []int64         // len(bounds)+1; last is the +Inf bucket
-	total  int64
-	sum    time.Duration
-	min    time.Duration
-	max    time.Duration
 }
 
 // bucketIndex is where Observe starts its bucket search: entry k is the
@@ -148,21 +151,19 @@ var (
 	defaultIndex  = newBucketIndex(defaultBounds)
 )
 
-// NewHistogram builds a histogram over the given upper bounds, sorted
-// and deduplicated (nil means DefaultLatencyBuckets). Registries construct histograms for
-// callers; direct construction is for tests and standalone aggregation.
-func NewHistogram(bounds []time.Duration) *Histogram {
-	b, ix := defaultBounds, defaultIndex
-	if len(bounds) > 0 {
-		// Duplicate bounds are dropped: a repeated bound is a bucket no
-		// observation can land in, and a snapshot, whose bounds must
-		// ascend strictly, could not carry it back.
-		b = slices.Clone(bounds)
-		slices.Sort(b)
-		b = slices.Compact(b)
-		ix = newBucketIndex(b)
+// histBounds returns a histogram's bounds, sorted and deduplicated, and
+// their bucket table (nil bounds select the shared defaults). Duplicate
+// bounds are dropped: a repeated bound is a bucket no observation can
+// land in, and a snapshot, whose bounds must ascend strictly, could not
+// carry it back.
+func histBounds(bounds []time.Duration) ([]time.Duration, *bucketIndex) {
+	if len(bounds) == 0 {
+		return defaultBounds, defaultIndex
 	}
-	return &Histogram{bounds: b, start: ix, counts: make([]int64, len(b)+1)}
+	b := slices.Clone(bounds)
+	slices.Sort(b)
+	b = slices.Compact(b)
+	return b, newBucketIndex(b)
 }
 
 // Observe records one duration. Negative observations clamp to zero.
@@ -177,14 +178,15 @@ func (h *Histogram) Observe(d time.Duration) {
 	for i < len(h.bounds) && d > h.bounds[i] {
 		i++
 	}
-	h.counts[i]++
-	h.total++
-	h.sum += d
-	if h.total == 1 || d < h.min {
-		h.min = d
+	w, v := (*[histHeader]int64)(h.w), int64(d)
+	h.w[histHeader+i]++
+	w[0]++
+	w[1] += v
+	if w[0] == 1 || v < w[2] {
+		w[2] = v
 	}
-	if d > h.max {
-		h.max = d
+	if v > w[3] {
+		w[3] = v
 	}
 }
 
@@ -193,5 +195,5 @@ func (h *Histogram) Sum() time.Duration {
 	if h == nil {
 		return 0
 	}
-	return h.sum
+	return time.Duration(h.w[1])
 }

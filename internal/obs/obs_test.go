@@ -21,14 +21,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("g")
 	g.Set(7)
 	g.Set(3)
-	if g.Value() != 3 || g.max != 7 {
-		t.Fatalf("gauge = %d/%d, want 3/7", g.Value(), g.max)
+	if g.Value() != 3 || g.w[1] != 7 {
+		t.Fatalf("gauge = %d/%d, want 3/7", g.Value(), g.w[1])
 	}
 	// Max must track a first negative value too.
 	g2 := r.Gauge("g2")
 	g2.Set(-4)
-	if g2.max != -4 {
-		t.Fatalf("gauge max = %d, want -4", g2.max)
+	if g2.w[1] != -4 {
+		t.Fatalf("gauge max = %d, want -4", g2.w[1])
 	}
 }
 
@@ -59,23 +59,24 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 }
 
 func TestHistogramBucketing(t *testing.T) {
-	h := NewHistogram([]time.Duration{time.Millisecond, 10 * time.Millisecond})
+	h := New().HistogramBuckets("h", []time.Duration{time.Millisecond, 10 * time.Millisecond})
 	h.Observe(time.Millisecond) // boundary: first bucket (le semantics)
 	h.Observe(500 * time.Microsecond)
 	h.Observe(2 * time.Millisecond)
 	h.Observe(time.Minute)  // overflow
 	h.Observe(-time.Second) // clamps to zero, first bucket
 	want := []int64{3, 1, 1}
+	counts := h.w[histHeader:]
 	for i, w := range want {
-		if h.counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, h.counts[i], w, h.counts)
+		if counts[i] != w {
+			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, counts[i], w, counts)
 		}
 	}
-	if h.total != 5 {
-		t.Fatalf("count = %d", h.total)
+	if h.w[0] != 5 {
+		t.Fatalf("count = %d", h.w[0])
 	}
-	if h.min != 0 || h.max != time.Minute {
-		t.Fatalf("min/max = %v/%v", h.min, h.max)
+	if h.w[2] != 0 || h.w[3] != int64(time.Minute) {
+		t.Fatalf("min/max = %v/%v", time.Duration(h.w[2]), time.Duration(h.w[3]))
 	}
 }
 

@@ -7,9 +7,9 @@ import "time"
 // fast path: every getter returns a nil instrument whose methods are
 // single-branch no-ops, so components can wire unconditionally.
 //
-// Besides the name index, a registry lists its instruments in creation
-// order. That order is its Layout, the schema of the dense value vector
-// AppendValues writes and SetValues reads (see dense.go).
+// The registry's state is its dense value vector, instruments in
+// creation order as its Layout lays them out (see dense.go); each
+// instrument handle is a window of that vector.
 //
 // Like the Simulator it observes, a Registry is single-threaded by
 // design; give each concurrently running system its own.
@@ -17,16 +17,9 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	insts    []instrument // creation order, parallel to layout.entries
 	layout   Layout
+	vals     []int64 // the live state, layout.width values
 	ring     *Ring
-}
-
-// instrument is one registered instrument; exactly one field is set.
-type instrument struct {
-	c *Counter
-	g *Gauge
-	h *Histogram
 }
 
 // Option configures a Registry at construction.
@@ -61,7 +54,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
-		r.add(instrument{c: c}, name, kindCounter, nil)
+		r.add(name, kindCounter, nil)
 	}
 	return c
 }
@@ -75,7 +68,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
-		r.add(instrument{g: g}, name, kindGauge, nil)
+		r.add(name, kindGauge, nil)
 	}
 	return g
 }
@@ -86,26 +79,54 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return r.HistogramBuckets(name, nil)
 }
 
-// HistogramBuckets returns the named histogram, creating it with the
-// given bounds on first use (nil bounds select the defaults). Bounds are
-// fixed at creation; later calls return the existing histogram.
+// HistogramBuckets returns the named histogram, creating it on first use
+// over the given upper bounds, sorted and deduplicated (nil bounds select
+// DefaultLatencyBuckets). Bounds are fixed at creation; later calls
+// return the existing histogram.
 func (r *Registry) HistogramBuckets(name string, bounds []time.Duration) *Histogram {
 	if r == nil {
 		return nil
 	}
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(bounds)
+		h = &Histogram{}
+		h.bounds, h.start = histBounds(bounds)
 		r.hists[name] = h
-		r.add(instrument{h: h}, name, kindHistogram, h.bounds)
+		r.add(name, kindHistogram, h.bounds)
 	}
 	return h
 }
 
-// add appends a new instrument to the creation order and the layout.
-func (r *Registry) add(in instrument, name string, k kind, bounds []time.Duration) {
-	r.insts = append(r.insts, in)
+// add lays out the instrument just filed under name and points it at
+// its zeroed window. When the vector has to move to grow, every earlier
+// instrument is pointed at its window in the new vector, so handles
+// taken before an instrument is added (as MergeSnapshot adds them after
+// values exist) keep writing into the registry.
+func (r *Registry) add(name string, k kind, bounds []time.Duration) {
 	r.layout.add(name, k, bounds)
+	n := len(r.vals)
+	moved := r.layout.width > cap(r.vals)
+	r.vals = append(r.vals, make([]int64, r.layout.width-n)...)
+	first := len(r.layout.entries) - 1
+	if moved {
+		first = 0
+	}
+	for i := first; i < len(r.layout.entries); i++ {
+		r.point(&r.layout.entries[i])
+	}
+}
+
+// point sets the handle of a layout entry to its window of the vector.
+func (r *Registry) point(e *layoutEntry) {
+	w := r.vals[e.off : e.off+e.size()]
+	switch e.kind {
+	case kindCounter:
+		r.counters[e.name].v = &w[0]
+	case kindGauge:
+		r.gauges[e.name].w = (*[3]int64)(w)
+	default:
+		r.hists[e.name].w = w
+	}
 }
 
 // Trace returns the event ring, or nil when tracing is disabled.
