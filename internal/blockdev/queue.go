@@ -57,19 +57,16 @@ type Queue struct {
 
 	// Barrier machinery: the head barrier waits for the elevator to
 	// drain; requests submitted after it stage until it completes.
-	//
-	//scrublint:transient SaveState refuses a queue with a barrier pending
-	barrier struct {
-		head   *Request
-		staged []*Request
-	}
+	headBarrier *Request   //scrublint:transient SaveState refuses a queue with a barrier pending
+	staged      []*Request //scrublint:transient SaveState refuses a queue with a barrier pending
 
 	// held is the block layer's request count that blockdev.queue_depth
 	// reports: the elevator's requests (those merged into another no
 	// longer count), the staged ones, the barrier slot and the device,
 	// so a barrier in service counts twice, in its slot and on the
-	// device. It is kept as requests move, sparing the per-request
-	// Scheduler.Len call.
+	// device. An instrumented queue keeps it as requests move, sparing
+	// the per-request Scheduler.Len call; an uninstrumented one leaves
+	// it alone.
 	held int64 //scrublint:transient RestoreState recounts it from the restored in-flight request
 
 	// inflightEv is the in-flight request's pending completion or retry
@@ -152,8 +149,8 @@ func (q *Queue) Inflight() *Request { return q.inflight }
 
 // Pending returns the number of queued (not yet dispatched) requests.
 func (q *Queue) Pending() int {
-	n := q.sched.Len() + len(q.barrier.staged)
-	if q.barrier.head != nil {
+	n := q.sched.Len() + len(q.staged)
+	if q.headBarrier != nil {
 		n++
 	}
 	return n
@@ -167,8 +164,8 @@ func (q *Queue) Idle() bool { return q.inflight == nil && q.Pending() == 0 }
 // the request currently in service. At most the one in-flight request
 // remains, which a snapshot can carry.
 func (q *Queue) Quiesced() bool {
-	return len(q.barrier.staged) == 0 && q.sched.Len() == 0 &&
-		(q.barrier.head == nil || q.barrier.head == q.inflight)
+	return len(q.staged) == 0 && q.sched.Len() == 0 &&
+		(q.headBarrier == nil || q.headBarrier == q.inflight)
 }
 
 // SubscribeIdle registers fn to run whenever the device transitions to
@@ -213,7 +210,6 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 func (q *Queue) Submit(r *Request) {
 	now := q.sim.Now()
 	r.Submit = now
-	r.absorbed = false
 	q.st.Seq++
 	r.seq = q.st.Seq
 	if r.Origin == Scrub || r.Origin == Foreground {
@@ -236,18 +232,20 @@ func (q *Queue) Submit(r *Request) {
 	}
 
 	switch {
-	case q.barrier.head != nil:
+	case q.headBarrier != nil:
 		// A barrier is pending: everything later stages behind it.
-		q.barrier.staged = append(q.barrier.staged, r)
+		q.staged = append(q.staged, r)
 	case r.Barrier:
-		q.barrier.head = r
+		q.headBarrier = r
 	default:
 		q.sched.Add(r, now)
 	}
-	if !r.absorbed {
-		q.held++
+	if q.obsColl != nil {
+		if !r.absorbed {
+			q.held++
+		}
+		q.obsDepth.Set(q.held)
 	}
-	q.obsDepth.Set(q.held)
 	q.dispatch()
 }
 
@@ -261,9 +259,11 @@ func (q *Queue) dispatch() {
 	now := q.sim.Now()
 
 	// The head barrier runs once the elevator has drained.
-	if q.barrier.head != nil && q.sched.Len() == 0 {
-		q.held++ // on the device, and still in its slot
-		q.start(q.barrier.head, now)
+	if q.headBarrier != nil && q.sched.Len() == 0 {
+		if q.obsColl != nil {
+			q.held++ // on the device, and still in its slot
+		}
+		q.start(q.headBarrier, now)
 		return
 	}
 
@@ -387,7 +387,6 @@ func (q *Queue) fireInflight() {
 //scrub:hotpath
 func (q *Queue) complete(r *Request, now time.Duration) {
 	q.inflight = nil
-	q.held--
 	q.st.EvKind = evNone
 	r.Done = now
 	if r.Origin == Scrub || r.Origin == Foreground {
@@ -396,11 +395,14 @@ func (q *Queue) complete(r *Request, now time.Duration) {
 	}
 	if q.obsColl != nil {
 		q.obsTrace.Emit(now, "blockdev", "complete", r.LBA, r.Sectors)
-		q.obsDepth.Set(q.held)
-	}
-	if r == q.barrier.head {
-		q.barrier.head = nil
 		q.held--
+		q.obsDepth.Set(q.held)
+		if r == q.headBarrier {
+			q.held-- // out of its slot
+		}
+	}
+	if r == q.headBarrier {
+		q.headBarrier = nil
 		q.flushStaged()
 	} else {
 		q.sched.OnComplete(r, now)
@@ -415,6 +417,7 @@ func (q *Queue) complete(r *Request, now time.Duration) {
 		fn(r)
 	}
 	for _, m := range r.mergeOf {
+		m.absorbed = false
 		m.Dispatch = r.Dispatch
 		m.Done = now
 		m.CacheHit = r.CacheHit
@@ -453,17 +456,17 @@ func (q *Queue) complete(r *Request, now time.Duration) {
 func (q *Queue) flushStaged() {
 	now := q.sim.Now()
 	i := 0
-	for ; i < len(q.barrier.staged); i++ {
-		r := q.barrier.staged[i]
+	for ; i < len(q.staged); i++ {
+		r := q.staged[i]
 		if r.Barrier {
-			q.barrier.head = r
+			q.headBarrier = r
 			i++
 			break
 		}
 		q.sched.Add(r, now)
-		if r.absorbed {
+		if r.absorbed && q.obsColl != nil {
 			q.held--
 		}
 	}
-	q.barrier.staged = append(q.barrier.staged[:0], q.barrier.staged[i:]...)
+	q.staged = append(q.staged[:0], q.staged[i:]...)
 }

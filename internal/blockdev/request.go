@@ -118,12 +118,13 @@ type Request struct {
 	// pooled marks a request owned by its queue's free list (obtained via
 	// GetRequest); the queue recycles it once completion has fully run.
 	pooled bool
+	// absorbed marks a request merged into another by AbsorbMerge, until
+	// that request completes; an instrumented queue no longer counts it
+	// as held (see Scheduler).
+	absorbed bool
 	// mergeOf lists requests absorbed into this one by elevator merging;
 	// they complete when this request completes.
 	mergeOf []*Request
-	// absorbed marks a request merged into another by AbsorbMerge since
-	// its Submit; the queue no longer counts it as held.
-	absorbed bool
 }
 
 // reset clears every field for pool reuse, keeping only the pooled mark
@@ -165,6 +166,13 @@ func (r *Request) WaitTime() time.Duration { return r.Dispatch - r.Submit }
 // completion. Next either returns a dispatchable request, or nil and an
 // optional future time at which dispatching should be retried (zero means
 // "only retry on the next Add/OnComplete").
+//
+// An elevator merges only inside Add, and only by calling AbsorbMerge
+// on a request it holds with the request being added (a back-merge).
+// The queue's held count, which blockdev.queue_depth reports, drops the
+// added request when Add absorbs it that way; a merge made anywhere
+// else (at Next, or a front-merge absorbing a queued request into the
+// new one) would leave that count too high.
 type Scheduler interface {
 	Add(r *Request, now time.Duration)
 	Next(now time.Duration) (*Request, time.Duration)

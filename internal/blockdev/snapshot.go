@@ -80,10 +80,10 @@ type QState struct {
 // completion callback it does not own.
 func (q *Queue) SaveState(dst *QState, classify func(*Request) (uint8, error)) error {
 	switch {
-	case q.barrier.head != nil && q.barrier.head != q.inflight:
+	case q.headBarrier != nil && q.headBarrier != q.inflight:
 		return fmt.Errorf("blockdev: cannot snapshot with a pending barrier")
-	case len(q.barrier.staged) > 0:
-		return fmt.Errorf("blockdev: cannot snapshot with %d staged requests", len(q.barrier.staged))
+	case len(q.staged) > 0:
+		return fmt.Errorf("blockdev: cannot snapshot with %d staged requests", len(q.staged))
 	case q.sched.Len() > 0:
 		return fmt.Errorf("blockdev: cannot snapshot with %d requests in the elevator", q.sched.Len())
 	}
@@ -154,9 +154,9 @@ func (q *Queue) RestoreState(st *QState, resolve func(uint8) func(*Request)) err
 	if r := q.inflight; r != nil && r.pooled {
 		q.putRequest(r)
 	}
-	q.inflight, q.barrier.head, q.held = nil, nil, 0
-	clear(q.barrier.staged)
-	q.barrier.staged = q.barrier.staged[:0]
+	q.inflight, q.headBarrier, q.held = nil, nil, 0
+	clear(q.staged)
+	q.staged = q.staged[:0]
 	q.st = *st
 	q.st.Inflight = nil
 	if err := q.poll.Restore(st.HasPoll, st.PollAt, st.PollSeq); err != nil {
@@ -198,7 +198,7 @@ func (q *Queue) RestoreState(st *QState, resolve func(uint8) func(*Request)) err
 	if r.Barrier {
 		// A barrier in service still occupies the barrier slot; it is
 		// released by its own completion.
-		q.barrier.head, q.held = r, 2
+		q.headBarrier, q.held = r, 2
 	}
 	if st.EvKind != evComplete && st.EvKind != evRetry {
 		return fmt.Errorf("blockdev: in-flight request with event kind %d", st.EvKind)

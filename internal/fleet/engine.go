@@ -83,14 +83,8 @@ type Engine struct {
 	now     time.Duration
 	done    bool //scrublint:transient Checkpoint refuses a finished campaign
 
-	// final is what Run keeps for MemberReports and the determinism
-	// tests: every member's report and, instrumented, obs snapshot.
-	//
-	//scrublint:transient per-member results exist only after Run; Checkpoint refuses then
-	final struct {
-		reports []core.Report
-		obs     []obs.Snapshot
-	}
+	finalReports []core.Report  //scrublint:transient per-member results exist only after Run; Checkpoint refuses then
+	finalObs     []obs.Snapshot //scrublint:transient per-member snapshots exist only after Run; Checkpoint refuses then
 
 	stacks stackPool //scrublint:transient live stacks, overwritten by every hydrate; a resumed engine builds its own
 }
@@ -131,9 +125,9 @@ func New(cfg Config, classes []MemberClass) (*Engine, error) {
 // stack is one live member stack of a class: a built core.System and,
 // instrumented, its registry. A shard restores every member it advances
 // onto its set's stack of the member's class in place, and the set goes
-// back to a stackPool for the next shard or slice — the stack is built
-// once per worker, never per member, shard or slice — so live memory is
-// bounded by Workers × classes.
+// back to the engine's stackPool for the next shard or slice — the
+// stack is built once per worker, never per member, shard or slice — so
+// live memory is bounded by Workers × classes.
 type stack struct {
 	sys *core.System
 	reg *obs.Registry // nil when uninstrumented
@@ -265,9 +259,9 @@ func (e *Engine) advance(ctx context.Context, i int, boundary time.Duration, fin
 			return memberErr(i, err)
 		}
 		if e.cfg.KeepMembers {
-			e.final.reports[i] = rep
+			e.finalReports[i] = rep
 			if st.reg != nil {
-				if e.final.obs[i], err = st.layout.Snapshot(vals); err != nil {
+				if e.finalObs[i], err = st.layout.Snapshot(vals); err != nil {
 					return memberErr(i, err)
 				}
 			}
@@ -389,9 +383,9 @@ func (e *Engine) Run(ctx context.Context, horizon time.Duration) (*Report, error
 		}
 	}
 	if e.cfg.KeepMembers {
-		e.final.reports = make([]core.Report, len(e.slots))
+		e.finalReports = make([]core.Report, len(e.slots))
 		if e.cfg.Instrument {
-			e.final.obs = make([]obs.Snapshot, len(e.slots))
+			e.finalObs = make([]obs.Snapshot, len(e.slots))
 		}
 	}
 	aggs := make([]aggregate, e.cfg.Shards)
@@ -406,4 +400,4 @@ func (e *Engine) Run(ctx context.Context, horizon time.Duration) (*Report, error
 
 // MemberReports returns the per-member final reports (KeepMembers only;
 // nil otherwise), indexed in member order.
-func (e *Engine) MemberReports() []core.Report { return e.final.reports }
+func (e *Engine) MemberReports() []core.Report { return e.finalReports }
